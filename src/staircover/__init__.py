@@ -30,7 +30,6 @@ from .geom import (
     cuts,
     precedes,
     pt,
-    segment_meets_stair,
     tri_intersects,
 )
 from .lattice import (

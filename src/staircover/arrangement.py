@@ -29,7 +29,7 @@ import numpy as np
 
 from .geom import Point, Rect, Triangle
 
-__all__ = ["min_depth", "depth_at", "membership_patterns", "face_points"]
+__all__ = ["min_depth", "depth_at"]
 
 _INT64_LIMIT = 1 << 60
 
@@ -103,13 +103,6 @@ def _corner_arrays(corners, scale, dtype):
     return cx, cy, cs
 
 
-def _depth_block(ts, ys, cx, cy, cs):
-    t3 = ts[:, None, None]
-    y3 = ys[:, :, None]
-    inside = (t3 >= cx) & (y3 >= cy) & ((t3 + y3) <= cs)
-    return inside
-
-
 def min_depth(corners, window: Rect, *, early_below: int | None = None):
     """Exact minimum coverage depth of the triangle family over the window.
 
@@ -128,7 +121,8 @@ def min_depth(corners, window: Rect, *, early_below: int | None = None):
     ):
         if corners:
             cx, cy, cs = _corner_arrays(corners, scale, ts.dtype)
-            depth = _depth_block(ts, ys, cx, cy, cs).sum(axis=2)
+            t3, y3 = ts[:, None, None], ys[:, :, None]
+            depth = ((t3 >= cx) & (y3 >= cy) & ((t3 + y3) <= cs)).sum(axis=2)
         else:
             depth = np.zeros(ys.shape, dtype=np.int64)
         depth = np.where(valid, depth, np.iinfo(np.int64).max)
@@ -146,55 +140,3 @@ def min_depth(corners, window: Rect, *, early_below: int | None = None):
     if best is None:
         raise ValueError("window produced no sample points")
     return best, witness
-
-
-def membership_patterns(corners, window: Rect):
-    """Distinct triangle-containment patterns over the window.
-
-    Returns a list of (representative point, tuple of containing corner
-    indices), one entry per combinatorially distinct pattern that occurs.
-    """
-    corners = list(corners)
-    seen: dict[bytes, Point] = {}
-    for scale, ts, ys, valid in _iter_chunks(
-        [c.x for c in corners], [c.y for c in corners],
-        [c.x + c.y + 1 for c in corners], window,
-    ):
-        if not corners:
-            continue
-        cx, cy, cs = _corner_arrays(corners, scale, ts.dtype)
-        inside = _depth_block(ts, ys, cx, cy, cs)
-        rows = inside.reshape(-1, len(corners))
-        mask = valid.ravel()
-        t_rep = np.broadcast_to(ts[:, None], ys.shape).reshape(-1)
-        y_rep = ys.reshape(-1)
-        rows = np.asarray(rows[mask], dtype=bool)
-        t_rep, y_rep = t_rep[mask], y_rep[mask]
-        uniq, first = np.unique(rows, axis=0, return_index=True)
-        for pattern, idx in zip(uniq, first):
-            key = pattern.tobytes()
-            if key not in seen:
-                seen[key] = Point(
-                    Fraction(int(t_rep[idx]), scale), Fraction(int(y_rep[idx]), scale)
-                )
-    out = []
-    for key, point in seen.items():
-        indices = tuple(i for i, bit in enumerate(key) if bit)
-        out.append((point, indices))
-    return out
-
-
-def face_points(x_vals, y_vals, sum_vals, window: Rect) -> list[Point]:
-    """All face sample points, as exact rational Points (test-sized inputs)."""
-    pts = []
-    for scale, ts, ys, valid in _iter_chunks(x_vals, y_vals, sum_vals, window):
-        for row in range(ys.shape[0]):
-            for col in range(ys.shape[1]):
-                if valid[row, col]:
-                    pts.append(
-                        Point(
-                            Fraction(int(ts[row]), scale),
-                            Fraction(int(ys[row, col]), scale),
-                        )
-                    )
-    return pts

@@ -37,9 +37,25 @@ __all__ = [
     "NonStairCell",
     "cutter_set",
     "cut_apex",
+    "repeated_corners",
     "stair_cell",
     "decompose",
 ]
+
+
+def repeated_corners(corners) -> list[tuple[int, int]]:
+    """Pairs (i, j) with corners[j] == corners[i], i < j, in order of j.
+
+    i is the first occurrence of the corner, so the list is empty exactly
+    when the corners are pairwise distinct. One pass with a dict: O(N).
+    """
+    first: dict[Point, int] = {}
+    pairs = []
+    for j, c in enumerate(corners):
+        i = first.setdefault(c, j)
+        if i != j:
+            pairs.append((i, j))
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -57,11 +73,10 @@ class CoveringInstance:
             raise ValueError("window side must be positive")
         if not self.corners:
             raise ValueError("instance needs at least one translate")
-        if len(set(self.corners)) != len(self.corners):
-            dupes = sorted(
-                str(c) for c in self.corners if self.corners.count(c) > 1
-            )
-            raise ValueError(f"translate corners must be distinct; repeated: {dupes[0]}")
+        repeats = repeated_corners(self.corners)
+        if repeats:
+            smallest = min(str(self.corners[j]) for _, j in repeats)
+            raise ValueError(f"corners must be pairwise distinct; repeated {smallest}")
 
     @classmethod
     def of(cls, k: int, window, corners) -> "CoveringInstance":

@@ -22,7 +22,7 @@ from .decomposition import CoveringInstance, DecompositionResult
 from .geom import Point, pt
 from .lattice import Lattice, LatticeSearchReport
 from .rational import rat, rat_str
-from .verification import AuditReport, CoverageCertificate
+from .verification import AuditReport, CoverageCertificate, _point_json
 
 __all__ = [
     "InstanceFormatError",
@@ -87,12 +87,10 @@ def parse_instance(data: dict) -> tuple[CoveringInstance, dict]:
     if "triangle" in data:
         corners, transform = _normalize_triangle(data["triangle"], corners)
         meta["transform"] = transform
-    dupes = {c for c in corners if corners.count(c) > 1}
-    if dupes:
-        raise InstanceFormatError(
-            f"translates: corners must be pairwise distinct; repeated {sorted(map(str, dupes))[0]}"
-        )
-    inst = CoveringInstance(k=k, window=l, corners=tuple(corners))
+    try:
+        inst = CoveringInstance(k=k, window=l, corners=tuple(corners))
+    except ValueError as exc:  # k, l and emptiness are checked above: repeats
+        raise InstanceFormatError(f"translates: {exc}") from exc
     return inst, meta
 
 
@@ -111,7 +109,7 @@ def _normalize_triangle(raw, corners):
         for p in corners
     ]
     transform = {
-        "triangle": [[rat_str(p.x), rat_str(p.y)] for p in (a, b, c)],
+        "triangle": [_point_json(p) for p in (a, b, c)],
         "linear_map": [[rat_str(v) for v in row] for row in inv],
     }
     return mapped, transform
@@ -131,7 +129,7 @@ def instance_to_json(inst: CoveringInstance, meta: dict | None = None) -> dict:
         "schema": SCHEMA_INSTANCE,
         "k": inst.k,
         "l": rat_str(inst.window),
-        "translates": [[rat_str(c.x), rat_str(c.y)] for c in inst.corners],
+        "translates": [_point_json(c) for c in inst.corners],
     }
     if meta:
         data.update(meta)
@@ -140,10 +138,6 @@ def instance_to_json(inst: CoveringInstance, meta: dict | None = None) -> dict:
 
 def dump_report(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def _point_json(p: Point):
-    return [rat_str(p.x), rat_str(p.y)]
 
 
 def report_verify(inst: CoveringInstance, cert: CoverageCertificate) -> dict:

@@ -32,7 +32,6 @@ __all__ = [
     "precedes",
     "tri_intersects",
     "cuts",
-    "segment_meets_stair",
 ]
 
 
@@ -254,25 +253,6 @@ class StairPolygon:
             for i in range(len(self.x_breaks) - 1)
         )
 
-    def clip_to_window(self, l) -> "StairPolygon | None":
-        """Intersection with the half-open window [0, l) x [0, l), or None."""
-        side = rat(l)
-        if side <= 0:
-            raise ValueError("window side must be positive")
-        return self.clip_to_rect(Rect(Fraction(0), side, Fraction(0), side))
-
-    def clip_to_rect(self, win: Rect) -> "StairPolygon | None":
-        """Intersection with an arbitrary half-open rectangle, or None."""
-        bottom = max(self.y_breaks[-1], win.y0)
-        columns = []
-        for r in self.to_rects():
-            x0 = max(r.x0, win.x0)
-            x1 = min(r.x1, win.x1)
-            top = min(r.y1, win.y1)
-            if x0 < x1 and bottom < top:
-                columns.append((x0, x1, top))
-        return columns_to_stair(columns, bottom)
-
     def boundary_segments(self) -> tuple[Segment, ...]:
         """The closed top/right staircase path: closure(S) minus S.
 
@@ -312,7 +292,3 @@ def columns_to_stair(columns, bottom) -> StairPolygon | None:
     y_breaks = [c[2] for c in merged] + [bottom]
     return StairPolygon(x_breaks, y_breaks)
 
-
-def segment_meets_stair(seg: Segment, stair: StairPolygon) -> bool:
-    """Whether a closed axis-aligned segment meets a half-open stair polygon."""
-    return any(seg.meets_rect(r) for r in stair.to_rects())

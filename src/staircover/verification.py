@@ -17,16 +17,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import arrangement
-from .decomposition import CoveringInstance, DecompositionResult, decompose
-from .geom import (
-    Point,
-    Segment,
-    StairPolygon,
-    Triangle,
-    cuts,
-    precedes,
+from .decomposition import (
+    CoveringInstance,
+    DecompositionResult,
+    decompose,
+    repeated_corners,
 )
-from .rational import rat_str
+from .geom import Point, Segment, StairPolygon, Triangle, cuts
+from .rational import rat, rat_str
 
 __all__ = [
     "CoverageCertificate",
@@ -184,30 +182,27 @@ def audit_cell_shape(result: DecompositionResult) -> AuditVerdict:
 
 
 def audit_minimal_element(inst: CoveringInstance) -> AuditVerdict:
-    """At every sampled containment pattern, the order-minimal triangle is
-    cut by every other triangle containing the point."""
+    """The order-minimal triangle at each window point is cut by every other
+    triangle containing the point.
+
+    Distinct translates that share a point intersect, and the later corner
+    cuts the earlier, so this fails only on equal corners whose triangle
+    meets the window; the witness is that triangle's lowest window point.
+    """
     check = "minimal_corner_cut"
-    patterns = arrangement.membership_patterns(inst.corners, inst.window_rect())
-    tris = inst.triangles()
-    checked = 0
-    for point, indices in patterns:
-        if not indices:
-            continue
-        checked += 1
-        i_min = indices[0]
-        for j in indices[1:]:
-            if precedes(inst.corners[j], inst.corners[i_min]):
-                i_min = j
-        for j in indices:
-            if j != i_min and not cuts(tris[j], tris[i_min]):
-                return _fail(
-                    check,
-                    f"triangle {j} contains the point but does not cut minimal triangle {i_min}",
-                    point=_point_json(point),
-                    minimal=i_min,
-                    other=j,
-                )
-    return AuditVerdict(check, PASS, f"{checked} containment patterns checked")
+    l = inst.window
+    for i, j in sorted(repeated_corners(inst.corners)):
+        c = inst.corners[i]
+        p = Point(max(c.x, 0), max(c.y, 0))
+        if p.x < l and p.y < l and Triangle(c).contains(p):
+            return _fail(
+                check,
+                f"triangle {j} contains the point but does not cut minimal triangle {i}",
+                point=_point_json(p),
+                minimal=i,
+                other=j,
+            )
+    return AuditVerdict(check, PASS, f"no two of {inst.size} corners coincide in the window")
 
 
 def audit_disjointness(cells, k: int, l: Fraction):
@@ -407,6 +402,17 @@ class AuditReport:
         raise KeyError(check)
 
 
+def _exact_tiling(upper: AuditVerdict, lower: AuditVerdict, k: int) -> AuditVerdict:
+    """The exact-tiling verdict from the two multiplicity bounds, as
+    `verify_exact_tiling` gives it on the same grid: when both bounds fail,
+    the witness is the (x, y)-smaller point, the first grid cell off k."""
+    failed = [v.witness for v in (upper, lower) if v.status == FAIL]
+    if not failed:
+        return AuditVerdict("exact_tiling", PASS, f"all grid cells have multiplicity {k}")
+    w = min(failed, key=lambda w: [rat(v) for v in w["point"]])
+    return _fail("exact_tiling", f"multiplicity {w['multiplicity']} != {k}", **w)
+
+
 _TILING_GATED = ("corner_anchor_column", "anchor_count_lower", "anchor_count_upper", "stair_count_total")
 
 
@@ -429,19 +435,10 @@ def run_audits(inst: CoveringInstance, result: DecompositionResult | None = None
     if result.is_stair_decomposition:
         cells = result.stair_cells()
         upper, lower = audit_disjointness(cells, inst.k, inst.window)
-        tiling = verify_exact_tiling(cells, inst.k, inst.window)
-        if tiling.ok:
-            tiling_verdict = AuditVerdict("exact_tiling", PASS, tiling.detail)
-        else:
-            tiling_verdict = _fail(
-                "exact_tiling",
-                tiling.detail,
-                point=_point_json(tiling.point),
-                multiplicity=tiling.multiplicity,
-            )
-        verdicts += [upper, lower, tiling_verdict]
+        tiling = _exact_tiling(upper, lower, inst.k)
+        verdicts += [upper, lower, tiling]
         verdicts += list(audit_boundary_cut(inst.corners, result.cells))
-        if tiling.ok:
+        if tiling.passed:
             corner_verdict = audit_inner_corners(result.cells)
             c_lower, c_upper, c_total, count_stats = audit_corner_counts(
                 result.cells, inst.k

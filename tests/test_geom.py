@@ -14,7 +14,6 @@ from staircover import (
     precedes,
     pt,
     rat,
-    segment_meets_stair,
     tri_intersects,
 )
 from _oracles import tri_intersects_oracle
@@ -165,17 +164,6 @@ class TestStairPolygon:
         with pytest.raises(ValueError):
             StairPolygon.of((0,), (1,))
 
-    def test_clip_identity_and_disjoint(self):
-        big = StairPolygon.of((0, 2), (2, 0))
-        assert big.clip_to_window(1) == StairPolygon.of((0, 1), (1, 0))
-        far = StairPolygon.of((3, 4), (1, 0))
-        assert far.clip_to_window(1) is None
-
-    def test_clip_drops_column_and_lowers_top(self):
-        clipped = l_stair().clip_to_window("1/3")
-        assert clipped == StairPolygon.of((0, "1/3"), ("1/3", 0))
-        assert clipped.stair_count == 0
-
     def test_to_rects_disjoint_partition(self):
         s = l_stair()
         rects = s.to_rects()
@@ -218,12 +206,14 @@ class TestStairPolygon:
 
     def test_segment_meets_stair(self):
         s = l_stair()
-        inside = Segment(pt(0, "1/6"), pt("1/2", "1/6"))
-        outside = Segment(pt("2/3", "1/3"), pt(1, "1/3"))
-        assert segment_meets_stair(inside, s)
-        assert not segment_meets_stair(outside, s)
+
+        def meets(seg):
+            return any(seg.meets_rect(r) for r in s.to_rects())
+
+        assert meets(Segment(pt(0, "1/6"), pt("1/2", "1/6")))
+        assert not meets(Segment(pt("2/3", "1/3"), pt(1, "1/3")))
         touch = Segment(pt("1/3", "1/3"), pt("2/3", "1/3"))  # along a top edge
-        assert not segment_meets_stair(touch, s)
+        assert not meets(touch)
 
 
 class TestRect:

@@ -1,11 +1,15 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from staircover import (
     CoveringInstance,
     Rect,
     StairPolygon,
+    Triangle,
     coverage_certificate,
     decompose,
     is_k_fold_covering,
@@ -27,11 +31,21 @@ from staircover.verification import (
     audit_minimal_element,
 )
 from conftest import diag_lattice, grid_lattice
+from staircover.cli import _corrupt
 from staircover.lattice import lattice_instance
 
 
 def sq(x0, x1, y0, y1) -> StairPolygon:
     return StairPolygon.rect(x0, x1, y0, y1)
+
+
+def hand_built(k, l, corners) -> CoveringInstance:
+    """An instance that skips validation, so its corners may repeat."""
+    inst = object.__new__(CoveringInstance)
+    object.__setattr__(inst, "k", k)
+    object.__setattr__(inst, "window", rat(l))
+    object.__setattr__(inst, "corners", tuple(pt(x, y) for x, y in corners))
+    return inst
 
 
 def quarter_cells():
@@ -161,15 +175,28 @@ class TestAuditsOnRealInstances:
 
 class TestPlantedCounterexamples:
     def test_minimal_corner_cut_fails_on_duplicate_translates(self):
-        inst = object.__new__(CoveringInstance)
-        object.__setattr__(inst, "k", 1)
-        object.__setattr__(inst, "window", rat(1))
-        object.__setattr__(
-            inst, "corners", (pt(0, 0), pt(0, 0), pt(0, "1/2"), pt("1/2", 0), pt("1/2", "1/2"))
-        )
+        inst = hand_built(1, 1, [(0, 0), (0, 0), (0, "1/2"), ("1/2", 0), ("1/2", "1/2")])
         verdict = audit_minimal_element(inst)
         assert verdict.status == FAIL
         assert "does not cut" in verdict.detail
+        assert (verdict.witness["minimal"], verdict.witness["other"]) == (0, 1)
+
+    def test_minimal_corner_cut_fails_on_covered_duplicate(self):
+        # T(0,0) alone covers the window, yet the repeated T(1/4,0) meets it
+        inst = hand_built(1, "1/2", [(0, 0), ("1/4", 0), ("1/4", 0)])
+        verdict = audit_minimal_element(inst)
+        assert verdict.status == FAIL
+        w = verdict.witness
+        assert (w["minimal"], w["other"]) == (1, 2)
+        p = pt(*w["point"])
+        assert 0 <= p.x < inst.window and 0 <= p.y < inst.window
+        assert all(Triangle(inst.corners[i]).contains(p) for i in (1, 2))
+
+    @pytest.mark.parametrize("repeated", [(2, 2), (-2, -2), ("1/2", 1)])
+    def test_minimal_corner_cut_passes_on_duplicate_missing_the_window(self, repeated):
+        quarters = [(0, 0), (0, "1/2"), ("1/2", 0), ("1/2", "1/2")]
+        inst = hand_built(1, 1, quarters + [repeated, repeated])
+        assert audit_minimal_element(inst).status == PASS
 
     def test_multiplicity_upper_fails_on_duplicate_cell(self):
         cells = [sq(0, 1, 0, 1), sq(0, 1, 0, 1)]
@@ -249,6 +276,71 @@ class TestPlantedCounterexamples:
         lower, upper, total, stats = audit_corner_counts(cells, 1)
         assert (lower.status, upper.status, total.status) == (PASS, PASS, PASS)
         assert stats["anchor_counts"] == {0: 2, 1: 0, 2: 0}
+
+
+def _copy_cell(result, src, dst):
+    """Cell dst replaced by a copy of cell src: a hole and a double cover."""
+    cells = list(result.cells)
+    cells[dst] = (cells[dst][0], cells[src][1])
+    return dataclasses.replace(result, cells=tuple(cells))
+
+
+class TestExactTilingFromBounds:
+    EDITS = {
+        "none": lambda r: r,
+        "dup-cell": lambda r: _corrupt(r, "dup-cell"),
+        "drop-cell": lambda r: _corrupt(r, "drop-cell"),
+        "shrink-cell": lambda r: _corrupt(r, "shrink-cell"),
+        "copy-1-over-0": lambda r: _copy_cell(r, 1, 0),
+        "copy-0-over-1": lambda r: _copy_cell(r, 0, 1),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    @pytest.mark.parametrize(
+        "k,lattice,l", [(1, diag_lattice(1), 1), (2, diag_lattice(2), "3/2"), (3, grid_lattice(3), 1)]
+    )
+    def test_audit_matches_verify_exact_tiling(self, edit, k, lattice, l):
+        inst = lattice_instance(lattice, l, k)
+        result = self.EDITS[edit](decompose(inst))
+        report = run_audits(inst, result)
+        verdict = report.verdict("exact_tiling")
+        tiling = verify_exact_tiling(result.stair_cells(), k, inst.window)
+        point = pt(*verdict.witness["point"]) if verdict.witness else None
+        multiplicity = verdict.witness["multiplicity"] if verdict.witness else None
+        assert (verdict.status == PASS, point, multiplicity) == (
+            tiling.ok, tiling.point, tiling.multiplicity
+        )
+        if edit.startswith("copy"):
+            assert report.verdict("multiplicity_upper").status == FAIL
+            assert report.verdict("multiplicity_lower").status == FAIL
+
+
+@st.composite
+def small_instances(draw):
+    """k <= 3 and 1..20 distinct corners drawn at random from a 1/q grid
+    over [-1/2, l)^2, where enough triangles meet the window that a good
+    share of the draws cover it."""
+    rng = draw(st.randoms(use_true_random=False))
+    k = rng.randint(1, 3)
+    l = rng.choice((Fraction(1, 2), Fraction(1)))
+    q = rng.choice((2, 3, 4))
+    grid = [Fraction(n, q) for n in range(-(q // 2), int(l * q))]
+    points = [(x, y) for x in grid for y in grid]
+    corners = rng.sample(points, rng.randint(1, min(20, len(points))))
+    return CoveringInstance.of(k, l, corners)
+
+
+class TestTilingCertificateCrossCheck:
+    @given(small_instances())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_stair_tiling_iff_covering(self, inst):
+        # cells lie in their own triangles, so an exact k-fold tiling proves
+        # k-fold coverage; the paper's decomposition theorem gives the converse
+        result = decompose(inst)
+        tiles = result.is_stair_decomposition and verify_exact_tiling(
+            result.stair_cells(), inst.k, inst.window
+        ).ok
+        assert tiles == coverage_certificate(inst).covers
 
 
 class TestWitnessReproduction:

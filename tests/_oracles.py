@@ -5,7 +5,9 @@ triangle intersection goes through vertex containment, exact segment
 crossings and rational grid sampling; cell regions are evaluated pointwise
 from the defining set formula (inside the triangle and the window, not
 inside at least k cutter triangles at once); the grid stair-area maximum is
-a full enumeration over break tuples.
+a full enumeration over break tuples; coverage depth is counted triangle by
+triangle, and the minimum depth over a window by testing every face sample
+against every translate.
 """
 
 from __future__ import annotations
@@ -149,6 +151,52 @@ def cell_matches_set_formula(inst: CoveringInstance, i: int, cell) -> bool:
             return False
         checked += int(valid.sum())
     return checked > 0
+
+
+# --- coverage depth -------------------------------------------------------
+
+def depth_at(corners, p: Point) -> int:
+    """Number of triangle translates (anchored at *corners*) containing p."""
+    return sum(1 for c in corners if Triangle(c).contains(p))
+
+
+def min_depth_reference(corners, window: Rect, *, early_below: int | None = None):
+    """`arrangement.min_depth` by an N-wide broadcast: every face sample of
+    each chunk is tested against every translate. Same samples, chunk order,
+    argmin rule and early exit, so (depth, witness) must match exactly."""
+    corners = list(corners)
+    best = None
+    witness = None
+    for scale, ts, ys, valid in _iter_chunks(
+        [c.x for c in corners], [c.y for c in corners],
+        [c.x + c.y + 1 for c in corners], window,
+    ):
+        if corners:
+            dtype = ts.dtype
+            cx = np.asarray([int(c.x * scale) for c in corners], dtype=dtype)
+            cy = np.asarray([int(c.y * scale) for c in corners], dtype=dtype)
+            cs = np.asarray(
+                [int((c.x + c.y + 1) * scale) for c in corners], dtype=dtype
+            )
+            t3, y3 = ts[:, None, None], ys[:, :, None]
+            depth = ((t3 >= cx) & (y3 >= cy) & ((t3 + y3) <= cs)).sum(axis=2)
+        else:
+            depth = np.zeros(ys.shape, dtype=np.int64)
+        depth = np.where(valid, depth, np.iinfo(np.int64).max)
+        flat = int(np.argmin(depth))
+        row, col = divmod(flat, depth.shape[1])
+        if valid[row, col]:
+            d = int(depth[row, col])
+            if best is None or d < best:
+                best = d
+                witness = Point(
+                    Fraction(int(ts[row]), scale), Fraction(int(ys[row, col]), scale)
+                )
+                if early_below is not None and best < early_below:
+                    return best, witness
+    if best is None:
+        raise ValueError("window produced no sample points")
+    return best, witness
 
 
 # --- exhaustive grid stair search ------------------------------------------

@@ -19,7 +19,7 @@ from staircover import (
     run_audits,
     verify_exact_tiling,
 )
-from staircover.arrangement import depth_at, min_depth
+from staircover.arrangement import min_depth
 from staircover.verification import (
     FAIL,
     PASS,
@@ -31,6 +31,7 @@ from staircover.verification import (
     audit_minimal_element,
 )
 from conftest import diag_lattice, grid_lattice
+from _oracles import depth_at
 from staircover.cli import _corrupt
 from staircover.lattice import lattice_instance
 

@@ -14,25 +14,27 @@ arrangement line plus every midpoint between consecutive crossings. Each
 vertex, each edge and each 2-cell of the window-restricted arrangement
 receives at least one sample point this way.
 
-All arithmetic is integer: coordinates are rescaled by four times the lcm of
-the involved denominators, which keeps both levels of midpoints exact. The
-depth at a sample (t, y) comes from two cumulative count tables over the
-distinct corner values, one of cx against cy, one of cx against the
-hypotenuse offset cs = cx + cy + 1. A triangle meets the line x = t only if
+All arithmetic is integer, in one frame per query that `_frame` builds: it
+alone picks the scale, four times the lcm of every corner and window
+denominator (which keeps both levels of midpoints exact), scales each corner
+once, and picks numpy int64 when magnitudes allow or object (bignum) arrays
+otherwise; the rest of the module runs the same code on either. The depth
+at a sample (t, y) comes from two cumulative count tables over the distinct
+corner values, one of cx against cy, one of cx against the hypotenuse
+offset cs = cx + cy + 1. A triangle meets the line x = t only if
 cx <= t <= cx + 1, and there it covers [cy, cs - t]; so the depth is the
 number of those triangles with cy <= y minus those with cs - t < y (which
 have cy <= y too), and each count is a difference of table entries found by
 binary search. One call costs O(samples * log N + D_x * D_y) time and holds
 two (D_x + 1) x (D_y + 1) int32 tables, D_x and D_y being the numbers of
-distinct cx and of distinct cy (or cs): 8 MB at D_x = D_y = 1000. numpy
-int64 is used when magnitudes allow, object (bignum) arrays otherwise, with
-the same code.
+distinct cx and of distinct cy (or cs): 8 MB at D_x = D_y = 1000.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,67 +44,73 @@ __all__ = ["min_depth"]
 
 _INT64_LIMIT = 1 << 60
 _NO_SAMPLE = np.iinfo(np.int32).max  # above any depth; masks invalid samples
+_CHUNK = 256  # sweep lines per sample block
 
 
-def _scaled_setup(x_vals, y_vals, sum_vals, window: Rect):
-    """Common-denominator integer rescaling of all line offsets and bounds."""
-    xs = sorted({window.x0, window.x1, *x_vals})
-    ys = sorted({window.y0, window.y1, *y_vals})
-    ss = sorted(set(sum_vals))
-    denoms = [v.denominator for v in (*xs, *ys, *ss)]
-    scale = 4 * lcm(*denoms) if denoms else 4
-    to_int = lambda v: int(v * scale)  # exact by construction of scale
-    X = [to_int(v) for v in xs]
-    Y = [to_int(v) for v in ys]
-    S = [to_int(v) for v in ss]
-    bounds = tuple(to_int(v) for v in (window.x0, window.x1, window.y0, window.y1))
-    biggest = max(
-        (abs(v) for v in (*X, *Y, *S, *bounds)),
-        default=0,
+class _Frame(NamedTuple):
+    """A depth query in integers: every value is the exact value times scale."""
+
+    scale: int
+    cx: np.ndarray  # corner x's
+    cy: np.ndarray  # corner y's
+    cs: np.ndarray  # hypotenuse offsets cx + cy + scale
+    bounds: np.ndarray  # window x0, x1, y0, y1
+
+
+def _frame(corners, window: Rect) -> _Frame:
+    """Scale the corners and the window once, by four times the lcm of their
+    denominators, into int64 arrays when every value stays below
+    _INT64_LIMIT and object (bignum) arrays otherwise."""
+    edges = (window.x0, window.x1, window.y0, window.y1)
+    scale = 4 * lcm(
+        *(v.denominator for v in edges),
+        *(v.denominator for c in corners for v in (c.x, c.y)),
     )
+    # scale is a multiple of every denominator, so these are exact
+    to_int = lambda v: v.numerator * (scale // v.denominator)
+    cx = [to_int(c.x) for c in corners]
+    cy = [to_int(c.y) for c in corners]
+    cs = [x + y + scale for x, y in zip(cx, cy)]
+    bounds = [to_int(v) for v in edges]
+    biggest = max(abs(v) for v in (*cx, *cy, *cs, *bounds))
     dtype = np.int64 if biggest < _INT64_LIMIT else object
-    return scale, X, Y, S, bounds, dtype
+    return _Frame(scale, *(np.asarray(v, dtype=dtype) for v in (cx, cy, cs, bounds)))
 
 
-def _slab_positions(X, Y, S, wx0, wx1, dtype):
-    """Sorted sweep-line x positions: all vertex x's plus their midpoints."""
-    vx = np.unique(np.asarray(X, dtype=dtype))
-    if len(S) and len(Y):
-        crossings = (
-            np.asarray(S, dtype=dtype)[:, None] - np.asarray(Y, dtype=dtype)[None, :]
-        ).ravel()
-        vx = np.unique(np.concatenate([vx, crossings]))
+def _slab_positions(frame: _Frame, y_base, s_base):
+    """Sorted sweep-line x positions: all vertex x's plus their midpoints.
+
+    The window's own edges are vertex x's, so at least two survive the clip.
+    """
+    wx0, wx1 = frame.bounds[:2]
+    crossings = (s_base[:, None] - y_base[None, :]).ravel()
+    vx = np.unique(np.concatenate([frame.cx, frame.bounds[:2], crossings]))
     vx = vx[(vx >= wx0) & (vx <= wx1)]
-    if len(vx) == 0:
-        vx = np.asarray([wx0], dtype=dtype)
-    if len(vx) > 1:
-        mids = (vx[:-1] + vx[1:]) // 2
-        vx = np.unique(np.concatenate([vx, mids]))
-    return vx[(vx >= wx0) & (vx < wx1)]
+    vx = np.unique(np.concatenate([vx, (vx[:-1] + vx[1:]) // 2]))
+    return vx[vx < wx1]
 
 
-def _iter_chunks(x_vals, y_vals, sum_vals, window: Rect, chunk: int = 256):
-    """Yield (scale, ts, ys, valid) integer sample blocks covering all faces."""
-    scale, X, Y, S, (wx0, wx1, wy0, wy1), dtype = _scaled_setup(
-        x_vals, y_vals, sum_vals, window
-    )
-    slabs = _slab_positions(X, Y, S, wx0, wx1, dtype)
-    y_base = np.asarray(Y, dtype=dtype)
-    s_base = np.asarray(S, dtype=dtype)
-    for start in range(0, len(slabs), chunk):
-        ts = slabs[start : start + chunk]
-        cand = np.broadcast_to(y_base, (len(ts), len(y_base)))
-        if len(s_base):
-            cand = np.concatenate([cand, s_base[None, :] - ts[:, None]], axis=1)
+def _iter_chunks(frame: _Frame):
+    """Yield (ts, ys, valid) integer sample blocks covering all faces."""
+    wy0, wy1 = frame.bounds[2:]
+    y_base = np.unique(np.concatenate([frame.cy, frame.bounds[2:]]))
+    s_base = np.unique(frame.cs)
+    slabs = _slab_positions(frame, y_base, s_base)
+    for start in range(0, len(slabs), _CHUNK):
+        ts = slabs[start : start + _CHUNK]
+        cand = np.concatenate(
+            [np.broadcast_to(y_base, (len(ts), len(y_base))), s_base[None, :] - ts[:, None]],
+            axis=1,
+        )
         cand = np.sort(cand, axis=1)
         mids = (cand[:, :-1] + cand[:, 1:]) // 2
         ys = np.concatenate([cand, mids], axis=1)
         valid = (ys >= wy0) & (ys < wy1)
-        yield scale, ts, ys, valid
+        yield ts, ys, valid
 
 
-def _count_tables(corners, scale, dtype):
-    """Distinct scaled corner values and cumulative count tables over them.
+def _count_tables(frame: _Frame):
+    """Distinct corner values and cumulative count tables over them.
 
     Returns (ucx, uxe, (ucy, Cy), (ucs, Cs)). ucx holds the distinct cx and
     uxe the distinct right ends cx + scale (= cs - cy) of the triangles'
@@ -110,28 +118,15 @@ def _count_tables(corners, scale, dtype):
     among the first a values of ucx and whose cy is among the first r values
     of ucy; Cs is the same with cs in place of cy.
     """
-    # scale is a multiple of every denominator, so these are exact
-    cx = [c.x.numerator * (scale // c.x.denominator) for c in corners]
-    cy = [c.y.numerator * (scale // c.y.denominator) for c in corners]
-    cs = [x + y + scale for x, y in zip(cx, cy)]
-
-    def ranked(v):
-        uv = sorted(set(v))
-        rank = {u: r for r, u in enumerate(uv, 1)}
-        return uv, np.asarray([rank[u] for u in v], dtype=np.intp)
-
-    xs, ix = ranked(cx)
+    ucx, ix = np.unique(frame.cx, return_inverse=True)
 
     def table(v):
-        uv, iv = ranked(v)
-        counts = np.zeros((len(xs) + 1, len(uv) + 1), dtype=np.int32)
-        np.add.at(counts, (ix, iv), 1)
-        cum = counts.cumsum(0, dtype=np.int32).cumsum(1, dtype=np.int32)
-        return np.asarray(uv, dtype=dtype), cum
+        uv, iv = np.unique(v, return_inverse=True)
+        counts = np.zeros((len(ucx) + 1, len(uv) + 1), dtype=np.int32)
+        np.add.at(counts, (ix + 1, iv + 1), 1)
+        return uv, counts.cumsum(0, dtype=np.int32).cumsum(1, dtype=np.int32)
 
-    ucx = np.asarray(xs, dtype=dtype)
-    uxe = np.asarray([u + scale for u in xs], dtype=dtype)
-    return ucx, uxe, table(cy), table(cs)
+    return ucx, np.unique(frame.cs - frame.cy), table(frame.cy), table(frame.cs)
 
 
 def min_depth(corners, window: Rect, *, early_below: int | None = None):
@@ -143,17 +138,11 @@ def min_depth(corners, window: Rect, *, early_below: int | None = None):
     falls below that threshold; the returned depth is then exact at the
     returned witness but only an upper bound on the true minimum.
     """
-    corners = list(corners)
+    frame = _frame(list(corners), window)
+    ucx, uxe, (ucy, Cy), (ucs, Cs) = _count_tables(frame)
     best = None
     witness = None
-    tables = None
-    for scale, ts, ys, valid in _iter_chunks(
-        [c.x for c in corners], [c.y for c in corners],
-        [c.x + c.y + 1 for c in corners], window,
-    ):
-        if tables is None:
-            tables = _count_tables(corners, scale, ts.dtype)
-        ucx, uxe, (ucy, Cy), (ucs, Cs) = tables
+    for ts, ys, valid in _iter_chunks(frame):
         # triangles whose x-range [cx, cx + scale] holds t have ranks lo..hi-1;
         # on the line x = t each covers [cy, cs - t], so the depth at y counts
         # cy <= y minus cs - t < y (which implies cy <= y)
@@ -171,7 +160,8 @@ def min_depth(corners, window: Rect, *, early_below: int | None = None):
             if best is None or d < best:
                 best = d
                 witness = Point(
-                    Fraction(int(ts[row]), scale), Fraction(int(ys[row, col]), scale)
+                    Fraction(int(ts[row]), frame.scale),
+                    Fraction(int(ys[row, col]), frame.scale),
                 )
                 if early_below is not None and best < early_below:
                     return best, witness

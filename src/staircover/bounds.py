@@ -5,7 +5,7 @@ window into the density bound l^2 <= (N/k) * max_stair_area(2k - 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .decomposition import DecompositionResult
@@ -158,11 +158,11 @@ def density_chain(result: DecompositionResult, tiling_ok: bool) -> BoundReport:
         links=(),
     )
     if not result.is_stair_decomposition:
-        return _invalid(base, "cells are not all stair polygons")
+        return replace(base, detail="cells are not all stair polygons")
     if not tiling_ok:
-        return _invalid(base, "cells do not tile the window exactly k-fold")
+        return replace(base, detail="cells do not tile the window exactly k-fold")
     if not cells:
-        return _invalid(base, "no nonempty cells")
+        return replace(base, detail="no nonempty cells")
     n_prime = len(cells)
     sum_r = base.sum_stairs
     window_area = l * l
@@ -182,28 +182,4 @@ def density_chain(result: DecompositionResult, tiling_ok: bool) -> BoundReport:
     ):
         links.append(ChainLink(label, value, value >= prev))
         prev = value
-    return BoundReport(
-        valid=True,
-        k=k,
-        window=l,
-        n_translates=inst.size,
-        n_nonempty=n_prime,
-        sum_stairs=sum_r,
-        cells=tuple(cells),
-        links=tuple(links),
-        detail="",
-    )
-
-
-def _invalid(base: BoundReport, reason: str) -> BoundReport:
-    return BoundReport(
-        valid=False,
-        k=base.k,
-        window=base.window,
-        n_translates=base.n_translates,
-        n_nonempty=base.n_nonempty,
-        sum_stairs=base.sum_stairs,
-        cells=base.cells,
-        links=(),
-        detail=reason,
-    )
+    return replace(base, valid=True, links=tuple(links))

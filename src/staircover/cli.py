@@ -73,20 +73,19 @@ def cmd_verify(args) -> int:
 def _corrupt(result, mode: str):
     cells = list(result.cells)
     if not cells:
+        print("error: --corrupt needs at least one stair cell", file=sys.stderr)
         raise SystemExit(2)
     if mode == "dup-cell":
         cells.insert(0, cells[0])
     elif mode == "drop-cell":
         cells.pop(0)
-    elif mode == "shrink-cell":
+    else:  # shrink-cell; argparse's choices reject any other mode
         i, cell = cells[0]
         half_x = (cell.x_breaks[0] + cell.x_breaks[1]) / 2
         mid_y = (cell.y_breaks[-1] + cell.y_breaks[-2]) / 2
         from .geom import StairPolygon
 
         cells[0] = (i, StairPolygon.rect(cell.x_breaks[0], half_x, cell.y_breaks[-1], mid_y))
-    else:
-        raise SystemExit(2)
     return dataclasses.replace(result, cells=tuple(cells))
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .bounds import BoundReport
 from .decomposition import CoveringInstance, DecompositionResult
-from .geom import Point, pt
+from .geom import Point
 from .lattice import Lattice, LatticeSearchReport
 from .rational import rat, rat_str
 from .verification import AuditReport, CoverageCertificate, _point_json
@@ -278,12 +278,30 @@ def load_results_store(path) -> dict:
     """Best-known lattice per fold, as {k: (Lattice, multiplicity)}."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise InstanceFormatError("results file must be a JSON object")
+    best = data.get("best", {})
+    if not isinstance(best, dict):
+        raise InstanceFormatError("best: expected an object keyed by fold")
     out = {}
-    for key, entry in data.get("best", {}).items():
-        lat = Lattice(
-            pt(entry["u"][0], entry["u"][1]), pt(entry["v"][0], entry["v"][1])
-        )
-        out[int(key)] = (lat, int(entry["multiplicity"]))
+    for key, entry in best.items():
+        where = f"best.{key}"
+        if not (key.isascii() and key.isdigit() and int(key) >= 1):
+            raise InstanceFormatError(f"{where}: the key must be a fold k >= 1")
+        if not isinstance(entry, dict):
+            raise InstanceFormatError(f"{where}: expected an object with u, v and multiplicity")
+        u = _point_field(entry.get("u"), f"{where}.u")
+        v = _point_field(entry.get("v"), f"{where}.v")
+        mult = _rat_field(entry.get("multiplicity"), f"{where}.multiplicity")
+        if mult.denominator != 1:
+            raise InstanceFormatError(
+                f"{where}.multiplicity: integer required, got {rat_str(mult)}"
+            )
+        try:
+            lat = Lattice(u, v)
+        except ValueError as exc:
+            raise InstanceFormatError(f"{where}: {exc}") from exc
+        out[int(key)] = (lat, int(mult))
     return out
 
 

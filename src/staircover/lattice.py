@@ -7,7 +7,11 @@ plane equals the minimum over any region containing a fundamental domain.
 With a basis normalized to u = (a, 0), v = (b, c), a, c > 0, 0 <= b < a
 (every rational lattice has one), the half-open box [0, a+b) x [0, c)
 contains the fundamental parallelogram, and the window depth engine gives
-the exact value.
+the exact value. The translates meeting a window are enumerated on the
+normalized basis, row by row: the rows y = j*c, and in each row the points
+x = i*a + j*b, both ranges cut exactly to the triangles that meet the
+window. Instances use the same enumeration, so a lattice gives the same
+sorted corners in any basis.
 
 The search maximizes the determinant (equivalently minimizes the density
 (1/2)/det) over normalized bases subject to the exact feasibility oracle
@@ -113,34 +117,21 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-def _translates_meeting(lat: Lattice, window: Rect) -> list[Point]:
-    """All lattice points whose triangle meets the half-open window.
+def _translates_meeting(a, b, c, window: Rect) -> list[Point]:
+    """All points of the lattice with normalized basis (a, 0), (b, c) whose
+    triangle meets the half-open window [0, wx) x [0, wy), sorted by (x, y).
 
-    Complete: candidate corners lie in [-1, wx) x [-1, wy); the integer
-    coefficient box is derived from the basis inverse applied to that box.
+    The triangle at (x, y) meets the window exactly when x < wx, y < wy and
+    max(x, 0) + max(y, 0) <= x + y + 1, that is y >= -1 and
+    x >= -1 - min(y, 0). Rows y = j*c run over the y-range, and in each row
+    the points x = i*a + j*b over the x-range.
     """
-    u, v = lat.u, lat.v
-    det = lat.det
-    corners_box = [
-        Point(x, y)
-        for x in (Fraction(-1), window.x1)
-        for y in (Fraction(-1), window.y1)
-    ]
-    i_vals = []
-    j_vals = []
-    for p in corners_box:
-        # inverse of the column matrix [u v]
-        i_vals.append((p.x * v.y - p.y * v.x) / det)
-        j_vals.append((p.y * u.x - p.x * u.y) / det)
     out = []
-    for i in range(ceil(min(i_vals)) - 1, floor(max(i_vals)) + 2):
-        for j in range(ceil(min(j_vals)) - 1, floor(max(j_vals)) + 2):
-            lx = i * u.x + j * v.x
-            ly = i * u.y + j * v.y
-            if lx >= window.x1 or ly >= window.y1:
-                continue
-            if max(lx, Fraction(0)) + max(ly, Fraction(0)) <= lx + ly + 1:
-                out.append(Point(lx, ly))
+    for j in range(ceil(-1 / c), ceil(window.y1 / c)):
+        y, shift = j * c, j * b
+        lo = -1 - min(y, 0)
+        for i in range(ceil((lo - shift) / a), ceil((window.x1 - shift) / a)):
+            out.append(Point(i * a + shift, y))
     out.sort(key=lambda p: (p.x, p.y))
     return out
 
@@ -151,15 +142,14 @@ def lattice_instance(lat: Lattice, l, k: int) -> CoveringInstance:
     if side <= 0:
         raise ValueError("window side must be positive")
     window = Rect(Fraction(0), side, Fraction(0), side)
-    corners = _translates_meeting(lat, window)
+    corners = _translates_meeting(*hermite_basis(lat), window)
     return CoveringInstance(k=k, window=side, corners=tuple(corners))
 
 
 def _multiplicity_window(lat: Lattice) -> tuple[Rect, list[Point]]:
     a, b, c = hermite_basis(lat)
     window = Rect(Fraction(0), a + b, Fraction(0), c)
-    norm = Lattice(Point(a, Fraction(0)), Point(b, c))
-    return window, _translates_meeting(norm, window)
+    return window, _translates_meeting(a, b, c, window)
 
 
 def lattice_multiplicity(lat: Lattice) -> int:

@@ -7,7 +7,8 @@ from the defining set formula (inside the triangle and the window, not
 inside at least k cutter triangles at once); the grid stair-area maximum is
 a full enumeration over break tuples; coverage depth is counted triangle by
 triangle, and the minimum depth over a window by testing every face sample
-against every translate.
+against every translate; the lattice translates meeting a window are found
+by testing every coefficient pair of a box, in the basis as given.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from staircover.arrangement import _iter_chunks
+from staircover.arrangement import _frame, _iter_chunks
 from staircover.decomposition import CoveringInstance, cutter_set
 from staircover.geom import Point, Rect, StairPolygon, Triangle
 
@@ -119,9 +120,9 @@ def cell_matches_set_formula(inst: CoveringInstance, i: int, cell) -> bool:
     members = [i, *cutter_set(inst, i)]
     pts = [inst.corners[j] for j in members]
     checked = 0
-    for scale, ts, ys, valid in _iter_chunks(
-        [p.x for p in pts], [p.y for p in pts], [p.x + p.y + 1 for p in pts], bbox
-    ):
+    frame = _frame(pts, bbox)
+    scale = frame.scale
+    for ts, ys, valid in _iter_chunks(frame):
         cx = _scaled_breaks([p.x for p in pts], scale)
         cy = _scaled_breaks([p.y for p in pts], scale)
         cs = _scaled_breaks([p.x + p.y + 1 for p in pts], scale)
@@ -167,10 +168,9 @@ def min_depth_reference(corners, window: Rect, *, early_below: int | None = None
     corners = list(corners)
     best = None
     witness = None
-    for scale, ts, ys, valid in _iter_chunks(
-        [c.x for c in corners], [c.y for c in corners],
-        [c.x + c.y + 1 for c in corners], window,
-    ):
+    frame = _frame(corners, window)
+    scale = frame.scale
+    for ts, ys, valid in _iter_chunks(frame):
         if corners:
             dtype = ts.dtype
             cx = np.asarray([int(c.x * scale) for c in corners], dtype=dtype)
@@ -197,6 +197,31 @@ def min_depth_reference(corners, window: Rect, *, early_below: int | None = None
     if best is None:
         raise ValueError("window produced no sample points")
     return best, witness
+
+
+# --- lattice translates ---------------------------------------------------
+
+def translates_meeting_scan(u: Point, v: Point, window: Rect, radius: int):
+    """Lattice points i*u + j*v, |i|, |j| <= radius, whose closed triangle
+    meets the half-open window, by testing every coefficient pair; sorted by
+    (x, y). Returns (points, ring), ring being how many of the points have
+    max(|i|, |j|) = radius: while it is 0 the box is wide enough."""
+    found = []
+    ring = 0
+    for i in range(-radius, radius + 1):
+        for j in range(-radius, radius + 1):
+            x = i * u.x + j * v.x
+            y = i * u.y + j * v.y
+            # (max(x, x0), max(y, y0)) is the window point nearest the corner
+            if (
+                x < window.x1
+                and y < window.y1
+                and max(x, window.x0) + max(y, window.y0) <= x + y + 1
+            ):
+                found.append(Point(x, y))
+                ring += max(abs(i), abs(j)) == radius
+    found.sort(key=lambda p: (p.x, p.y))
+    return found, ring
 
 
 # --- exhaustive grid stair search ------------------------------------------

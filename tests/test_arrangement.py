@@ -138,10 +138,7 @@ def _sliver():
 
 
 def _dtype(corners, window):
-    _, ts, _, _ = next(arrangement._iter_chunks(
-        [c.x for c in corners], [c.y for c in corners],
-        [c.x + c.y + 1 for c in corners], window,
-    ))
+    ts, _, _ = next(arrangement._iter_chunks(arrangement._frame(corners, window)))
     return ts.dtype
 
 

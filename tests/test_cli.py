@@ -146,6 +146,15 @@ class TestCommands:
         failing = [v for v in report["verdicts"] if v["status"] == "fail"]
         assert all("witness" in v for v in failing if v["check"].startswith("multiplicity"))
 
+    def test_audit_corrupt_without_stair_cells_exits_2(self, tmp_path, capsys):
+        far = write_instance(
+            tmp_path / "far.json", {"k": 1, "l": "1", "translates": [["5", "5"]]}
+        )
+        with pytest.raises(SystemExit) as err:
+            main(["audit", far, "--corrupt", "dup-cell"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == "error: --corrupt needs at least one stair cell\n"
+
     def test_bounds_chain_on_quarters(self, quarters_file, capsys):
         assert main(["bounds", quarters_file]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -192,6 +201,16 @@ class TestCommands:
         assert main(["verify", str(p1)]) == 0  # perturbation kept the covering
         capsys.readouterr()
 
+    def test_gen_lattice_malformed_results_exits_2(self, tmp_path, capsys):
+        store = write_instance(tmp_path / "store.json", {"best": {"1": {"u": ["1", "0"]}}})
+        assert main(["gen-lattice", "--k", "1", "--l", "1", "--results", store]) == 2
+        assert capsys.readouterr().err.startswith("error: best.1.v: ")
+
+    def test_optimize_malformed_resume_exits_2(self, tmp_path, capsys):
+        store = write_instance(tmp_path / "store.json", [1, 2])
+        assert main(["optimize", "--k", "1", "--resume", store]) == 2
+        assert capsys.readouterr().err == "error: results file must be a JSON object\n"
+
     def test_optimize_tiny_budget_reports_infeasible(self, tmp_path, capsys):
         out = tmp_path / "opt.json"
         code = main(["optimize", "--k", "1", "--budget", "1", "--out", str(out)])
@@ -237,3 +256,21 @@ class TestResultsStore:
         save_results_store(path, {1: (lat, 1)})
         loaded = load_results_store(path)
         assert loaded[1][0] == lat and loaded[1][1] == 1
+
+    @pytest.mark.parametrize("data, field", [
+        ({"best": [1]}, "best"),
+        ({"best": {"one": {}}}, "best.one"),
+        ({"best": {"1": "lattice"}}, "best.1"),
+        ({"best": {"1": {"u": ["1", "zzz"], "v": ["0", "1"], "multiplicity": 1}}},
+         r"best\.1\.u\[1\]"),
+        ({"best": {"1": {"u": ["1", "0"], "v": ["0", "1"]}}}, "best.1.multiplicity"),
+        ({"best": {"1": {"u": ["1", "0"], "v": ["0", "1"], "multiplicity": "1/2"}}},
+         "best.1.multiplicity"),
+        ({"best": {"1": {"u": ["1", "0"], "v": ["0", "-1"], "multiplicity": 1}}},
+         "best.1: lattice basis"),
+    ])
+    def test_malformed_entries_name_the_field(self, tmp_path, data, field):
+        path = tmp_path / "store.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(InstanceFormatError, match=f"^{field}"):
+            load_results_store(path)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
 
 from staircover import (
     CoveringInstance,
@@ -16,6 +17,7 @@ from staircover import (
 )
 from _oracles import cell_matches_set_formula
 from conftest import diag_lattice, grid_lattice
+from test_arrangement import generic_families
 from staircover.lattice import lattice_instance
 
 
@@ -180,6 +182,19 @@ class TestDecompose:
         seen = {i for i, _ in result.cells} | set(result.empty_indices)
         seen |= {i for i, _ in result.non_stair}
         assert seen == set(range(quarters.size))
+
+    @given(generic_families())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_generic_non_covering_cells_match_set_formula(self, family):
+        # the holed draws leave gaps in the covering, where cells need not be
+        # stair polygons; [0, l)^2 is the least square window holding the
+        # drawn window, and so the hole
+        k, corners, window, hole = family
+        assume(hole is not None)
+        inst = CoveringInstance(k, max(window.x1, window.y1), tuple(corners))
+        result = decompose(inst)
+        for i in range(inst.size):
+            assert cell_matches_set_formula(inst, i, result.cell_for(i))
 
 
 class TestCuttingTransitivity:

@@ -14,6 +14,8 @@ from staircover import (
     pt,
     search_optimal_lattice,
 )
+from staircover.lattice import _multiplicity_window
+from _oracles import translates_meeting_scan
 from conftest import diag_lattice, grid_lattice
 
 
@@ -41,6 +43,17 @@ class TestLatticeBasics:
         assert lattice_multiplicity(lat) == lattice_multiplicity(norm) == 1
 
 
+SCAN_RADIUS = 30
+ENUMERATION_BASES = [
+    pytest.param(Lattice.of("1/2", "1/4", "-1/8", "3/8"), id="skew"),
+    # hermite_basis reduces the completion (3/4, 1/2) to (1/4, 1/2)
+    pytest.param(Lattice.of("1/2", 0, "3/4", "1/2"), id="reduced-mod-a"),
+    pytest.param(Lattice.of("3/2", "1/10", "7/5", "1/5"), id="thin"),
+    *(pytest.param(diag_lattice(k), id=f"diag{k}") for k in (1, 2, 3)),
+    *(pytest.param(grid_lattice(m), id=f"grid{m}") for m in (2, 3)),
+]
+
+
 class TestEnumeration:
     def test_half_grid_window_count(self):
         inst = lattice_instance(grid_lattice(2), 1, 1)
@@ -50,20 +63,22 @@ class TestEnumeration:
         inst = lattice_instance(grid_lattice(1), 1, 1)
         assert set(inst.corners) == {pt(0, 0), pt(-1, 0), pt(0, -1)}
 
-    def test_matches_box_scan_oracle(self):
-        lat = Lattice.of("1/2", "1/4", "-1/8", "3/8")
-        inst = lattice_instance(lat, "3/2", 1)
-        found = set(inst.corners)
-        # independent dense scan over integer coefficients
-        win = Rect.of(0, "3/2", 0, "3/2")
-        brute = set()
-        for i in range(-30, 31):
-            for j in range(-30, 31):
-                x = i * lat.u.x + j * lat.v.x
-                y = i * lat.u.y + j * lat.v.y
-                if x < win.x1 and y < win.y1 and max(x, 0) + max(y, 0) <= x + y + 1:
-                    brute.add(pt(x, y))
-        assert found == brute
+    @pytest.mark.parametrize("lat", ENUMERATION_BASES)
+    @pytest.mark.parametrize("l", ["1/2", "3/2", "5/2"])
+    def test_matches_box_scan_oracle(self, lat, l):
+        inst = lattice_instance(lat, l, 1)
+        brute, ring = translates_meeting_scan(lat.u, lat.v, Rect.of(0, l, 0, l), SCAN_RADIUS)
+        assert ring == 0
+        assert list(inst.corners) == brute  # the order reaches instance files
+
+    @pytest.mark.parametrize("lat", ENUMERATION_BASES)
+    def test_multiplicity_window_matches_box_scan_oracle(self, lat):
+        window, corners = _multiplicity_window(lat)
+        a, b, c = hermite_basis(lat)
+        assert window == Rect(Fraction(0), a + b, Fraction(0), c)
+        brute, ring = translates_meeting_scan(lat.u, lat.v, window, SCAN_RADIUS)
+        assert ring == 0
+        assert corners == brute
 
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from .decomposition import (
     CoveringInstance,
     DecompositionResult,
     NonStairCell,
-    cut_apex,
     cutter_set,
     decompose,
     stair_cell,

@@ -18,7 +18,8 @@ All arithmetic is integer, in one frame per query that `_frame` builds: it
 alone picks the scale, four times the lcm of every corner and window
 denominator (which keeps both levels of midpoints exact), scales each corner
 once, and picks numpy int64 when magnitudes allow or object (bignum) arrays
-otherwise; the rest of the module runs the same code on either. The depth
+otherwise; the rest of the module runs the same code on either. The
+`decomposition` module builds its cells on the same frame. The depth
 at a sample (t, y) comes from two cumulative count tables over the distinct
 corner values, one of cx against cy, one of cx against the hypotenuse
 offset cs = cx + cy + 1. A triangle meets the line x = t only if

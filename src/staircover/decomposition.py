@@ -13,22 +13,27 @@ staircase may stick out over the hypotenuse; the cell is then returned as a
 `NonStairCell` (the staircase region clipped by the closed half-plane
 x + y <= hyp_sum) and flagged, rather than raising, so that candidate
 non-coverings can still flow through the pipeline.
+
+All of this runs in integers, on the frame that `arrangement._frame` builds
+once per `decompose`: corners, hypotenuse offsets and the window scaled to
+int64 (or bignum `object`) arrays. Fractions are made only for the breaks of
+the output cells. Per triangle, one numpy row over the N corners finds the
+cutters and their apexes, and the staircase is a sweep over the sorted
+apexes that keeps the k lowest y's seen; one `decompose` costs
+O(N^2 + sum of m_i (log m_i + k)) time, m_i being the number of cutters of
+T_i, and O(N) memory beyond its output.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .geom import (
-    Point,
-    Rect,
-    StairPolygon,
-    Triangle,
-    columns_to_stair,
-    cuts,
-    pt,
-)
+import numpy as np
+
+from .arrangement import _frame
+from .geom import Point, Rect, StairPolygon, Triangle, pt
 from .rational import rat
 
 __all__ = [
@@ -36,7 +41,6 @@ __all__ = [
     "DecompositionResult",
     "NonStairCell",
     "cutter_set",
-    "cut_apex",
     "repeated_corners",
     "stair_cell",
     "decompose",
@@ -159,101 +163,95 @@ class DecompositionResult:
         return None
 
 
+def _cutters(frame, i: int):
+    """Mask of the corners whose triangle cuts triangle i, with the
+    componentwise maxima (mx, my) of corner i and every corner.
+
+    j cuts i when j comes later in the sum-then-x order (cs orders the sums)
+    and the two closed triangles meet: the lowest point (mx, my) of the two
+    quadrants' intersection lies under both hypotenuses. One row, O(N).
+    """
+    cx, cy, cs = frame.cx, frame.cy, frame.cs
+    mx = np.maximum(cx, cx[i])
+    my = np.maximum(cy, cy[i])
+    later = (cs > cs[i]) | ((cs == cs[i]) & (cx > cx[i]))
+    return later & (mx + my <= np.minimum(cs, cs[i])), mx, my
+
+
 def cutter_set(inst: CoveringInstance, i: int) -> tuple[int, ...]:
     """Indices j whose triangle cuts triangle i (intersects it and has the
     later corner in the sum-then-x order). Never contains i itself."""
-    tris = inst.triangles()
-    target = tris[i]
-    return tuple(j for j, t in enumerate(tris) if j != i and cuts(t, target))
+    cut, _, _ = _cutters(_frame(inst.corners, inst.window_rect()), i)
+    return tuple(np.flatnonzero(cut).tolist())
 
 
-def cut_apex(t_i: Triangle, t_j: Triangle) -> Point:
-    """Right-angle corner of the intersection T_i with a cutter T_j.
+def _dominance_columns(apexes, k, x0, y0, hi, h):
+    """Columns of the region below the k-th dominance staircase of the
+    sorted *apexes* inside [x0, hi) x [y0, hi), up to the last column whose
+    lower-left corner lies under the hypotenuse x + y = h.
 
-    The intersection of the two quadrants is the quadrant of the
-    componentwise max of the corners; clipped by T_i's hypotenuse it is a
-    right triangle similar to the canonical one, anchored at that max.
+    Returns contiguous (x_start, x_end, top) triples with non-increasing
+    tops; the top of a column at x is the k-th smallest apex y among apexes
+    with apex x <= x, or hi when there are fewer than k. Equal apexes count
+    separately toward the threshold.
     """
-    if not cuts(t_j, t_i):
-        raise ValueError(f"{t_j} does not cut {t_i}")
-    return Point(
-        max(t_i.corner.x, t_j.corner.x), max(t_i.corner.y, t_j.corner.y)
-    )
-
-
-def _dominance_columns(apexes, k, x0, y0, x_hi, y_hi):
-    """Columns of the region below the k-th dominance staircase of *apexes*
-    inside [x0, x_hi) x [y0, y_hi).
-
-    Returns (x_start, x_end, top) triples with non-increasing tops; the top of
-    a column at x is min(y_hi, k-th smallest apex y among apexes with
-    apex.x <= x). Equal apexes count separately toward the threshold.
-    """
-    relevant = sorted(
-        (a for a in apexes if a.x < x_hi and a.y < y_hi), key=lambda a: (a.x, a.y)
-    )
-    ys_seen: list[Fraction] = []
-    idx = 0
-    # consume apexes already active at the left edge
-    while idx < len(relevant) and relevant[idx].x <= x0:
-        _insort(ys_seen, relevant[idx].y)
-        idx += 1
-
-    def current_top():
-        if len(ys_seen) < k:
-            return y_hi
-        return min(y_hi, ys_seen[k - 1])
-
+    relevant = [a for a in apexes if a[0] < hi and a[1] < hi]
+    lowest: list[int] = []  # the k smallest apex y's seen so far
     columns = []
+    idx = 0
     x = x0
-    while x < x_hi:
-        top = current_top()
-        next_x = relevant[idx].x if idx < len(relevant) else x_hi
-        next_x = min(next_x, x_hi)
+    while x < hi and x + y0 <= h:
+        while idx < len(relevant) and relevant[idx][0] <= x:
+            insort(lowest, relevant[idx][1])
+            del lowest[k:]
+            idx += 1
+        top = lowest[-1] if len(lowest) == k else hi
         if top <= y0:
             break  # staircase is non-increasing; nothing further survives
-        if next_x > x:
-            columns.append((x, next_x, top))
+        next_x = relevant[idx][0] if idx < len(relevant) else hi
+        columns.append((x, next_x, top))
         x = next_x
-        while idx < len(relevant) and relevant[idx].x <= x:
-            _insort(ys_seen, relevant[idx].y)
-            idx += 1
     return columns
 
 
-def _insort(values, v):
-    lo, hi = 0, len(values)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if values[mid] < v:
-            lo = mid + 1
-        else:
-            hi = mid
-    values.insert(lo, v)
+def _cell(frame, k: int, i: int):
+    """Cell of triangle i on the integer frame; see `stair_cell`."""
+    scale = frame.scale
+    hi = int(frame.bounds[1])  # the window is [0, hi)^2
+    cx, cy, h = int(frame.cx[i]), int(frame.cy[i]), int(frame.cs[i])
+    x0, y0 = max(cx, 0), max(cy, 0)
+    if x0 >= hi or y0 >= hi or x0 + y0 > h:
+        return None
+    cut, mx, my = _cutters(frame, i)
+    apexes = sorted(zip(mx[cut].tolist(), my[cut].tolist()))
+    columns = _dominance_columns(apexes, k, x0, y0, hi, h)
+    if not columns:
+        return None
+    if all(b + top <= h for _, b, top in columns):
+        xs, ys = [x0], []
+        for _, b, top in columns:
+            if ys and ys[-1] == top:
+                xs[-1] = b  # equal tops merge into one column
+            else:
+                xs.append(b)
+                ys.append(top)
+        ys.append(y0)
+        return StairPolygon(
+            [Fraction(v, scale) for v in xs], [Fraction(v, scale) for v in ys]
+        )
+    bottom = Fraction(y0, scale)
+    return NonStairCell(
+        columns=tuple(
+            Rect(Fraction(a, scale), Fraction(b, scale), bottom, Fraction(top, scale))
+            for a, b, top in columns
+        ),
+        diag_sum=Fraction(h, scale),
+    )
 
 
 def stair_cell(inst: CoveringInstance, i: int):
     """Cell of triangle i: a StairPolygon, a NonStairCell, or None if empty."""
-    corner = inst.corners[i]
-    tri = Triangle(corner)
-    l = inst.window
-    x0 = max(corner.x, Fraction(0))
-    y0 = max(corner.y, Fraction(0))
-    if x0 >= l or y0 >= l or x0 + y0 > tri.hyp_sum:
-        return None
-    apexes = [cut_apex(tri, Triangle(inst.corners[j])) for j in cutter_set(inst, i)]
-    columns = _dominance_columns(apexes, inst.k, x0, y0, l, l)
-    if not columns:
-        return None
-    h = tri.hyp_sum
-    kept = [(a, b, top) for a, b, top in columns if a + y0 <= h]
-    if not kept:
-        return None
-    if all(b + top <= h for a, b, top in kept):
-        return columns_to_stair(kept, y0)
-    return NonStairCell(
-        columns=tuple(Rect(a, b, y0, top) for a, b, top in kept), diag_sum=h
-    )
+    return _cell(_frame(inst.corners, inst.window_rect()), inst.k, i)
 
 
 def decompose(inst: CoveringInstance) -> DecompositionResult:
@@ -264,11 +262,12 @@ def decompose(inst: CoveringInstance) -> DecompositionResult:
     inputs `non_stair` may be populated and downstream checks will fail with
     witnesses instead of this function raising.
     """
+    frame = _frame(inst.corners, inst.window_rect())
     cells = []
     non_stair = []
     empty = []
     for i in range(inst.size):
-        cell = stair_cell(inst, i)
+        cell = _cell(frame, inst.k, i)
         if cell is None:
             empty.append(i)
         elif isinstance(cell, StairPolygon):

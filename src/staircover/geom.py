@@ -268,27 +268,3 @@ class StairPolygon:
             lower = ys[i + 1] if i < r else ys[-1]
             segs.append(Segment(Point(xs[i + 1], lower), Point(xs[i + 1], ys[i])))
         return tuple(segs)
-
-
-def columns_to_stair(columns, bottom) -> StairPolygon | None:
-    """Assemble contiguous (x0, x1, top) columns into a canonical stair polygon.
-
-    Adjacent columns with equal tops are merged; columns must be sorted,
-    contiguous, with strictly decreasing tops after merging (ValueError
-    otherwise). Returns None for an empty column list.
-    """
-    if not columns:
-        return None
-    merged = []
-    for x0, x1, top in columns:
-        if merged and merged[-1][2] == top and merged[-1][1] == x0:
-            prev = merged.pop()
-            merged.append((prev[0], x1, top))
-        else:
-            if merged and merged[-1][1] != x0:
-                raise ValueError("columns are not contiguous")
-            merged.append((x0, x1, top))
-    x_breaks = [merged[0][0]] + [c[1] for c in merged]
-    y_breaks = [c[2] for c in merged] + [bottom]
-    return StairPolygon(x_breaks, y_breaks)
-

@@ -119,7 +119,7 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int]:
 
 def _translates_meeting(a, b, c, window: Rect) -> list[Point]:
     """All points of the lattice with normalized basis (a, 0), (b, c) whose
-    triangle meets the half-open window [0, wx) x [0, wy), sorted by (x, y).
+    triangle meets the half-open window [0, wx) x [0, wy), row by row.
 
     The triangle at (x, y) meets the window exactly when x < wx, y < wy and
     max(x, 0) + max(y, 0) <= x + y + 1, that is y >= -1 and
@@ -132,7 +132,6 @@ def _translates_meeting(a, b, c, window: Rect) -> list[Point]:
         lo = -1 - min(y, 0)
         for i in range(ceil((lo - shift) / a), ceil((window.x1 - shift) / a)):
             out.append(Point(i * a + shift, y))
-    out.sort(key=lambda p: (p.x, p.y))
     return out
 
 
@@ -143,6 +142,7 @@ def lattice_instance(lat: Lattice, l, k: int) -> CoveringInstance:
         raise ValueError("window side must be positive")
     window = Rect(Fraction(0), side, Fraction(0), side)
     corners = _translates_meeting(*hermite_basis(lat), window)
+    corners.sort(key=lambda p: (p.x, p.y))  # the order reaches instance files
     return CoveringInstance(k=k, window=side, corners=tuple(corners))
 
 

@@ -23,7 +23,7 @@ from .decomposition import (
     decompose,
     repeated_corners,
 )
-from .geom import Point, Segment, StairPolygon, Triangle, cuts
+from .geom import Point, Segment, Triangle, cuts
 from .rational import rat, rat_str
 
 __all__ = [
@@ -243,10 +243,11 @@ def _segment_rect_witness(seg: Segment, rect) -> Point | None:
     return Point(max(lo_x, rect.x0), max(lo_y, rect.y0))
 
 
-def _removed_boundary_hit(cell_a: StairPolygon, cell_b: StairPolygon) -> Point | None:
-    """A point of (closure(A) \\ A) ∩ B, or None."""
-    for seg in cell_a.boundary_segments():
-        for rect in cell_b.to_rects():
+def _removed_boundary_hit(segments_a, rects_b) -> Point | None:
+    """A point of (closure(A) \\ A) ∩ B, or None, from A's boundary segments
+    and B's column rectangles."""
+    for seg in segments_a:
+        for rect in rects_b:
             w = _segment_rect_witness(seg, rect)
             if w is not None:
                 return w
@@ -257,16 +258,24 @@ def audit_boundary_cut(corners, indexed_cells):
     """Boundary/cell disjointness.
 
     Directed: if T_i cuts T_j then the removed boundary of cell i misses
-    cell j. One-sided: for every pair at least one direction misses.
+    cell j. One-sided: for every pair at least one direction misses. A pair
+    whose closed bounding boxes are disjoint has no hit, since the removed
+    boundary of a cell lies in its closed box, and is not searched.
     """
     directed_check = "boundary_vs_cutter"
     pairwise_check = "boundary_one_sided"
     tris = {i: Triangle(corners[i]) for i, _ in indexed_cells}
+    shapes = [
+        (i, c.boundary_segments(), c.to_rects(),
+         (c.x_breaks[0], c.x_breaks[-1], c.y_breaks[-1], c.y_breaks[0]))
+        for i, c in indexed_cells
+    ]
     hits: dict[tuple[int, int], Point | None] = {}
-    for i, cell_i in indexed_cells:
-        for j, cell_j in indexed_cells:
+    for i, segments, _, (ax0, ax1, ay0, ay1) in shapes:
+        for j, _, rects, (bx0, bx1, by0, by1) in shapes:
             if i != j:
-                hits[(i, j)] = _removed_boundary_hit(cell_i, cell_j)
+                meet = ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1
+                hits[(i, j)] = _removed_boundary_hit(segments, rects) if meet else None
     directed = AuditVerdict(directed_check, PASS, "no cutter boundary meets a cut cell")
     for (i, j), w in sorted(hits.items()):
         if w is not None and cuts(tris[i], tris[j]):

@@ -8,19 +8,23 @@ inside at least k cutter triangles at once); the grid stair-area maximum is
 a full enumeration over break tuples; coverage depth is counted triangle by
 triangle, and the minimum depth over a window by testing every face sample
 against every translate; the lattice translates meeting a window are found
-by testing every coefficient pair of a box, in the basis as given.
+by testing every coefficient pair of a box, in the basis as given. The
+decomposition is rebuilt in Fractions, one `Triangle` pair test per cutter
+candidate, and the boundary audit compares every ordered pair of cells.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
 from staircover.arrangement import _frame, _iter_chunks
-from staircover.decomposition import CoveringInstance, cutter_set
-from staircover.geom import Point, Rect, StairPolygon, Triangle
+from staircover.decomposition import CoveringInstance, DecompositionResult, NonStairCell
+from staircover.geom import Point, Rect, StairPolygon, Triangle, cuts
+from staircover.verification import PASS, AuditVerdict, _fail, _point_json, _removed_boundary_hit
 
 
 # --- exact convex-geometry primitives -------------------------------------
@@ -107,6 +111,22 @@ def _stair_mask(cell: StairPolygon, scale, ts, ys) -> np.ndarray:
     return in_col[:, None] & (ys64 >= yb[-1]) & (ys64 < tops[:, None])
 
 
+def _cutters_by_first_principles(inst: CoveringInstance, i: int) -> list[int]:
+    """Indices j whose closed triangle meets triangle i (vertex and edge
+    tests) and whose corner is later in the sum-then-x order."""
+    c = inst.corners[i]
+    t = Triangle(c)
+    return [
+        j
+        for j, d in enumerate(inst.corners)
+        if (c.x + c.y, c.x) < (d.x + d.y, d.x)
+        # each triangle lies in the unit square above its corner
+        and abs(d.x - c.x) <= 1
+        and abs(d.y - c.y) <= 1
+        and tri_intersects_oracle(t, Triangle(d))
+    ]
+
+
 def cell_matches_set_formula(inst: CoveringInstance, i: int, cell) -> bool:
     """Compare a computed cell against the defining set formula, evaluated
     pointwise on one sample per arrangement face of the relevant lines.
@@ -117,7 +137,7 @@ def cell_matches_set_formula(inst: CoveringInstance, i: int, cell) -> bool:
     bbox = _cell_bbox(inst, i)
     if bbox is None:
         return cell is None
-    members = [i, *cutter_set(inst, i)]
+    members = [i, *_cutters_by_first_principles(inst, i)]
     pts = [inst.corners[j] for j in members]
     checked = 0
     frame = _frame(pts, bbox)
@@ -152,6 +172,133 @@ def cell_matches_set_formula(inst: CoveringInstance, i: int, cell) -> bool:
             return False
         checked += int(valid.sum())
     return checked > 0
+
+
+# --- decomposition in Fractions --------------------------------------------
+
+def _reference_cutters(inst: CoveringInstance, i: int) -> list[int]:
+    tris = inst.triangles()
+    target = tris[i]
+    return [j for j, t in enumerate(tris) if j != i and cuts(t, target)]
+
+
+def _reference_columns(apexes, k, x0, y0, x_hi, y_hi):
+    """(x_start, x_end, top) columns below the k-th dominance staircase of
+    *apexes* inside [x0, x_hi) x [y0, y_hi), tops non-increasing."""
+    relevant = sorted(
+        (a for a in apexes if a.x < x_hi and a.y < y_hi), key=lambda a: (a.x, a.y)
+    )
+    ys_seen: list[Fraction] = []
+    idx = 0
+    while idx < len(relevant) and relevant[idx].x <= x0:
+        insort(ys_seen, relevant[idx].y)
+        idx += 1
+    columns = []
+    x = x0
+    while x < x_hi:
+        top = y_hi if len(ys_seen) < k else min(y_hi, ys_seen[k - 1])
+        next_x = min(relevant[idx].x if idx < len(relevant) else x_hi, x_hi)
+        if top <= y0:
+            break
+        if next_x > x:
+            columns.append((x, next_x, top))
+        x = next_x
+        while idx < len(relevant) and relevant[idx].x <= x:
+            insort(ys_seen, relevant[idx].y)
+            idx += 1
+    return columns
+
+
+def _columns_to_stair(columns, bottom) -> StairPolygon:
+    """Contiguous (x0, x1, top) columns with equal adjacent tops merged."""
+    merged = []
+    for x0, x1, top in columns:
+        if merged and merged[-1][2] == top:
+            merged[-1] = (merged[-1][0], x1, top)
+        else:
+            merged.append((x0, x1, top))
+    x_breaks = [merged[0][0]] + [c[1] for c in merged]
+    y_breaks = [c[2] for c in merged] + [bottom]
+    return StairPolygon(x_breaks, y_breaks)
+
+
+def _reference_cell(inst: CoveringInstance, i: int):
+    corner = inst.corners[i]
+    tri = Triangle(corner)
+    l = inst.window
+    x0 = max(corner.x, Fraction(0))
+    y0 = max(corner.y, Fraction(0))
+    if x0 >= l or y0 >= l or x0 + y0 > tri.hyp_sum:
+        return None
+    apexes = [
+        Point(max(corner.x, inst.corners[j].x), max(corner.y, inst.corners[j].y))
+        for j in _reference_cutters(inst, i)
+    ]
+    columns = _reference_columns(apexes, inst.k, x0, y0, l, l)
+    h = tri.hyp_sum
+    kept = [(a, b, top) for a, b, top in columns if a + y0 <= h]
+    if not kept:
+        return None
+    if all(b + top <= h for a, b, top in kept):
+        return _columns_to_stair(kept, y0)
+    return NonStairCell(
+        columns=tuple(Rect(a, b, y0, top) for a, b, top in kept), diag_sum=h
+    )
+
+
+def decompose_reference(inst: CoveringInstance) -> DecompositionResult:
+    """`decomposition.decompose` in Fraction arithmetic, cell by cell, with
+    every cutter found by a `Triangle` pair test."""
+    cells, non_stair, empty = [], [], []
+    for i in range(inst.size):
+        cell = _reference_cell(inst, i)
+        if cell is None:
+            empty.append(i)
+        elif isinstance(cell, StairPolygon):
+            cells.append((i, cell))
+        else:
+            non_stair.append((i, cell))
+    return DecompositionResult(inst, tuple(cells), tuple(non_stair), tuple(empty))
+
+
+# --- boundary audit -------------------------------------------------------
+
+def audit_boundary_cut_reference(corners, indexed_cells):
+    """`verification.audit_boundary_cut` comparing every ordered pair of
+    cells, with no bounding-box prefilter."""
+    tris = {i: Triangle(corners[i]) for i, _ in indexed_cells}
+    hits = {}
+    for i, cell_i in indexed_cells:
+        for j, cell_j in indexed_cells:
+            if i != j:
+                hits[(i, j)] = _removed_boundary_hit(
+                    cell_i.boundary_segments(), cell_j.to_rects()
+                )
+    directed = AuditVerdict("boundary_vs_cutter", PASS, "no cutter boundary meets a cut cell")
+    for (i, j), w in sorted(hits.items()):
+        if w is not None and cuts(tris[i], tris[j]):
+            directed = _fail(
+                "boundary_vs_cutter",
+                f"triangle {i} cuts triangle {j} but boundary of cell {i} meets cell {j}",
+                cutter=i,
+                cut=j,
+                point=_point_json(w),
+            )
+            break
+    pairwise = AuditVerdict("boundary_one_sided", PASS, "every pair is one-sided")
+    for i, j in ((i, j) for i, _ in indexed_cells for j, _ in indexed_cells if i < j):
+        w_ij, w_ji = hits.get((i, j)), hits.get((j, i))
+        if w_ij is not None and w_ji is not None:
+            pairwise = _fail(
+                "boundary_one_sided",
+                f"boundaries of cells {i} and {j} each meet the other cell",
+                first=i,
+                second=j,
+                point=_point_json(w_ij),
+                point_reverse=_point_json(w_ji),
+            )
+            break
+    return directed, pairwise
 
 
 # --- coverage depth -------------------------------------------------------

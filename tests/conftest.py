@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from staircover import CoveringInstance, Lattice
+from staircover import CoveringInstance, Lattice, is_k_fold_covering, perturb_instance
+from staircover.lattice import lattice_instance
 
 
 @pytest.fixture
@@ -25,3 +26,54 @@ def diag_lattice(k: int) -> Lattice:
 
 def grid_lattice(m: int) -> Lattice:
     return Lattice.of(Fraction(1, m), 0, 0, Fraction(1, m))
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    """>= 50 deterministic verified covering instances, k <= 3, N <= 40."""
+    bases = [
+        (diag_lattice(1), Fraction(1), 1),
+        (diag_lattice(1), Fraction(3, 2), 1),
+        (diag_lattice(1), Fraction(2), 1),
+        (diag_lattice(1), Fraction(5, 2), 1),
+        (diag_lattice(2), Fraction(1), 2),
+        (diag_lattice(2), Fraction(3, 2), 2),
+        (diag_lattice(2), Fraction(1), 1),
+        (diag_lattice(2), Fraction(3, 2), 1),
+        (diag_lattice(3), Fraction(1), 3),
+        (diag_lattice(3), Fraction(1), 2),
+        (diag_lattice(3), Fraction(1), 1),
+        (grid_lattice(2), Fraction(1), 1),
+        (grid_lattice(2), Fraction(3, 2), 1),
+        (grid_lattice(2), Fraction(2), 1),
+        (grid_lattice(3), Fraction(1), 2),
+        (grid_lattice(3), Fraction(1), 3),
+        (grid_lattice(3), Fraction(1), 1),
+    ]
+    instances = []
+    for lat, l, k in bases:
+        inst = lattice_instance(lat, l, k)
+        assert inst.size <= 40, f"base instance too large: {inst.size}"
+        assert is_k_fold_covering(inst)
+        instances.append(inst)
+    # families with genuine coverage slack; tight ones (the half grid at
+    # k = 1, the diagonal family at its own fold) reject almost every draw
+    slack = [
+        (grid_lattice(3), Fraction(1), 2, range(8)),
+        (grid_lattice(3), Fraction(1), 1, range(6)),
+        (diag_lattice(2), Fraction(1), 1, range(7)),
+        (diag_lattice(2), Fraction(3, 2), 1, range(6)),
+        (diag_lattice(3), Fraction(1), 2, range(7)),
+        (diag_lattice(3), Fraction(1), 1, range(5)),
+    ]
+    for lat, l, k, seeds in slack:
+        base = lattice_instance(lat, l, k)
+        for seed in seeds:
+            try:
+                inst = perturb_instance(base, Fraction(1, 64), seed=seed)
+            except ValueError:
+                continue  # rejection sampling exhausted for this seed
+            assert inst.size <= 40
+            instances.append(inst)
+    assert len(instances) >= 50, f"only {len(instances)} corpus instances"
+    return instances

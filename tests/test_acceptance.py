@@ -2,9 +2,10 @@
 
 One test per acceptance criterion, each asserting its exact tolerance and
 printing a PASS line (run with `pytest -s tests/test_acceptance.py` to see
-them). The instance corpus is deterministic: lattice families materialized
-over several windows plus seeded covering-preserving perturbations, every
-one re-verified by the exact coverage certificate before use.
+them). The instance corpus (the `corpus` fixture in conftest.py) is
+deterministic: lattice families materialized over several windows plus
+seeded covering-preserving perturbations, every one re-verified by the exact
+coverage certificate before use.
 """
 
 from fractions import Fraction
@@ -18,17 +19,14 @@ from staircover import (
     decompose,
     density_chain,
     grid_max_stair_area,
-    is_k_fold_covering,
     max_stair_area,
     max_stair_in_triangle,
     optimal_covering_density,
-    perturb_instance,
     pt,
     run_audits,
     search_optimal_lattice,
     verify_exact_tiling,
 )
-from staircover.lattice import lattice_instance
 from staircover.verification import (
     FAIL,
     PASS,
@@ -39,62 +37,10 @@ from staircover.verification import (
     audit_minimal_element,
 )
 from _oracles import cell_matches_set_formula
-from conftest import diag_lattice, grid_lattice
 
 
 def _report(criterion: str, detail: str):
     print(f"ACCEPTANCE {criterion}: PASS  ({detail})")
-
-
-@pytest.fixture(scope="session")
-def corpus():
-    """>= 50 deterministic verified covering instances, k <= 3, N <= 40."""
-    bases = [
-        (diag_lattice(1), Fraction(1), 1),
-        (diag_lattice(1), Fraction(3, 2), 1),
-        (diag_lattice(1), Fraction(2), 1),
-        (diag_lattice(1), Fraction(5, 2), 1),
-        (diag_lattice(2), Fraction(1), 2),
-        (diag_lattice(2), Fraction(3, 2), 2),
-        (diag_lattice(2), Fraction(1), 1),
-        (diag_lattice(2), Fraction(3, 2), 1),
-        (diag_lattice(3), Fraction(1), 3),
-        (diag_lattice(3), Fraction(1), 2),
-        (diag_lattice(3), Fraction(1), 1),
-        (grid_lattice(2), Fraction(1), 1),
-        (grid_lattice(2), Fraction(3, 2), 1),
-        (grid_lattice(2), Fraction(2), 1),
-        (grid_lattice(3), Fraction(1), 2),
-        (grid_lattice(3), Fraction(1), 3),
-        (grid_lattice(3), Fraction(1), 1),
-    ]
-    instances = []
-    for lat, l, k in bases:
-        inst = lattice_instance(lat, l, k)
-        assert inst.size <= 40, f"base instance too large: {inst.size}"
-        assert is_k_fold_covering(inst)
-        instances.append(inst)
-    # families with genuine coverage slack; tight ones (the half grid at
-    # k = 1, the diagonal family at its own fold) reject almost every draw
-    slack = [
-        (grid_lattice(3), Fraction(1), 2, range(8)),
-        (grid_lattice(3), Fraction(1), 1, range(6)),
-        (diag_lattice(2), Fraction(1), 1, range(7)),
-        (diag_lattice(2), Fraction(3, 2), 1, range(6)),
-        (diag_lattice(3), Fraction(1), 2, range(7)),
-        (diag_lattice(3), Fraction(1), 1, range(5)),
-    ]
-    for lat, l, k, seeds in slack:
-        base = lattice_instance(lat, l, k)
-        for seed in seeds:
-            try:
-                inst = perturb_instance(base, Fraction(1, 64), seed=seed)
-            except ValueError:
-                continue  # rejection sampling exhausted for this seed
-            assert inst.size <= 40
-            instances.append(inst)
-    assert len(instances) >= 50, f"only {len(instances)} corpus instances"
-    return instances
 
 
 def test_criterion_1_formula_suite():

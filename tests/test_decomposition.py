@@ -1,23 +1,25 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from staircover import (
     CoveringInstance,
     NonStairCell,
     StairPolygon,
     Triangle,
-    cut_apex,
     cutter_set,
     cuts,
     decompose,
     pt,
     stair_cell,
 )
-from _oracles import cell_matches_set_formula
+from staircover import arrangement
+from _oracles import cell_matches_set_formula, decompose_reference
 from conftest import diag_lattice, grid_lattice
-from test_arrangement import generic_families
+from test_arrangement import DEN, SHRINK, _generic, generic_families
 from staircover.lattice import lattice_instance
 
 
@@ -56,23 +58,6 @@ class TestCutterSet(object):
     def test_out_of_range(self, quarters):
         with pytest.raises(IndexError):
             cutter_set(quarters, 99)
-
-
-class TestCutApex:
-    def test_componentwise_max(self):
-        assert cut_apex(Triangle.at(0, 0), Triangle.at("1/2", 0)) == pt("1/2", 0)
-        assert cut_apex(Triangle.at(0, 0), Triangle.at("1/2", "1/2")) == pt("1/2", "1/2")
-        assert cut_apex(Triangle.at(0, "1/2"), Triangle.at("1/2", 0)) == pt("1/2", "1/2")
-
-    def test_apex_lies_in_cut_triangle(self):
-        t_i, t_j = Triangle.at(0, "1/2"), Triangle.at("1/2", 0)
-        assert t_i.contains(cut_apex(t_i, t_j))
-
-    def test_rejects_non_cutter(self):
-        with pytest.raises(ValueError, match="cut"):
-            cut_apex(Triangle.at("1/2", 0), Triangle.at(0, 0))
-        with pytest.raises(ValueError, match="cut"):
-            cut_apex(Triangle.at(0, 0), Triangle.at(1, 1))
 
 
 class TestStairCell:
@@ -195,6 +180,102 @@ class TestDecompose:
         result = decompose(inst)
         for i in range(inst.size):
             assert cell_matches_set_formula(inst, i, result.cell_for(i))
+
+
+def _square_instance(family) -> CoveringInstance:
+    """The drawn family on [0, l)^2, the least square window holding the
+    drawn window (and so the hole of a holed draw)."""
+    k, corners, window, _ = family
+    return CoveringInstance(k, max(window.x1, window.y1), tuple(corners))
+
+
+@st.composite
+def small_denominator_instances(draw):
+    """k <= 3 and 1..24 distinct corners on a 1/q grid over [-1, l)^2, so
+    that corners sit left of and below the window and many cells are not
+    stair polygons."""
+    rng = draw(st.randoms(use_true_random=False))
+    k = rng.randint(1, 3)
+    q = rng.choice((2, 3, 4, 5))
+    l = Fraction(rng.randint(1, 2 * q), q)
+    grid = [Fraction(n, q) for n in range(-q, int(l * q))]
+    corners = {(rng.choice(grid), rng.choice(grid)) for _ in range(rng.randint(1, 24))}
+    return CoveringInstance.of(k, l, sorted(corners))
+
+
+def _parts(result):
+    return result.cells, result.non_stair, result.empty_indices
+
+
+class TestMatchesFractionReference:
+    @given(generic_families())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_generic_coverings_and_holes(self, family):
+        inst = _square_instance(family)
+        assert _parts(decompose(inst)) == _parts(decompose_reference(inst))
+
+    @given(small_denominator_instances())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_small_denominators_with_negative_corners(self, inst):
+        assert _parts(decompose(inst)) == _parts(decompose_reference(inst))
+
+    @pytest.mark.parametrize("lat, l, k", [
+        (diag_lattice(1), 3, 1),
+        (diag_lattice(2), Fraction(3, 2), 2),
+        (grid_lattice(3), 2, 3),
+    ])
+    def test_lattice_families(self, lat, l, k):
+        inst = lattice_instance(lat, l, k)
+        assert _parts(decompose(inst)) == _parts(decompose_reference(inst))
+
+    def test_cutter_set_matches_triangle_pairs(self):
+        inst = lattice_instance(diag_lattice(2), 1, 2)
+        tris = inst.triangles()
+        for i, t in enumerate(tris):
+            expected = tuple(j for j, u in enumerate(tris) if cuts(u, t))
+            assert cutter_set(inst, i) == expected
+
+
+def _holed_generic() -> CoveringInstance:
+    """The diagonal 2-fold family, shrunk onto the 1/DEN grid as in
+    `generic_families`, with all but one of the triangles through a generic
+    point dropped, on [0, 1)^2."""
+    rng = random.Random(6)
+    base = lattice_instance(diag_lattice(2), 1 / (1 - SHRINK), 2).corners
+    corners = sorted(
+        {pt(_generic((1 - SHRINK) * c.x, rng), _generic((1 - SHRINK) * c.y, rng)) for c in base},
+        key=lambda c: (c.x, c.y),
+    )
+    hole = pt(Fraction(4001, DEN), Fraction(5003, DEN))
+    dropped = [c for c in corners if Triangle(c).contains(hole)][1:]
+    return CoveringInstance(2, Fraction(1), tuple(c for c in corners if c not in dropped))
+
+
+def _bignum_cases():
+    for name, lat, k in [
+        ("diag1", diag_lattice(1), 1),
+        ("diag2", diag_lattice(2), 2),
+        ("diag3", diag_lattice(3), 3),
+        ("grid2", grid_lattice(2), 1),
+        ("grid3", grid_lattice(3), 3),
+    ]:
+        yield pytest.param(lattice_instance(lat, 1, k), id=name)
+    yield pytest.param(_holed_generic(), id="generic-holed")
+
+
+class TestBignumPath:
+    def test_holed_case_has_non_stair_cells(self):
+        assert decompose(_holed_generic()).non_stair
+
+    @pytest.mark.parametrize("inst", list(_bignum_cases()))
+    def test_object_dtype_matches_int64(self, monkeypatch, inst):
+        frame = arrangement._frame(inst.corners, inst.window_rect())
+        assert frame.cx.dtype == "int64"
+        expected = decompose(inst)
+        monkeypatch.setattr(arrangement, "_INT64_LIMIT", 1)
+        frame = arrangement._frame(inst.corners, inst.window_rect())
+        assert frame.cx.dtype == object and frame.cs.dtype == object
+        assert decompose(inst) == expected
 
 
 class TestCuttingTransitivity:

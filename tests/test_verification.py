@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from staircover.verification import (
     audit_minimal_element,
 )
 from conftest import diag_lattice, grid_lattice
-from _oracles import depth_at
+from _oracles import audit_boundary_cut_reference, depth_at
 from staircover.cli import _corrupt
 from staircover.lattice import lattice_instance
 
@@ -342,6 +343,59 @@ class TestTilingCertificateCrossCheck:
             result.stair_cells(), inst.k, inst.window
         ).ok
         assert tiles == coverage_certificate(inst).covers
+
+
+def _stair_family(rng):
+    """1..8 random stair cells with breaks on the 1/4 grid of [0, 1]^2, each
+    with its own random corner on the 1/4 grid of [-1/2, 1)^2; the cells
+    overlap freely, so both boundary checks fail often."""
+    cells = []
+    for _ in range(rng.randint(1, 8)):
+        r = rng.randint(0, 2)
+        xs = sorted(rng.sample(range(5), r + 2))
+        ys = sorted(rng.sample(range(5), r + 2), reverse=True)
+        cells.append(StairPolygon.of([Fraction(v, 4) for v in xs], [Fraction(v, 4) for v in ys]))
+    points = [(Fraction(x, 4), Fraction(y, 4)) for x in range(-2, 4) for y in range(-2, 4)]
+    corners = [pt(x, y) for x, y in rng.sample(points, len(cells))]
+    return corners, list(enumerate(cells))
+
+
+class TestBoundaryCutMatchesAllPairs:
+    """The box-prefiltered audit against the all-pairs reference: equal
+    verdicts, details and witnesses."""
+
+    EDITS = ("none", "dup-cell", "drop-cell", "shrink-cell")
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_acceptance_corpus(self, corpus, edit):
+        for inst in corpus:
+            result = decompose(inst)
+            if edit != "none":
+                result = _corrupt(result, edit)
+            got = audit_boundary_cut(inst.corners, result.cells)
+            assert got == audit_boundary_cut_reference(inst.corners, result.cells)
+
+    @given(small_instances(), st.sampled_from(EDITS + ("copy-1-over-0",)))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_decomposed_draws(self, inst, edit):
+        result = decompose(inst)
+        if len(result.cells) < 2:
+            return
+        if edit == "copy-1-over-0":
+            result = _copy_cell(result, 1, 0)
+        elif edit != "none":
+            result = _corrupt(result, edit)
+        got = audit_boundary_cut(inst.corners, result.cells)
+        assert got == audit_boundary_cut_reference(inst.corners, result.cells)
+
+    def test_random_stair_families(self):
+        failed = set()
+        for seed in range(300):
+            corners, cells = _stair_family(random.Random(seed))
+            got = audit_boundary_cut(corners, cells)
+            assert got == audit_boundary_cut_reference(corners, cells), seed
+            failed.update(v.check for v in got if v.status == FAIL)
+        assert failed == {"boundary_vs_cutter", "boundary_one_sided"}
 
 
 class TestWitnessReproduction:

@@ -23,7 +23,6 @@ from .decomposition import (
 from .geom import (
     Point,
     Rect,
-    Segment,
     StairPolygon,
     Triangle,
     cuts,

@@ -115,13 +115,16 @@ def _normalize_triangle(raw, corners):
     return mapped, transform
 
 
-def load_instance(path) -> tuple[CoveringInstance, dict]:
+def _load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InstanceFormatError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_instance(data)
+
+
+def load_instance(path) -> tuple[CoveringInstance, dict]:
+    return parse_instance(_load_json(path))
 
 
 def instance_to_json(inst: CoveringInstance, meta: dict | None = None) -> dict:
@@ -276,8 +279,7 @@ def report_optimize(report: LatticeSearchReport) -> dict:
 
 def load_results_store(path) -> dict:
     """Best-known lattice per fold, as {k: (Lattice, multiplicity)}."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_json(path)
     if not isinstance(data, dict):
         raise InstanceFormatError("results file must be a JSON object")
     best = data.get("best", {})

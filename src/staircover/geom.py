@@ -26,7 +26,6 @@ __all__ = [
     "Point",
     "Triangle",
     "Rect",
-    "Segment",
     "StairPolygon",
     "pt",
     "precedes",
@@ -133,25 +132,6 @@ class Rect:
         )
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Closed axis-aligned segment. Endpoints may coincide (a point)."""
-
-    a: Point
-    b: Point
-
-    def __post_init__(self):
-        if self.a.x != self.b.x and self.a.y != self.b.y:
-            raise ValueError("segment must be axis-aligned")
-
-    def meets_rect(self, r: Rect) -> bool:
-        """Exact intersection test against a half-open rectangle."""
-        lo_x, hi_x = sorted((self.a.x, self.b.x))
-        lo_y, hi_y = sorted((self.a.y, self.b.y))
-        # closed interval [lo, hi] meets half-open [c0, c1) iff lo < c1 and hi >= c0
-        return lo_x < r.x1 and hi_x >= r.x0 and lo_y < r.y1 and hi_y >= r.y0
-
-
 class StairPolygon:
     """Half-open r-stair polygon.
 
@@ -252,19 +232,3 @@ class StairPolygon:
             Rect(self.x_breaks[i], self.x_breaks[i + 1], bottom, self.y_breaks[i])
             for i in range(len(self.x_breaks) - 1)
         )
-
-    def boundary_segments(self) -> tuple[Segment, ...]:
-        """The closed top/right staircase path: closure(S) minus S.
-
-        Returned as closed axis-aligned segments (tops of every column plus
-        the risers down to the next column top, ending at the bottom-right
-        corner).
-        """
-        xs, ys = self.x_breaks, self.y_breaks
-        r = self.stair_count
-        segs = []
-        for i in range(r + 1):
-            segs.append(Segment(Point(xs[i], ys[i]), Point(xs[i + 1], ys[i])))
-            lower = ys[i + 1] if i < r else ys[-1]
-            segs.append(Segment(Point(xs[i + 1], lower), Point(xs[i + 1], ys[i])))
-        return tuple(segs)

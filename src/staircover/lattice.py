@@ -242,6 +242,8 @@ def search_optimal_lattice(
         raise ValueError(f"fold must be a positive integer, got {k!r}")
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    if seed_grid < 1:
+        raise ValueError("seed grid must be at least 1")
     target_density = Fraction(2 * k + 1, 2)
     target_det = Fraction(1, 2 * k + 1)
     evaluations = 0

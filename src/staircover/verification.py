@@ -23,8 +23,8 @@ from .decomposition import (
     decompose,
     repeated_corners,
 )
-from .geom import Point, Segment, Triangle, cuts
-from .rational import rat, rat_str
+from .geom import Point, StairPolygon, Triangle, cuts
+from .rational import rat_str
 
 __all__ = [
     "CoverageCertificate",
@@ -119,19 +119,24 @@ class TilingVerdict:
     detail: str = ""
 
 
+def _first_off(xs, ys, counts, off):
+    """(lower-left point, multiplicity) of the first grid cell where `off`
+    holds, in (x, y) order, or None if it holds nowhere."""
+    bad = np.argwhere(off)
+    if len(bad) == 0:
+        return None
+    i, j = map(int, bad[0])
+    return Point(xs[i], ys[j]), int(counts[i, j])
+
+
 def verify_exact_tiling(cells, k: int, l: Fraction) -> TilingVerdict:
     """Every window point must lie in exactly k of the given stair cells."""
     xs, ys, counts = multiplicity_grid(cells, l)
-    bad = np.argwhere(counts != k)
-    if len(bad) == 0:
+    off = _first_off(xs, ys, counts, counts != k)
+    if off is None:
         return TilingVerdict(ok=True, detail=f"all grid cells have multiplicity {k}")
-    i, j = map(int, bad[0])
-    return TilingVerdict(
-        ok=False,
-        point=Point(xs[i], ys[j]),
-        multiplicity=int(counts[i, j]),
-        detail=f"multiplicity {int(counts[i, j])} != {k}",
-    )
+    point, m = off
+    return TilingVerdict(ok=False, point=point, multiplicity=m, detail=f"multiplicity {m} != {k}")
 
 
 @dataclass(frozen=True)
@@ -206,76 +211,77 @@ def audit_minimal_element(inst: CoveringInstance) -> AuditVerdict:
 
 
 def audit_disjointness(cells, k: int, l: Fraction):
-    """Grid multiplicity bounds: nowhere more than k cells (upper) and
-    nowhere fewer than k (lower). Together they make the exact tiling."""
+    """Grid multiplicity verdicts from one grid: (upper, lower, exact_tiling).
+
+    Upper: nowhere more than k cells. Lower: nowhere fewer than k. Exact
+    tiling: exactly k everywhere, as `verify_exact_tiling` judges it. Each
+    failing witness is the first grid cell off its bound in (x, y) order.
+    """
     xs, ys, counts = multiplicity_grid(cells, l)
-    over = np.argwhere(counts > k)
-    under = np.argwhere(counts < k)
-    if len(over):
-        i, j = map(int, over[0])
-        upper = _fail(
-            "multiplicity_upper",
-            f"{int(counts[i, j])} cells share a point (limit {k})",
-            point=_point_json(Point(xs[i], ys[j])),
-            multiplicity=int(counts[i, j]),
-        )
-    else:
-        upper = AuditVerdict("multiplicity_upper", PASS, f"max multiplicity <= {k}")
-    if len(under):
-        i, j = map(int, under[0])
-        lower = _fail(
-            "multiplicity_lower",
-            f"a window point lies in only {int(counts[i, j])} cells (need {k})",
-            point=_point_json(Point(xs[i], ys[j])),
-            multiplicity=int(counts[i, j]),
-        )
-    else:
-        lower = AuditVerdict("multiplicity_lower", PASS, f"min multiplicity >= {k}")
-    return upper, lower
+
+    def verdict(check, off, passed, failed):
+        hit = _first_off(xs, ys, counts, off)
+        if hit is None:
+            return AuditVerdict(check, PASS, passed)
+        point, m = hit
+        return _fail(check, failed(m), point=_point_json(point), multiplicity=m)
+
+    return (
+        verdict("multiplicity_upper", counts > k, f"max multiplicity <= {k}",
+                lambda m: f"{m} cells share a point (limit {k})"),
+        verdict("multiplicity_lower", counts < k, f"min multiplicity >= {k}",
+                lambda m: f"a window point lies in only {m} cells (need {k})"),
+        verdict("exact_tiling", counts != k, f"all grid cells have multiplicity {k}",
+                lambda m: f"multiplicity {m} != {k}"),
+    )
 
 
-def _segment_rect_witness(seg: Segment, rect) -> Point | None:
-    """A point of closed segment ∩ half-open rect, or None if disjoint."""
-    if not seg.meets_rect(rect):
-        return None
-    lo_x, hi_x = sorted((seg.a.x, seg.b.x))
-    lo_y, hi_y = sorted((seg.a.y, seg.b.y))
-    return Point(max(lo_x, rect.x0), max(lo_y, rect.y0))
+def _removed_boundary_hit(a: StairPolygon, b: StairPolygon) -> Point | None:
+    """A point of (closure(A) \\ A) ∩ B, or None.
 
-
-def _removed_boundary_hit(segments_a, rects_b) -> Point | None:
-    """A point of (closure(A) \\ A) ∩ B, or None, from A's boundary segments
-    and B's column rectangles."""
-    for seg in segments_a:
-        for rect in rects_b:
-            w = _segment_rect_witness(seg, rect)
-            if w is not None:
-                return w
+    The removed boundary of A is its closed staircase path: per column, the
+    top edge, then the riser at the column's right end down to the next top
+    (the last riser runs down to A's bottom). Each closed segment
+    [x0, x1] x [y0, y1] is tested against B's half-open columns in order.
+    """
+    xs, ys = a.x_breaks, a.y_breaks
+    bottom = b.y_breaks[-1]
+    columns = tuple(zip(b.x_breaks, b.x_breaks[1:], b.y_breaks))
+    for i in range(len(xs) - 1):
+        top_edge = (xs[i], xs[i + 1], ys[i], ys[i])
+        riser = (xs[i + 1], xs[i + 1], ys[i + 1], ys[i])
+        for x0, x1, y0, y1 in (top_edge, riser):
+            for u0, u1, top in columns:
+                # closed [lo, hi] meets half-open [c0, c1) iff lo < c1 and hi >= c0
+                if x0 < u1 and x1 >= u0 and y0 < top and y1 >= bottom:
+                    return Point(max(x0, u0), max(y0, bottom))
     return None
 
 
 def audit_boundary_cut(corners, indexed_cells):
-    """Boundary/cell disjointness.
+    """Boundary/cell disjointness: (boundary_vs_cutter, boundary_one_sided).
 
     Directed: if T_i cuts T_j then the removed boundary of cell i misses
-    cell j. One-sided: for every pair at least one direction misses. A pair
-    whose closed bounding boxes are disjoint has no hit, since the removed
-    boundary of a cell lies in its closed box, and is not searched.
+    cell j; it fails on the least (i, j) in index order. One-sided: for
+    every pair at least one direction misses; it fails on the first pair
+    i < j in the order of the entries. A pair whose closed bounding boxes
+    are disjoint has no hit, since the removed boundary of a cell lies in
+    its closed box, and is not searched. An index repeated in
+    `indexed_cells` is judged by its last entry.
     """
     directed_check = "boundary_vs_cutter"
     pairwise_check = "boundary_one_sided"
     tris = {i: Triangle(corners[i]) for i, _ in indexed_cells}
-    shapes = [
-        (i, c.boundary_segments(), c.to_rects(),
-         (c.x_breaks[0], c.x_breaks[-1], c.y_breaks[-1], c.y_breaks[0]))
+    boxes = [
+        (i, c, (c.x_breaks[0], c.x_breaks[-1], c.y_breaks[-1], c.y_breaks[0]))
         for i, c in indexed_cells
     ]
     hits: dict[tuple[int, int], Point | None] = {}
-    for i, segments, _, (ax0, ax1, ay0, ay1) in shapes:
-        for j, _, rects, (bx0, bx1, by0, by1) in shapes:
+    for i, a, (ax0, ax1, ay0, ay1) in boxes:
+        for j, b, (bx0, bx1, by0, by1) in boxes:
             if i != j:
                 meet = ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1
-                hits[(i, j)] = _removed_boundary_hit(segments, rects) if meet else None
+                hits[(i, j)] = _removed_boundary_hit(a, b) if meet else None
     directed = AuditVerdict(directed_check, PASS, "no cutter boundary meets a cut cell")
     for (i, j), w in sorted(hits.items()):
         if w is not None and cuts(tris[i], tris[j]):
@@ -288,23 +294,17 @@ def audit_boundary_cut(corners, indexed_cells):
             )
             break
     pairwise = AuditVerdict(pairwise_check, PASS, "every pair is one-sided")
-    seen = set()
-    for i, _ in indexed_cells:
-        for j, _ in indexed_cells:
-            if i < j and (i, j) not in seen:
-                seen.add((i, j))
-                w_ij, w_ji = hits.get((i, j)), hits.get((j, i))
-                if w_ij is not None and w_ji is not None:
-                    pairwise = _fail(
-                        pairwise_check,
-                        f"boundaries of cells {i} and {j} each meet the other cell",
-                        first=i,
-                        second=j,
-                        point=_point_json(w_ij),
-                        point_reverse=_point_json(w_ji),
-                    )
-                    break
-        if pairwise.status == FAIL:
+    for i, j in ((i, j) for i, _ in indexed_cells for j, _ in indexed_cells if i < j):
+        w_ij, w_ji = hits[(i, j)], hits[(j, i)]
+        if w_ij is not None and w_ji is not None:
+            pairwise = _fail(
+                pairwise_check,
+                f"boundaries of cells {i} and {j} each meet the other cell",
+                first=i,
+                second=j,
+                point=_point_json(w_ij),
+                point_reverse=_point_json(w_ji),
+            )
             break
     return directed, pairwise
 
@@ -411,17 +411,6 @@ class AuditReport:
         raise KeyError(check)
 
 
-def _exact_tiling(upper: AuditVerdict, lower: AuditVerdict, k: int) -> AuditVerdict:
-    """The exact-tiling verdict from the two multiplicity bounds, as
-    `verify_exact_tiling` gives it on the same grid: when both bounds fail,
-    the witness is the (x, y)-smaller point, the first grid cell off k."""
-    failed = [v.witness for v in (upper, lower) if v.status == FAIL]
-    if not failed:
-        return AuditVerdict("exact_tiling", PASS, f"all grid cells have multiplicity {k}")
-    w = min(failed, key=lambda w: [rat(v) for v in w["point"]])
-    return _fail("exact_tiling", f"multiplicity {w['multiplicity']} != {k}", **w)
-
-
 _TILING_GATED = ("corner_anchor_column", "anchor_count_lower", "anchor_count_upper", "stair_count_total")
 
 
@@ -442,9 +431,7 @@ def run_audits(inst: CoveringInstance, result: DecompositionResult | None = None
         "min_depth": cert.min_depth,
     }
     if result.is_stair_decomposition:
-        cells = result.stair_cells()
-        upper, lower = audit_disjointness(cells, inst.k, inst.window)
-        tiling = _exact_tiling(upper, lower, inst.k)
+        upper, lower, tiling = audit_disjointness(result.stair_cells(), inst.k, inst.window)
         verdicts += [upper, lower, tiling]
         verdicts += list(audit_boundary_cut(inst.corners, result.cells))
         if tiling.passed:

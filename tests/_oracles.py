@@ -10,7 +10,8 @@ triangle, and the minimum depth over a window by testing every face sample
 against every translate; the lattice translates meeting a window are found
 by testing every coefficient pair of a box, in the basis as given. The
 decomposition is rebuilt in Fractions, one `Triangle` pair test per cutter
-candidate, and the boundary audit compares every ordered pair of cells.
+candidate, and the boundary audit compares every ordered pair of cells by
+its own search of boundary segments against column rectangles.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from staircover.arrangement import _frame, _iter_chunks
 from staircover.decomposition import CoveringInstance, DecompositionResult, NonStairCell
 from staircover.geom import Point, Rect, StairPolygon, Triangle, cuts
-from staircover.verification import PASS, AuditVerdict, _fail, _point_json, _removed_boundary_hit
+from staircover.verification import PASS, AuditVerdict, _fail, _point_json
 
 
 # --- exact convex-geometry primitives -------------------------------------
@@ -263,17 +264,50 @@ def decompose_reference(inst: CoveringInstance) -> DecompositionResult:
 
 # --- boundary audit -------------------------------------------------------
 
+def _boundary_segments(cell: StairPolygon):
+    """The closed top/right staircase path, closure(S) minus S, as closed
+    axis-aligned segments (a, b): the top of every column, then the riser
+    down to the next column top, the last one ending at the bottom-right
+    corner."""
+    xs, ys = cell.x_breaks, cell.y_breaks
+    segs = []
+    for i in range(len(xs) - 1):
+        segs.append((Point(xs[i], ys[i]), Point(xs[i + 1], ys[i])))
+        segs.append((Point(xs[i + 1], ys[i + 1]), Point(xs[i + 1], ys[i])))
+    return segs
+
+
+def _segment_rect_witness(a: Point, b: Point, rect: Rect) -> Point | None:
+    """The lowest-leftmost point of closed segment ab in the half-open rect,
+    or None if they are disjoint."""
+    lo_x, hi_x = sorted((a.x, b.x))
+    lo_y, hi_y = sorted((a.y, b.y))
+    # closed [lo, hi] meets half-open [c0, c1) iff lo < c1 and hi >= c0
+    if lo_x < rect.x1 and hi_x >= rect.x0 and lo_y < rect.y1 and hi_y >= rect.y0:
+        return Point(max(lo_x, rect.x0), max(lo_y, rect.y0))
+    return None
+
+
+def removed_boundary_hit_reference(cell_a: StairPolygon, cell_b: StairPolygon):
+    """`verification._removed_boundary_hit` by a segment search: A's boundary
+    segments in path order against B's column rectangles in x order."""
+    for a, b in _boundary_segments(cell_a):
+        for rect in cell_b.to_rects():
+            w = _segment_rect_witness(a, b, rect)
+            if w is not None:
+                return w
+    return None
+
+
 def audit_boundary_cut_reference(corners, indexed_cells):
     """`verification.audit_boundary_cut` comparing every ordered pair of
-    cells, with no bounding-box prefilter."""
+    cells by the segment search, with no bounding-box prefilter."""
     tris = {i: Triangle(corners[i]) for i, _ in indexed_cells}
     hits = {}
     for i, cell_i in indexed_cells:
         for j, cell_j in indexed_cells:
             if i != j:
-                hits[(i, j)] = _removed_boundary_hit(
-                    cell_i.boundary_segments(), cell_j.to_rects()
-                )
+                hits[(i, j)] = removed_boundary_hit_reference(cell_i, cell_j)
     directed = AuditVerdict("boundary_vs_cutter", PASS, "no cutter boundary meets a cut cell")
     for (i, j), w in sorted(hits.items()):
         if w is not None and cuts(tris[i], tris[j]):

@@ -92,10 +92,10 @@ def test_criterion_4_audits_pass_and_counterexamples_fail(corpus):
     object.__setattr__(dup, "corners", (pt(0, 0), pt(0, 0), pt("1/2", "1/2")))
     assert audit_minimal_element(dup).status == FAIL
 
-    upper, _ = audit_disjointness([sq(0, 1, 0, 1)] * 2, 1, one)
-    assert upper.status == FAIL
-    _, lower = audit_disjointness([sq(0, "1/2", 0, 1)], 1, one)
-    assert lower.status == FAIL
+    upper, _, tiling = audit_disjointness([sq(0, 1, 0, 1)] * 2, 1, one)
+    assert upper.status == tiling.status == FAIL
+    _, lower, tiling = audit_disjointness([sq(0, "1/2", 0, 1)], 1, one)
+    assert lower.status == tiling.status == FAIL
 
     directed, _ = audit_boundary_cut(
         (pt(0, 0), pt("1/2", "1/2")),

@@ -25,6 +25,14 @@ QUARTERS = {
 }
 
 
+def exit_code(argv) -> int:
+    """`main`'s exit code, whether it returns it or raises SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.fixture
 def quarters_file(tmp_path):
     return write_instance(tmp_path / "quarters.json", QUARTERS)
@@ -93,6 +101,7 @@ class TestCommands:
         with pytest.raises(SystemExit) as err:
             main(["verify", "no-such-file.json"])
         assert err.value.code == 2
+        assert capsys.readouterr().err == "error: instance file not found: no-such-file.json\n"
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = write_instance(tmp_path / "bad.json", dict(QUARTERS, l="0"))
@@ -210,6 +219,33 @@ class TestCommands:
         store = write_instance(tmp_path / "store.json", [1, 2])
         assert main(["optimize", "--k", "1", "--resume", store]) == 2
         assert capsys.readouterr().err == "error: results file must be a JSON object\n"
+
+    @pytest.mark.parametrize("command", [
+        ["verify"],
+        ["optimize", "--k", "1", "--resume"],
+        ["gen-lattice", "--k", "1", "--l", "1", "--results"],
+    ])
+    @pytest.mark.parametrize("content", [b"not json", b"\xff\xfe"])
+    def test_non_json_file_exits_2_and_names_it(self, tmp_path, capsys, command, content):
+        store = tmp_path / "store.json"
+        store.write_bytes(content)
+        assert exit_code(command + [str(store)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {store}: invalid JSON (")
+
+    @pytest.mark.parametrize("command", [
+        ["verify"],
+        ["audit"],
+        ["optimize", "--k", "1", "--resume"],
+        ["gen-lattice", "--k", "1", "--l", "1", "--results"],
+    ])
+    def test_directory_as_input_file_exits_2_and_names_it(self, tmp_path, capsys, command):
+        assert exit_code(command + [str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("grid", ["0", "-2"])
+    def test_optimize_seed_grid_below_1_exits_2(self, capsys, grid):
+        assert main(["optimize", "--k", "1", "--seed-grid", grid]) == 2
+        assert capsys.readouterr().err == "error: seed grid must be at least 1\n"
 
     def test_optimize_tiny_budget_reports_infeasible(self, tmp_path, capsys):
         out = tmp_path / "opt.json"

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from staircover import (
     Point,
     Rect,
-    Segment,
     StairPolygon,
     Triangle,
     cuts,
@@ -191,29 +190,6 @@ class TestStairPolygon:
         # at the internal break the lower top wins
         assert s.interior_contains(pt("1/3", "1/4"))
         assert not s.interior_contains(pt("1/3", "1/2"))
-
-    def test_boundary_segments_are_outside_but_adjacent(self):
-        s = l_stair()
-        segs = s.boundary_segments()
-        assert len(segs) == 4
-        for seg in segs:
-            for q in (seg.a, seg.b):
-                assert not s.contains(q)
-        # the removed boundary of the closure: corners of the staircase path
-        pts_on_path = {seg.a for seg in segs} | {seg.b for seg in segs}
-        assert pt("1/3", "1/3") in pts_on_path
-        assert pt("2/3", 0) in pts_on_path
-
-    def test_segment_meets_stair(self):
-        s = l_stair()
-
-        def meets(seg):
-            return any(seg.meets_rect(r) for r in s.to_rects())
-
-        assert meets(Segment(pt(0, "1/6"), pt("1/2", "1/6")))
-        assert not meets(Segment(pt("2/3", "1/3"), pt(1, "1/3")))
-        touch = Segment(pt("1/3", "1/3"), pt("2/3", "1/3"))  # along a top edge
-        assert not meets(touch)
 
 
 class TestRect:

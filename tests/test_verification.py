@@ -30,9 +30,10 @@ from staircover.verification import (
     audit_disjointness,
     audit_inner_corners,
     audit_minimal_element,
+    _removed_boundary_hit,
 )
 from conftest import diag_lattice, grid_lattice
-from _oracles import audit_boundary_cut_reference, depth_at
+from _oracles import audit_boundary_cut_reference, depth_at, removed_boundary_hit_reference
 from staircover.cli import _corrupt
 from staircover.lattice import lattice_instance
 
@@ -202,13 +203,15 @@ class TestPlantedCounterexamples:
 
     def test_multiplicity_upper_fails_on_duplicate_cell(self):
         cells = [sq(0, 1, 0, 1), sq(0, 1, 0, 1)]
-        upper, lower = audit_disjointness(cells, 1, rat(1))
+        upper, lower, tiling = audit_disjointness(cells, 1, rat(1))
         assert upper.status == FAIL and lower.status == PASS
+        assert tiling.status == FAIL and tiling.witness == upper.witness
 
     def test_multiplicity_lower_fails_on_hole(self):
-        upper, lower = audit_disjointness(quarter_cells()[1:], 1, rat(1))
+        upper, lower, tiling = audit_disjointness(quarter_cells()[1:], 1, rat(1))
         assert upper.status == PASS and lower.status == FAIL
         assert lower.witness["multiplicity"] == 0
+        assert tiling.status == FAIL and tiling.witness == lower.witness
 
     def test_boundary_vs_cutter_fails_on_overlapping_fakes(self):
         corners = (pt(0, 0), pt("1/2", "1/2"))
@@ -345,19 +348,71 @@ class TestTilingCertificateCrossCheck:
         assert tiles == coverage_certificate(inst).covers
 
 
+def _random_stair(rng) -> StairPolygon:
+    """A stair cell with r <= 2 and breaks on the 1/4 grid of [0, 1]^2."""
+    r = rng.randint(0, 2)
+    xs = sorted(rng.sample(range(5), r + 2))
+    ys = sorted(rng.sample(range(5), r + 2), reverse=True)
+    return StairPolygon.of([Fraction(v, 4) for v in xs], [Fraction(v, 4) for v in ys])
+
+
 def _stair_family(rng):
     """1..8 random stair cells with breaks on the 1/4 grid of [0, 1]^2, each
     with its own random corner on the 1/4 grid of [-1/2, 1)^2; the cells
     overlap freely, so both boundary checks fail often."""
-    cells = []
-    for _ in range(rng.randint(1, 8)):
-        r = rng.randint(0, 2)
-        xs = sorted(rng.sample(range(5), r + 2))
-        ys = sorted(rng.sample(range(5), r + 2), reverse=True)
-        cells.append(StairPolygon.of([Fraction(v, 4) for v in xs], [Fraction(v, 4) for v in ys]))
+    cells = [_random_stair(rng) for _ in range(rng.randint(1, 8))]
     points = [(Fraction(x, 4), Fraction(y, 4)) for x in range(-2, 4) for y in range(-2, 4)]
     corners = [pt(x, y) for x, y in rng.sample(points, len(cells))]
     return corners, list(enumerate(cells))
+
+
+def l_stair() -> StairPolygon:
+    return StairPolygon.of((0, "1/3", "2/3"), ("2/3", "1/3", 0))
+
+
+def _closed_boxes_meet(a: StairPolygon, b: StairPolygon) -> bool:
+    return (
+        a.x_breaks[0] <= b.x_breaks[-1] and b.x_breaks[0] <= a.x_breaks[-1]
+        and a.y_breaks[-1] <= b.y_breaks[0] and b.y_breaks[-1] <= a.y_breaks[0]
+    )
+
+
+class TestRemovedBoundaryHit:
+    """`_removed_boundary_hit(a, b)`: a point of closure(A) minus A in B."""
+
+    @pytest.mark.parametrize(
+        "cell", [l_stair(), sq(0, 1, 0, 1), StairPolygon.of((0, 1, 2, 3), (3, 2, 1, 0))]
+    )
+    def test_own_boundary_misses_the_cell(self, cell):
+        assert _removed_boundary_hit(cell, cell) is None
+
+    def test_cell_on_the_top_edge_is_hit_but_does_not_hit_back(self):
+        above = sq(0, "1/3", "2/3", 1)  # touches A only along A's top edge
+        assert _removed_boundary_hit(l_stair(), above) == pt(0, "2/3")
+        assert _removed_boundary_hit(above, l_stair()) is None
+
+    def test_cell_under_the_top_edge_is_not_hit(self):
+        # A's top edge lies along the open top of B's right column
+        assert _removed_boundary_hit(sq("1/3", "2/3", 0, "1/3"), l_stair()) is None
+
+    @pytest.mark.parametrize("bottom, witness", [(0, pt("2/3", 0)), ("1/6", pt("2/3", "1/6"))])
+    def test_riser_meets_the_closed_left_edge(self, bottom, witness):
+        # the last riser runs down to A's bottom; the witness is its lowest point in B
+        right = sq("2/3", 1, bottom, "1/3")
+        assert _removed_boundary_hit(l_stair(), right) == witness
+
+    def test_matches_segment_search_on_random_pairs(self):
+        rng = random.Random(7)
+        hits = misses = 0
+        for _ in range(3000):
+            a, b = _random_stair(rng), _random_stair(rng)
+            got = _removed_boundary_hit(a, b)
+            assert got == removed_boundary_hit_reference(a, b), (a, b)
+            hits += got is not None
+            misses += got is None and _closed_boxes_meet(a, b)
+        # the 1/4 grid makes shared edges common: both outcomes are frequent
+        # among pairs whose closed boxes meet, the only pairs the audit searches
+        assert hits >= 1000 and misses >= 1000, (hits, misses)
 
 
 class TestBoundaryCutMatchesAllPairs:
@@ -387,6 +442,19 @@ class TestBoundaryCutMatchesAllPairs:
             result = _corrupt(result, edit)
         got = audit_boundary_cut(inst.corners, result.cells)
         assert got == audit_boundary_cut_reference(inst.corners, result.cells)
+
+    @pytest.mark.parametrize("small_last, status", [(True, PASS), (False, FAIL)])
+    def test_repeated_index_is_judged_by_its_last_entry(self, small_last, status):
+        # T(1/2, 1/2) cuts T(0, 0); cell 1's boundary meets the big cell 0
+        # but not the small one, so the verdict follows whichever comes last
+        corners = (pt(0, 0), pt("1/2", "1/2"))
+        big, small = (0, sq(0, 1, 0, 1)), (0, sq(0, "1/4", 0, "1/4"))
+        cells = [big, (1, sq("1/2", "3/4", "1/2", "3/4")), small]
+        if not small_last:
+            cells = [small, cells[1], big]
+        got = audit_boundary_cut(corners, cells)
+        assert got == audit_boundary_cut_reference(corners, cells)
+        assert got[0].status == status
 
     def test_random_stair_families(self):
         failed = set()

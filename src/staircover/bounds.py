@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .decomposition import DecompositionResult
 from .geom import StairPolygon
-from .rational import rat
+from .rational import int_at_least, rat
 
 __all__ = [
     "max_stair_area",
@@ -27,8 +27,7 @@ __all__ = [
 def max_stair_area(r: int) -> Fraction:
     """Largest area of a half-open r-stair polygon inside the triangle:
     (r + 1) / (2 (r + 2)). Strictly increasing in r, always below 1/2."""
-    if not (isinstance(r, int) and r >= 0):
-        raise ValueError(f"stair count must be a nonnegative integer, got {r!r}")
+    int_at_least(r, 0, "stair count must be a nonnegative integer")
     return Fraction(r + 1, 2 * (r + 2))
 
 
@@ -46,8 +45,7 @@ def optimal_covering_density(k: int) -> Fraction:
     Cross-checked against the equivalent form k * |T| / max_stair_area(2k-1)
     with |T| = 1/2; the two must agree exactly.
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError(f"fold must be a positive integer, got {k!r}")
+    int_at_least(k, 1, "fold must be a positive integer")
     closed_form = Fraction(2 * k + 1, 2)
     via_area = k * Fraction(1, 2) / max_stair_area(2 * k - 1)
     if closed_form != via_area:
@@ -82,30 +80,28 @@ def grid_max_stair_area(r: int, grid: int) -> Fraction:
     x-breaks alone, done here by dynamic programming over (columns, last
     break) in pure integer arithmetic (areas in units of 1/grid^2).
     """
-    if not (isinstance(r, int) and r >= 0):
-        raise ValueError(f"stair count must be a nonnegative integer, got {r!r}")
+    int_at_least(r, 0, "stair count must be a nonnegative integer")
     if grid < r + 2:
         raise ValueError("grid too coarse to place r+2 distinct breaks")
     g = grid
-    NEG = float("-inf")
-    # best[x] = max area (scaled by g^2) of j columns ending at break x
+    # best[x] = max area (scaled by g^2) of j columns ending at break x, or
+    # None where no j columns can end there
     best = [0] * (g + 1)  # zero columns: free choice of first break
     for _ in range(r + 1):
-        nxt = [NEG] * (g + 1)
+        nxt = [None] * (g + 1)
         for x1 in range(1, g + 1):
             height = g - x1  # top of the column ending at x1, with base 0
             if height < 1:
                 continue  # top must stay strictly above the base
-            cand = max(
-                (best[x0] + (x1 - x0) * height for x0 in range(x1) if best[x0] != NEG),
-                default=NEG,
+            nxt[x1] = max(
+                (best[x0] + (x1 - x0) * height for x0 in range(x1) if best[x0] is not None),
+                default=None,
             )
-            nxt[x1] = cand
         best = nxt
-    peak = max(best)
-    if peak == NEG:
+    peak = max((v for v in best if v is not None), default=None)
+    if peak is None:
         raise ValueError("no stair polygon fits")
-    return Fraction(int(peak), g * g)
+    return Fraction(peak, g * g)
 
 
 @dataclass(frozen=True)
@@ -118,9 +114,6 @@ class ChainLink:
 @dataclass(frozen=True)
 class BoundReport:
     valid: bool
-    k: int
-    window: Fraction
-    n_translates: int
     n_nonempty: int
     sum_stairs: int
     cells: tuple[tuple[int, int, Fraction], ...]  # (index, r_i, area)
@@ -149,9 +142,6 @@ def density_chain(result: DecompositionResult, tiling_ok: bool) -> BoundReport:
     cells = [(i, c.stair_count, c.area()) for i, c in result.cells]
     base = BoundReport(
         valid=False,
-        k=k,
-        window=l,
-        n_translates=inst.size,
         n_nonempty=len(cells),
         sum_stairs=sum(r for _, r, _ in cells),
         cells=tuple(cells),

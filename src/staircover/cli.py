@@ -14,7 +14,9 @@ import sys
 from . import fileio, svg
 from .bounds import density_chain
 from .decomposition import decompose
+from .geom import StairPolygon
 from .lattice import (
+    Lattice,
     hermite_basis,
     lattice_instance,
     perturb_instance,
@@ -43,12 +45,8 @@ def _emit(report: dict, out_path: str | None) -> None:
 def _load(path: str):
     try:
         return fileio.load_instance(path)
-    except FileNotFoundError:
-        print(f"error: instance file not found: {path}", file=sys.stderr)
-        raise SystemExit(2)
-    except fileio.InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    except FileNotFoundError as exc:
+        raise ValueError(f"instance file not found: {path}") from exc
 
 
 def cmd_decompose(args) -> int:
@@ -73,8 +71,7 @@ def cmd_verify(args) -> int:
 def _corrupt(result, mode: str):
     cells = list(result.cells)
     if not cells:
-        print("error: --corrupt needs at least one stair cell", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError("--corrupt needs at least one stair cell")
     if mode == "dup-cell":
         cells.insert(0, cells[0])
     elif mode == "drop-cell":
@@ -83,8 +80,6 @@ def _corrupt(result, mode: str):
         i, cell = cells[0]
         half_x = (cell.x_breaks[0] + cell.x_breaks[1]) / 2
         mid_y = (cell.y_breaks[-1] + cell.y_breaks[-2]) / 2
-        from .geom import StairPolygon
-
         cells[0] = (i, StairPolygon.rect(cell.x_breaks[0], half_x, cell.y_breaks[-1], mid_y))
     return dataclasses.replace(result, cells=tuple(cells))
 
@@ -147,25 +142,19 @@ def cmd_gen_lattice(args) -> int:
             parts = [rat(v) for half in args.basis.split(";") for v in half.split(",")]
             if len(parts) != 4:
                 raise ValueError("expected ux,uy;vx,vy")
-            from .lattice import Lattice
-
             lat = Lattice.of(*parts)
         except (ValueError, TypeError) as exc:
-            print(f"error: --basis {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"--basis {exc}") from exc
     elif args.results:
         try:
             store = fileio.load_results_store(args.results)
-        except FileNotFoundError:
-            print(f"error: results file not found: {args.results}", file=sys.stderr)
-            return 2
+        except FileNotFoundError as exc:
+            raise ValueError(f"results file not found: {args.results}") from exc
         if args.k not in store:
-            print(f"error: no stored lattice for k={args.k}", file=sys.stderr)
-            return 2
+            raise ValueError(f"no stored lattice for k={args.k}")
         lat = store[args.k][0]
     else:
-        print("error: need --basis or --results", file=sys.stderr)
-        return 2
+        raise ValueError("need --basis or --results")
     inst = lattice_instance(lat, rat(args.l), args.k)
     provenance = (
         f"lattice u={rat_str(lat.u.x)},{rat_str(lat.u.y)} "
@@ -259,8 +248,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

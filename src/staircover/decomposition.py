@@ -34,7 +34,7 @@ import numpy as np
 
 from .arrangement import _frame
 from .geom import Point, Rect, StairPolygon, Triangle, pt
-from .rational import rat
+from .rational import int_at_least, rat
 
 __all__ = [
     "CoveringInstance",
@@ -71,8 +71,7 @@ class CoveringInstance:
     corners: tuple[Point, ...]
 
     def __post_init__(self):
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise ValueError(f"fold must be a positive integer, got {self.k!r}")
+        int_at_least(self.k, 1, "fold must be a positive integer")
         if self.window <= 0:
             raise ValueError("window side must be positive")
         if not self.corners:

@@ -9,7 +9,7 @@ An instance file may carry an optional "triangle" header with three vertex
 pairs [A, B, C]; translates are then interpreted as positions of that
 triangle and are mapped through the (exact, rational) affine change of
 coordinates that sends it to the canonical triangle. The applied linear map
-is recorded in the parse metadata and echoed into reports.
+is recorded in the parse metadata; reports do not include it.
 """
 
 from __future__ import annotations
@@ -143,13 +143,19 @@ def dump_report(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def report_verify(inst: CoveringInstance, cert: CoverageCertificate) -> dict:
+def _header(kind: str, inst: CoveringInstance) -> dict:
     return {
         "schema": SCHEMA_REPORT,
-        "kind": "verify",
+        "kind": kind,
         "k": inst.k,
         "l": rat_str(inst.window),
         "n_translates": inst.size,
+    }
+
+
+def report_verify(inst: CoveringInstance, cert: CoverageCertificate) -> dict:
+    return {
+        **_header("verify", inst),
         "min_depth": cert.min_depth,
         "witness": _point_json(cert.witness),
         "covers": cert.covers,
@@ -187,11 +193,7 @@ def report_decompose(
 ) -> dict:
     cells, non_stair = _cells_json(result)
     return {
-        "schema": SCHEMA_REPORT,
-        "kind": "decompose",
-        "k": inst.k,
-        "l": rat_str(inst.window),
-        "n_translates": inst.size,
+        **_header("decompose", inst),
         "covers": cert.covers,
         "min_depth": cert.min_depth,
         "cells": cells,
@@ -215,11 +217,7 @@ def report_audit(inst: CoveringInstance, report: AuditReport) -> dict:
     if "anchor_counts" in stats:
         stats["anchor_counts"] = {str(i): n for i, n in sorted(stats["anchor_counts"].items())}
     return {
-        "schema": SCHEMA_REPORT,
-        "kind": "audit",
-        "k": inst.k,
-        "l": rat_str(inst.window),
-        "n_translates": inst.size,
+        **_header("audit", inst),
         "min_depth": report.certificate.min_depth,
         "witness": _point_json(report.certificate.witness),
         "verdicts": verdicts,
@@ -230,11 +228,7 @@ def report_audit(inst: CoveringInstance, report: AuditReport) -> dict:
 
 def report_bounds(inst: CoveringInstance, report: BoundReport) -> dict:
     return {
-        "schema": SCHEMA_REPORT,
-        "kind": "bounds",
-        "k": report.k,
-        "l": rat_str(report.window),
-        "n_translates": report.n_translates,
+        **_header("bounds", inst),
         "n_nonempty": report.n_nonempty,
         "sum_stairs": report.sum_stairs,
         "valid": report.valid,

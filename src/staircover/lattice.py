@@ -5,9 +5,10 @@ covering.
 Multiplicity of a lattice family is periodic, so its exact minimum over the
 plane equals the minimum over any region containing a fundamental domain.
 With a basis normalized to u = (a, 0), v = (b, c), a, c > 0, 0 <= b < a
-(every rational lattice has one), the half-open box [0, a+b) x [0, c)
-contains the fundamental parallelogram, and the window depth engine gives
-the exact value. The translates meeting a window are enumerated on the
+(every rational lattice has exactly one: c is the gcd of the heights of its
+vectors and a = det / c, see `hermite_basis`), the half-open box
+[0, a+b) x [0, c) contains the fundamental parallelogram, and the window
+depth engine gives the exact value. The translates meeting a window are enumerated on the
 normalized basis, row by row: the rows y = j*c, and in each row the points
 x = i*a + j*b, both ranges cut exactly to the triangles that meet the
 window. Instances use the same enumeration, so a lattice gives the same
@@ -29,12 +30,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, isqrt, lcm
+from math import ceil, gcd, isqrt, lcm
 
 from . import arrangement
 from .decomposition import CoveringInstance
 from .geom import Point, Rect, pt
-from .rational import rat
+from .rational import int_at_least, rat
 from .verification import is_k_fold_covering
 
 __all__ = [
@@ -77,44 +78,22 @@ class Lattice:
 def hermite_basis(lat: Lattice) -> tuple[Fraction, Fraction, Fraction]:
     """Normalize to u' = (a, 0), v' = (b, c) with a, c > 0 and 0 <= b < a.
 
-    A rational lattice always contains horizontal vectors; (a, 0) is the
-    primitive one, (b, c) any completion reduced mod a.
+    The form is unique, and its entries are lattice invariants: c is the
+    least positive height of a lattice vector (the gcd of the heights of u
+    and v), a = det / c, and b is the x of any vector at height c, mod a.
+    With those heights n1, n2 over a common denominator, g = gcd(n1, n2)
+    and m_i = n_i / g, the vector m2*u - m1*v is (det / c, 0), and any
+    Bezout pair alpha*m1 + beta*m2 = 1 gives alpha*u + beta*v at height c.
     """
     u, v = lat.u, lat.v
     den = lcm(u.y.denominator, v.y.denominator)
-    n1 = int(u.y * den)
-    n2 = int(v.y * den)
+    n1, n2 = int(u.y * den), int(v.y * den)
     g = gcd(n1, n2)
-    if g == 0:
-        raise ValueError("degenerate lattice")  # unreachable: det > 0
-    m, j = n2 // g, -n1 // g
-    h_x = m * u.x + j * v.x
-    if h_x < 0:
-        m, j, h_x = -m, -j, -h_x
-    # complete (m, j) to a unimodular pair: m*beta - j*alpha = 1
-    s, t = _ext_gcd(m, j)
-    alpha, beta = -t, s
-    w_x = alpha * u.x + beta * v.x
-    w_y = alpha * u.y + beta * v.y
-    if w_y < 0:
-        alpha, beta, w_x, w_y = -alpha, -beta, -w_x, -w_y
-    b = w_x - floor(w_x / h_x) * h_x
-    return h_x, b, w_y
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int]:
-    """(s, t) with a*s + b*t = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
+    m1, m2 = n1 // g, n2 // g
+    a = m2 * u.x - m1 * v.x  # = det * den / g > 0
+    alpha = pow(m1, -1, abs(m2)) if m2 else m1
+    beta = (1 - alpha * m1) // m2 if m2 else 0
+    return a, (alpha * u.x + beta * v.x) % a, Fraction(g, den)
 
 
 def _translates_meeting(a, b, c, window: Rect) -> list[Point]:
@@ -185,13 +164,10 @@ class LatticeSearchReport:
         return self.density - self.target_density
 
 
-_GUARD = Fraction(1, 10**9)
-
-
 def _guard_density(k: int, density: Fraction):
     # (2k+1)/2 is optimal; a verified-feasible lattice below it means the
     # exact verifier itself is broken, which must never pass silently
-    if density < Fraction(2 * k + 1, 2) - _GUARD:
+    if density < Fraction(2 * k + 1, 2):
         raise AssertionError(
             f"verified k={k} lattice with density {density} beats the optimum; "
             "exact verifier bug"
@@ -238,8 +214,7 @@ def search_optimal_lattice(
     evaluations; if it runs out before any feasible lattice is seen the
     report says so explicitly.
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError(f"fold must be a positive integer, got {k!r}")
+    int_at_least(k, 1, "fold must be a positive integer")
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if seed_grid < 1:
@@ -284,7 +259,7 @@ def search_optimal_lattice(
                 continue
             verdict = feasible(scaled(shape, t))
             if verdict is None:
-                return None if t_lo is None else scaled(shape, t_lo)
+                return None
             if verdict:
                 t_lo = t
                 break
@@ -354,7 +329,7 @@ def search_optimal_lattice(
             samples = [lo + Fraction(i, 16) * width for i in range(17)]
             level_best = None
             for gamma in samples:
-                if not (0 < gamma <= 2):
+                if gamma > 2:
                     continue
                 cand = ray_best((gamma, gamma), Fraction(1, 256 << level))
                 if cand is not None and (
@@ -390,7 +365,7 @@ def search_optimal_lattice(
                 improved is None or (det(cand), cand) > (det(improved), improved)
             ):
                 improved, improved_shape = cand, shape
-        if improved is not None and det(improved) > det(best):
+        if improved is not None:
             best, best_shape = improved, improved_shape
         else:
             step = step / 2

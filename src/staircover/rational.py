@@ -1,4 +1,4 @@
-"""Exact rational parsing and formatting.
+"""Exact rational parsing and formatting, and the check on integer counts.
 
 Every coordinate in this package is a `fractions.Fraction`. Floats are
 rejected outright rather than converted: half-open membership tests and the
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["rat", "rat_str"]
+__all__ = ["rat", "rat_str", "int_at_least"]
 
 
 def rat(value) -> Fraction:
@@ -32,6 +32,14 @@ def rat(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed rational literal {value!r}") from exc
     raise TypeError(f"exact rational required, got {type(value).__name__}: {value!r}")
+
+
+def int_at_least(value, least: int, message: str) -> None:
+    """Raise ValueError(f"{message}, got {value!r}") unless *value* is an int
+    of at least *least*. A bool is not a count, as `rat` refuses it as a
+    rational."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{message}, got {value!r}")
 
 
 def rat_str(value: Fraction) -> str:

@@ -38,6 +38,15 @@ class TestAreaFormula:
         with pytest.raises(ValueError):
             stair_area_bound(-Fraction(1, 2))
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_bool_counts(self, flag):
+        with pytest.raises(ValueError, match="stair count must be a nonnegative integer"):
+            max_stair_area(flag)
+        with pytest.raises(ValueError, match="stair count must be a nonnegative integer"):
+            grid_max_stair_area(flag, 12)
+        with pytest.raises(ValueError, match="fold must be a positive integer"):
+            optimal_covering_density(flag)
+
 
 class TestBoundExtension:
     def test_agrees_with_integer_values(self):

@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from staircover import pt
+from staircover import CoveringInstance, Lattice, pt
 from staircover.cli import main
 from staircover.fileio import (
     InstanceFormatError,
@@ -24,13 +27,7 @@ QUARTERS = {
     "translates": [["0", "0"], ["0", "1/2"], ["1/2", "0"], ["1/2", "1/2"]],
 }
 
-
-def exit_code(argv) -> int:
-    """`main`'s exit code, whether it returns it or raises SystemExit."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
+COORD = st.fractions(-4, 4, max_denominator=97)
 
 
 @pytest.fixture
@@ -44,6 +41,15 @@ class TestInstanceFiles:
         parsed, meta = parse_instance(data)
         assert parsed == quarters
         assert meta["name"] == "quarters"
+
+    @given(
+        k=st.integers(1, 6),
+        l=st.fractions(min_value=Fraction(1, 97), max_value=4, max_denominator=97),
+        corners=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=8, unique=True),
+    )
+    def test_round_trip_gives_back_any_instance(self, k, l, corners):
+        inst = CoveringInstance.of(k, l, corners)
+        assert parse_instance(instance_to_json(inst)) == (inst, {})
 
     def test_duplicate_translates_rejected(self):
         data = dict(QUARTERS, translates=[["0", "0"], ["0", "0"]])
@@ -98,16 +104,13 @@ class TestCommands:
         assert report["covers"] is False
 
     def test_missing_file_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["verify", "no-such-file.json"])
-        assert err.value.code == 2
+        assert main(["verify", "no-such-file.json"]) == 2
         assert capsys.readouterr().err == "error: instance file not found: no-such-file.json\n"
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = write_instance(tmp_path / "bad.json", dict(QUARTERS, l="0"))
-        with pytest.raises(SystemExit) as err:
-            main(["verify", bad])
-        assert err.value.code == 2
+        assert main(["verify", bad]) == 2
+        assert capsys.readouterr().err == "error: l: window side must be positive, got 0\n"
 
     def test_decompose_report_and_svg(self, tmp_path, quarters_file, capsys):
         svg_path = tmp_path / "cells.svg"
@@ -159,9 +162,7 @@ class TestCommands:
         far = write_instance(
             tmp_path / "far.json", {"k": 1, "l": "1", "translates": [["5", "5"]]}
         )
-        with pytest.raises(SystemExit) as err:
-            main(["audit", far, "--corrupt", "dup-cell"])
-        assert err.value.code == 2
+        assert main(["audit", far, "--corrupt", "dup-cell"]) == 2
         assert capsys.readouterr().err == "error: --corrupt needs at least one stair cell\n"
 
     def test_bounds_chain_on_quarters(self, quarters_file, capsys):
@@ -194,6 +195,27 @@ class TestCommands:
 
     def test_gen_lattice_requires_source(self, capsys):
         assert main(["gen-lattice", "--k", "1", "--l", "1"]) == 2
+        assert capsys.readouterr().err == "error: need --basis or --results\n"
+
+    @pytest.mark.parametrize("basis, message", [
+        ("1,0;0", "expected ux,uy;vx,vy"),
+        ("x,0;0,1", "malformed rational literal 'x'"),
+        ("1,0;2,0", "lattice basis must have positive determinant"),
+    ])
+    def test_gen_lattice_bad_basis_exits_2(self, capsys, basis, message):
+        assert main(["gen-lattice", "--k", "1", "--l", "1", "--basis", basis]) == 2
+        assert capsys.readouterr().err == f"error: --basis {message}\n"
+
+    def test_gen_lattice_missing_results_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "none.json"
+        assert main(["gen-lattice", "--k", "1", "--l", "1", "--results", str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: results file not found: {missing}\n"
+
+    def test_gen_lattice_unstored_fold_exits_2(self, tmp_path, capsys):
+        store = tmp_path / "store.json"
+        save_results_store(store, {1: (Lattice.of(1, 0, "1/3", "1/3"), 1)})
+        assert main(["gen-lattice", "--k", "2", "--l", "1", "--results", str(store)]) == 2
+        assert capsys.readouterr().err == "error: no stored lattice for k=2\n"
 
     def test_gen_lattice_perturbed_fixture_is_seeded_and_verified(self, tmp_path, capsys):
         args = ["gen-lattice", "--k", "2", "--l", "1", "--basis", "1/3,0;0,1/3",
@@ -229,7 +251,7 @@ class TestCommands:
     def test_non_json_file_exits_2_and_names_it(self, tmp_path, capsys, command, content):
         store = tmp_path / "store.json"
         store.write_bytes(content)
-        assert exit_code(command + [str(store)]) == 2
+        assert main(command + [str(store)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {store}: invalid JSON (")
 
     @pytest.mark.parametrize("command", [
@@ -239,7 +261,7 @@ class TestCommands:
         ["gen-lattice", "--k", "1", "--l", "1", "--results"],
     ])
     def test_directory_as_input_file_exits_2_and_names_it(self, tmp_path, capsys, command):
-        assert exit_code(command + [str(tmp_path)]) == 2
+        assert main(command + [str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
 
     @pytest.mark.parametrize("grid", ["0", "-2"])
@@ -285,8 +307,6 @@ class TestCommands:
 
 class TestResultsStore:
     def test_round_trip(self, tmp_path):
-        from staircover import Lattice
-
         path = tmp_path / "store.json"
         lat = Lattice.of(1, 0, "1/3", "1/3")
         save_results_store(path, {1: (lat, 1)})

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,12 @@ class TestInstanceValidation:
             CoveringInstance.of(1, 0, [(0, 0)])
         with pytest.raises(ValueError):
             CoveringInstance.of(1, 1, [])
+
+    @pytest.mark.parametrize("k", [True, False, "1", Fraction(1)])
+    def test_rejects_fold_that_is_not_an_int(self, k):
+        # a bool fold would be written as "k": true, which no parser reads back
+        with pytest.raises(ValueError, match=re.escape(f"positive integer, got {k!r}")):
+            CoveringInstance.of(k, 1, [(0, 0)])
 
 
 class TestCutterSet(object):

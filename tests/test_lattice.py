@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from staircover import (
     Lattice,
@@ -14,7 +16,7 @@ from staircover import (
     pt,
     search_optimal_lattice,
 )
-from staircover.lattice import _multiplicity_window
+from staircover.lattice import _guard_density, _multiplicity_window
 from _oracles import translates_meeting_scan
 from conftest import diag_lattice, grid_lattice
 
@@ -35,6 +37,29 @@ class TestLatticeBasics:
         assert hermite_basis(lat) == (1, Fraction(1, 3), Fraction(1, 3))
         a, b, c = hermite_basis(grid_lattice(2))
         assert (a, b, c) == (Fraction(1, 2), 0, Fraction(1, 2))
+
+    @given(st.lists(
+        st.one_of(
+            st.just(Fraction(0)),
+            st.fractions(-5, 5, max_denominator=12),
+            st.fractions(-5, 5, max_denominator=10**15),
+        ),
+        min_size=4, max_size=4,
+    ))
+    def test_hermite_basis_is_the_normal_form(self, entries):
+        ux, uy, vx, vy = entries
+        det = ux * vy - uy * vx
+        assume(det != 0)
+        lat = Lattice.of(ux, uy, vx, vy) if det > 0 else Lattice.of(vx, vy, ux, uy)
+        a, b, c = hermite_basis(lat)
+        assert a > 0 and c > 0 and 0 <= b < a
+        assert a * c == lat.det
+        # u and v lie in the lattice of (a, 0), (b, c), which has their
+        # determinant, so the two lattices are equal; the form is unique
+        for w in (lat.u, lat.v):
+            j = w.y / c
+            assert j.denominator == 1
+            assert ((w.x - j * b) / a).denominator == 1
 
     def test_hermite_preserves_multiplicity(self):
         lat = Lattice.of("2/3", "-1/3", "-1/3", "2/3")
@@ -126,6 +151,11 @@ class TestInstanceConsistency:
 
 
 class TestSearch:
+    @pytest.mark.parametrize("k", [True, False, 0])
+    def test_rejects_fold_that_is_not_a_positive_int(self, k):
+        with pytest.raises(ValueError, match="fold must be a positive integer"):
+            search_optimal_lattice(k)
+
     def test_budget_one_reports_infeasible(self):
         report = search_optimal_lattice(1, budget=1, seed_grid=6)
         assert not report.feasible
@@ -149,6 +179,11 @@ class TestSearch:
         assert report.feasible
         assert report.multiplicity >= 1
         assert report.density >= Fraction(3, 2)  # never beats the optimum
+
+    def test_density_guard_is_exact(self):
+        _guard_density(1, Fraction(3, 2))
+        with pytest.raises(AssertionError, match="exact verifier bug"):
+            _guard_density(1, Fraction(3, 2) - Fraction(1, 10**12))
 
 
 class TestPerturb:

@@ -16,9 +16,7 @@ from .decomposition import (
     CoveringInstance,
     DecompositionResult,
     NonStairCell,
-    cutter_set,
     decompose,
-    stair_cell,
 )
 from .geom import (
     Point,
@@ -45,7 +43,6 @@ from .verification import (
     AuditReport,
     AuditVerdict,
     CoverageCertificate,
-    TilingVerdict,
     audit_boundary_cut,
     audit_cell_shape,
     audit_corner_counts,

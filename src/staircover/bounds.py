@@ -98,10 +98,8 @@ def grid_max_stair_area(r: int, grid: int) -> Fraction:
                 default=None,
             )
         best = nxt
-    peak = max((v for v in best if v is not None), default=None)
-    if peak is None:
-        raise ValueError("no stair polygon fits")
-    return Fraction(peak, g * g)
+    # breaks 0, 1, ..., r + 1 always fit, as grid >= r + 2
+    return Fraction(max(v for v in best if v is not None), g * g)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from . import fileio, svg
@@ -99,7 +100,7 @@ def cmd_bounds(args) -> int:
     result = decompose(inst)
     tiling_ok = False
     if result.is_stair_decomposition:
-        tiling_ok = verify_exact_tiling(result.stair_cells(), inst.k, inst.window).ok
+        tiling_ok = verify_exact_tiling(result.stair_cells(), inst.k, inst.window).passed
     report = density_chain(result, tiling_ok)
     _emit(fileio.report_bounds(inst, report), args.out)
     return 0 if report.holds else 1
@@ -178,6 +179,7 @@ def cmd_gen_lattice(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="staircover",

@@ -33,16 +33,14 @@ from fractions import Fraction
 import numpy as np
 
 from .arrangement import _frame
-from .geom import Point, Rect, StairPolygon, Triangle, pt
+from .geom import Point, Rect, StairPolygon, pt
 from .rational import int_at_least, rat
 
 __all__ = [
     "CoveringInstance",
     "DecompositionResult",
     "NonStairCell",
-    "cutter_set",
     "repeated_corners",
-    "stair_cell",
     "decompose",
 ]
 
@@ -88,9 +86,6 @@ class CoveringInstance:
     @property
     def size(self) -> int:
         return len(self.corners)
-
-    def triangles(self) -> tuple[Triangle, ...]:
-        return tuple(Triangle(c) for c in self.corners)
 
     def window_rect(self) -> Rect:
         zero = Fraction(0)
@@ -152,15 +147,6 @@ class DecompositionResult:
     def stair_cells(self) -> tuple[StairPolygon, ...]:
         return tuple(cell for _, cell in self.cells)
 
-    def cell_for(self, index: int):
-        for i, cell in self.cells:
-            if i == index:
-                return cell
-        for i, cell in self.non_stair:
-            if i == index:
-                return cell
-        return None
-
 
 def _cutters(frame, i: int):
     """Mask of the corners whose triangle cuts triangle i, with the
@@ -175,13 +161,6 @@ def _cutters(frame, i: int):
     my = np.maximum(cy, cy[i])
     later = (cs > cs[i]) | ((cs == cs[i]) & (cx > cx[i]))
     return later & (mx + my <= np.minimum(cs, cs[i])), mx, my
-
-
-def cutter_set(inst: CoveringInstance, i: int) -> tuple[int, ...]:
-    """Indices j whose triangle cuts triangle i (intersects it and has the
-    later corner in the sum-then-x order). Never contains i itself."""
-    cut, _, _ = _cutters(_frame(inst.corners, inst.window_rect()), i)
-    return tuple(np.flatnonzero(cut).tolist())
 
 
 def _dominance_columns(apexes, k, x0, y0, hi, h):
@@ -214,7 +193,8 @@ def _dominance_columns(apexes, k, x0, y0, hi, h):
 
 
 def _cell(frame, k: int, i: int):
-    """Cell of triangle i on the integer frame; see `stair_cell`."""
+    """Cell of triangle i on the integer frame: a StairPolygon, a
+    NonStairCell, or None if empty."""
     scale = frame.scale
     hi = int(frame.bounds[1])  # the window is [0, hi)^2
     cx, cy, h = int(frame.cx[i]), int(frame.cy[i]), int(frame.cs[i])
@@ -246,11 +226,6 @@ def _cell(frame, k: int, i: int):
         ),
         diag_sum=Fraction(h, scale),
     )
-
-
-def stair_cell(inst: CoveringInstance, i: int):
-    """Cell of triangle i: a StairPolygon, a NonStairCell, or None if empty."""
-    return _cell(_frame(inst.corners, inst.window_rect()), inst.k, i)
 
 
 def decompose(inst: CoveringInstance) -> DecompositionResult:

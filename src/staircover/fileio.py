@@ -21,7 +21,7 @@ from .bounds import BoundReport
 from .decomposition import CoveringInstance, DecompositionResult
 from .geom import Point
 from .lattice import Lattice, LatticeSearchReport
-from .rational import rat, rat_str
+from .rational import int_at_least, rat, rat_str
 from .verification import AuditReport, CoverageCertificate, _point_json
 
 __all__ = [
@@ -70,8 +70,10 @@ def parse_instance(data: dict) -> tuple[CoveringInstance, dict]:
     if not isinstance(data, dict):
         raise InstanceFormatError("instance file must be a JSON object")
     k = data.get("k")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise InstanceFormatError(f"k: positive integer required, got {k!r}")
+    try:
+        int_at_least(k, 1, "k: positive integer required")
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from exc
     l = _rat_field(data.get("l"), "l")
     if l <= 0:
         raise InstanceFormatError(f"l: window side must be positive, got {rat_str(l)}")

@@ -255,8 +255,6 @@ def search_optimal_lattice(
         t_lo = None
         for f in _PROBE_FRACS:
             t = _sqrt_below(f * target_det / gamma)
-            if t <= 0:
-                continue
             verdict = feasible(scaled(shape, t))
             if verdict is None:
                 return None
@@ -270,10 +268,7 @@ def search_optimal_lattice(
         )  # strictly above the optimal scale; verified infeasible or guarded
         while (t_hi - t_lo) > precision * t_lo and evaluations < budget:
             mid = (t_lo + t_hi) / 2
-            verdict = feasible(scaled(shape, mid))
-            if verdict is None:
-                break
-            if verdict:
+            if feasible(scaled(shape, mid)):  # never None: evaluations < budget
                 t_lo = mid
             else:
                 t_hi = mid

@@ -30,7 +30,6 @@ __all__ = [
     "CoverageCertificate",
     "coverage_certificate",
     "is_k_fold_covering",
-    "TilingVerdict",
     "verify_exact_tiling",
     "multiplicity_grid",
     "AuditVerdict",
@@ -112,34 +111,6 @@ def multiplicity_grid(cells, l: Fraction):
 
 
 @dataclass(frozen=True)
-class TilingVerdict:
-    ok: bool
-    point: Point | None = None
-    multiplicity: int | None = None
-    detail: str = ""
-
-
-def _first_off(xs, ys, counts, off):
-    """(lower-left point, multiplicity) of the first grid cell where `off`
-    holds, in (x, y) order, or None if it holds nowhere."""
-    bad = np.argwhere(off)
-    if len(bad) == 0:
-        return None
-    i, j = map(int, bad[0])
-    return Point(xs[i], ys[j]), int(counts[i, j])
-
-
-def verify_exact_tiling(cells, k: int, l: Fraction) -> TilingVerdict:
-    """Every window point must lie in exactly k of the given stair cells."""
-    xs, ys, counts = multiplicity_grid(cells, l)
-    off = _first_off(xs, ys, counts, counts != k)
-    if off is None:
-        return TilingVerdict(ok=True, detail=f"all grid cells have multiplicity {k}")
-    point, m = off
-    return TilingVerdict(ok=False, point=point, multiplicity=m, detail=f"multiplicity {m} != {k}")
-
-
-@dataclass(frozen=True)
 class AuditVerdict:
     check: str
     status: str
@@ -210,21 +181,29 @@ def audit_minimal_element(inst: CoveringInstance) -> AuditVerdict:
     return AuditVerdict(check, PASS, f"no two of {inst.size} corners coincide in the window")
 
 
+def verify_exact_tiling(cells, k: int, l: Fraction) -> AuditVerdict:
+    """Every window point must lie in exactly k of the given stair cells:
+    the `exact_tiling` verdict of `audit_disjointness`."""
+    return audit_disjointness(cells, k, l)[2]
+
+
 def audit_disjointness(cells, k: int, l: Fraction):
     """Grid multiplicity verdicts from one grid: (upper, lower, exact_tiling).
 
     Upper: nowhere more than k cells. Lower: nowhere fewer than k. Exact
-    tiling: exactly k everywhere, as `verify_exact_tiling` judges it. Each
-    failing witness is the first grid cell off its bound in (x, y) order.
+    tiling: exactly k everywhere. Each failing witness is the lower-left
+    corner of the first grid cell off its bound in (x, y) order, with its
+    multiplicity.
     """
     xs, ys, counts = multiplicity_grid(cells, l)
 
     def verdict(check, off, passed, failed):
-        hit = _first_off(xs, ys, counts, off)
-        if hit is None:
+        bad = np.argwhere(off)
+        if len(bad) == 0:
             return AuditVerdict(check, PASS, passed)
-        point, m = hit
-        return _fail(check, failed(m), point=_point_json(point), multiplicity=m)
+        i, j = map(int, bad[0])
+        m = int(counts[i, j])
+        return _fail(check, failed(m), point=_point_json(Point(xs[i], ys[j])), multiplicity=m)
 
     return (
         verdict("multiplicity_upper", counts > k, f"max multiplicity <= {k}",
@@ -264,27 +243,29 @@ def audit_boundary_cut(corners, indexed_cells):
     Directed: if T_i cuts T_j then the removed boundary of cell i misses
     cell j; it fails on the least (i, j) in index order. One-sided: for
     every pair at least one direction misses; it fails on the first pair
-    i < j in the order of the entries. A pair whose closed bounding boxes
-    are disjoint has no hit, since the removed boundary of a cell lies in
-    its closed box, and is not searched. An index repeated in
-    `indexed_cells` is judged by its last entry.
+    i < j in the order of the entries. Only hits are stored. A pair whose
+    closed bounding boxes are disjoint has no hit, since the removed
+    boundary of a cell lies in its closed box, and is not searched. An
+    index repeated in `indexed_cells` keeps the place of its first entry
+    and is judged by its last.
     """
     directed_check = "boundary_vs_cutter"
     pairwise_check = "boundary_one_sided"
-    tris = {i: Triangle(corners[i]) for i, _ in indexed_cells}
+    cells = dict(indexed_cells)
     boxes = [
         (i, c, (c.x_breaks[0], c.x_breaks[-1], c.y_breaks[-1], c.y_breaks[0]))
-        for i, c in indexed_cells
+        for i, c in cells.items()
     ]
-    hits: dict[tuple[int, int], Point | None] = {}
+    hits: dict[tuple[int, int], Point] = {}
     for i, a, (ax0, ax1, ay0, ay1) in boxes:
         for j, b, (bx0, bx1, by0, by1) in boxes:
-            if i != j:
-                meet = ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1
-                hits[(i, j)] = _removed_boundary_hit(a, b) if meet else None
+            if i != j and ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1:
+                w = _removed_boundary_hit(a, b)
+                if w is not None:
+                    hits[(i, j)] = w
     directed = AuditVerdict(directed_check, PASS, "no cutter boundary meets a cut cell")
     for (i, j), w in sorted(hits.items()):
-        if w is not None and cuts(tris[i], tris[j]):
+        if cuts(Triangle(corners[i]), Triangle(corners[j])):
             directed = _fail(
                 directed_check,
                 f"triangle {i} cuts triangle {j} but boundary of cell {i} meets cell {j}",
@@ -294,16 +275,15 @@ def audit_boundary_cut(corners, indexed_cells):
             )
             break
     pairwise = AuditVerdict(pairwise_check, PASS, "every pair is one-sided")
-    for i, j in ((i, j) for i, _ in indexed_cells for j, _ in indexed_cells if i < j):
-        w_ij, w_ji = hits[(i, j)], hits[(j, i)]
-        if w_ij is not None and w_ji is not None:
+    for (i, j), w in hits.items():
+        if i < j and (j, i) in hits:
             pairwise = _fail(
                 pairwise_check,
                 f"boundaries of cells {i} and {j} each meet the other cell",
                 first=i,
                 second=j,
-                point=_point_json(w_ij),
-                point_reverse=_point_json(w_ji),
+                point=_point_json(w),
+                point_reverse=_point_json(hits[(j, i)]),
             )
             break
     return directed, pairwise
@@ -385,11 +365,7 @@ def audit_corner_counts(indexed_cells, k: int):
             total=total_stairs,
             limit=budget,
         )
-    stats = {
-        "anchor_counts": anchor_counts,
-        "sum_anchor_counts": total_anchors,
-        "sum_stair_counts": total_stairs,
-    }
+    stats = {"anchor_counts": anchor_counts, "sum_anchor_counts": total_anchors}
     return lower, upper, total, stats
 
 
@@ -466,9 +442,7 @@ def run_audits(inst: CoveringInstance, result: DecompositionResult | None = None
             AuditVerdict(check, SKIP, "precondition failed: cells are not all stair polygons")
             for check in skipped
         ]
-    stats["sum_stair_counts"] = stats.get(
-        "sum_stair_counts", sum(c.stair_count for _, c in result.cells)
-    )
+    stats["sum_stair_counts"] = sum(c.stair_count for _, c in result.cells)
     stats["cells"] = [
         {"index": i, "stairs": c.stair_count, "area": rat_str(c.area())}
         for i, c in result.cells

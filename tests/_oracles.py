@@ -10,8 +10,10 @@ triangle, and the minimum depth over a window by testing every face sample
 against every translate; the lattice translates meeting a window are found
 by testing every coefficient pair of a box, in the basis as given. The
 decomposition is rebuilt in Fractions, one `Triangle` pair test per cutter
-candidate, and the boundary audit compares every ordered pair of cells by
-its own search of boundary segments against column rectangles.
+candidate; the exact tiling is judged by counting, at the lower-left
+corner of every cell of the grid of breaks, the stair cells that contain
+it; and the boundary audit compares every ordered pair of cells by its own
+search of boundary segments against column rectangles.
 """
 
 from __future__ import annotations
@@ -178,7 +180,7 @@ def cell_matches_set_formula(inst: CoveringInstance, i: int, cell) -> bool:
 # --- decomposition in Fractions --------------------------------------------
 
 def _reference_cutters(inst: CoveringInstance, i: int) -> list[int]:
-    tris = inst.triangles()
+    tris = [Triangle(c) for c in inst.corners]
     target = tris[i]
     return [j for j, t in enumerate(tris) if j != i and cuts(t, target)]
 
@@ -260,6 +262,24 @@ def decompose_reference(inst: CoveringInstance) -> DecompositionResult:
         else:
             non_stair.append((i, cell))
     return DecompositionResult(inst, tuple(cells), tuple(non_stair), tuple(empty))
+
+
+# --- exact tiling ---------------------------------------------------------
+
+def exact_tiling_reference(cells, k: int, l: Fraction):
+    """(point, multiplicity) at the first lower-left grid point, in (x, y)
+    order, that lies in other than k of the stair cells, or None. The grid
+    is spanned by 0, l and every break of the cells, which lie in [0, l]^2;
+    each point's multiplicity is counted with `StairPolygon.contains`."""
+    xs = sorted({Fraction(0), l}.union(*(c.x_breaks for c in cells)))
+    ys = sorted({Fraction(0), l}.union(*(c.y_breaks for c in cells)))
+    for x in xs[:-1]:
+        for y in ys[:-1]:
+            p = Point(x, y)
+            m = sum(c.contains(p) for c in cells)
+            if m != k:
+                return p, m
+    return None
 
 
 # --- boundary audit -------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from staircover import CoveringInstance, Lattice, is_k_fold_covering, perturb_instance
+from staircover import CoveringInstance, Lattice, decompose, is_k_fold_covering, perturb_instance
 from staircover.lattice import lattice_instance
 
 
@@ -16,6 +16,13 @@ def quarters() -> CoveringInstance:
     return CoveringInstance.of(
         1, 1, [(0, 0), (0, "1/2"), ("1/2", 0), ("1/2", "1/2")]
     )
+
+
+def cells_by_index(inst: CoveringInstance) -> dict:
+    """The nonempty cells of `decompose(inst)`, stair or not, by triangle
+    index; `.get(i)` is None for an empty cell."""
+    result = decompose(inst)
+    return dict(result.cells + result.non_stair)
 
 
 def diag_lattice(k: int) -> Lattice:

@@ -59,8 +59,9 @@ def test_criterion_2_decomposition_matches_set_formula(corpus):
     for inst in corpus:
         result = decompose(inst)
         assert result.is_stair_decomposition, "covering produced a non-stair cell"
+        cells = dict(result.cells)
         for i in range(inst.size):
-            assert cell_matches_set_formula(inst, i, result.cell_for(i)), (
+            assert cell_matches_set_formula(inst, i, cells.get(i)), (
                 f"cell {i} disagrees with the set-formula oracle (k={inst.k})"
             )
             cells_checked += 1
@@ -74,7 +75,7 @@ def test_criterion_3_exact_tiling(corpus):
     for inst in corpus:
         result = decompose(inst)
         verdict = verify_exact_tiling(result.stair_cells(), inst.k, inst.window)
-        assert verdict.ok, f"not an exact {inst.k}-fold tiling: {verdict.detail}"
+        assert verdict.passed, f"not an exact {inst.k}-fold tiling: {verdict.detail}"
     _report("3 exact-tiling", f"{len(corpus)} instances tile exactly k-fold")
 
 
@@ -129,7 +130,7 @@ def test_criterion_4_audits_pass_and_counterexamples_fail(corpus):
     assert c_total.status == FAIL
 
     tiling = verify_exact_tiling([sq(0, 1, 0, 1)] * 2, 1, one)
-    assert not tiling.ok  # duplicated cell: multiplicity 2
+    assert not tiling.passed  # duplicated cell: multiplicity 2
 
     _report(
         "4 structural-audits",
@@ -141,7 +142,7 @@ def test_criterion_5_density_chain(corpus):
     for inst in corpus:
         result = decompose(inst)
         tiling = verify_exact_tiling(result.stair_cells(), inst.k, inst.window)
-        report = density_chain(result, tiling.ok)
+        report = density_chain(result, tiling.passed)
         assert report.valid and report.holds, report.detail
         values = {link.label: link.value for link in report.links}
         assert values["window_area"] == inst.window**2

@@ -119,6 +119,11 @@ class TestGridSearch:
         assert grid_max_stair_area(1, 12) == max_stair_area(1)
         assert grid_max_stair_area(2, 12) == max_stair_area(2)
 
+    def test_coarsest_grid_holds_the_uniform_optimum(self):
+        # grid = r + 2 has exactly the r + 2 breaks of the uniform optimum
+        for r in range(25):
+            assert grid_max_stair_area(r, r + 2) == max_stair_area(r)
+
     def test_too_coarse_grid_rejected(self):
         with pytest.raises(ValueError):
             grid_max_stair_area(7, 8)
@@ -128,7 +133,7 @@ class TestDensityChain:
     def test_quarters_chain_values(self, quarters):
         result = decompose(quarters)
         tiling = verify_exact_tiling(result.stair_cells(), 1, quarters.window)
-        report = density_chain(result, tiling.ok)
+        report = density_chain(result, tiling.passed)
         assert report.holds
         values = {link.label: link.value for link in report.links}
         assert values["window_area"] == 1
@@ -142,7 +147,7 @@ class TestDensityChain:
         inst = lattice_instance(diag_lattice(2), 1, 2)
         result = decompose(inst)
         tiling = verify_exact_tiling(result.stair_cells(), 2, inst.window)
-        report = density_chain(result, tiling.ok)
+        report = density_chain(result, tiling.passed)
         assert report.holds
         final = report.links[-1].value
         assert final >= 1  # l^2 <= (N/k) A(2k-1)
@@ -157,7 +162,7 @@ class TestDensityChain:
         result = decompose(broken)
         ok = (
             result.is_stair_decomposition
-            and verify_exact_tiling(result.stair_cells(), 1, broken.window).ok
+            and verify_exact_tiling(result.stair_cells(), 1, broken.window).passed
         )
         report = density_chain(result, ok)
         assert not report.valid and not report.holds

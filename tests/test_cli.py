@@ -66,9 +66,11 @@ class TestInstanceFiles:
         with pytest.raises(InstanceFormatError, match="exact rational"):
             parse_instance(data)
 
-    def test_bad_fold_rejected(self):
-        with pytest.raises(InstanceFormatError, match="k"):
-            parse_instance(dict(QUARTERS, k="one"))
+    @pytest.mark.parametrize("k", ["one", 0, -3, True, False, 1.0, None, [1]])
+    def test_bad_fold_rejected(self, k):
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(dict(QUARTERS, k=k))
+        assert str(err.value) == f"k: positive integer required, got {k!r}"
 
     def test_triangle_header_normalizes(self):
         # the same covering described with a doubled triangle: T' = 2T, so

@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,15 +12,14 @@ from staircover import (
     NonStairCell,
     StairPolygon,
     Triangle,
-    cutter_set,
     cuts,
     decompose,
     pt,
-    stair_cell,
 )
 from staircover import arrangement
+from staircover.decomposition import _cutters
 from _oracles import cell_matches_set_formula, decompose_reference
-from conftest import diag_lattice, grid_lattice
+from conftest import cells_by_index, diag_lattice, grid_lattice
 from test_arrangement import DEN, SHRINK, _generic, generic_families
 from staircover.lattice import lattice_instance
 
@@ -46,6 +46,12 @@ class TestInstanceValidation:
         # a bool fold would be written as "k": true, which no parser reads back
         with pytest.raises(ValueError, match=re.escape(f"positive integer, got {k!r}")):
             CoveringInstance.of(k, 1, [(0, 0)])
+
+
+def cutter_set(inst, i) -> tuple[int, ...]:
+    """Indices j whose triangle cuts triangle i, from `decompose`'s row."""
+    cut, _, _ = _cutters(arrangement._frame(inst.corners, inst.window_rect()), i)
+    return tuple(np.flatnonzero(cut).tolist())
 
 
 class TestCutterSet(object):
@@ -75,16 +81,18 @@ class TestStairCell:
             (Fraction(1, 2), 0): StairPolygon.of(("1/2", 1), ("1/2", 0)),
             (Fraction(1, 2), Fraction(1, 2)): StairPolygon.of(("1/2", 1), (1, "1/2")),
         }
+        cells = cells_by_index(quarters)
         for i, corner in enumerate(quarters.corners):
-            assert stair_cell(quarters, i) == expect[(corner.x, corner.y)]
+            assert cells[i] == expect[(corner.x, corner.y)]
 
     def test_cells_match_set_formula(self, quarters):
+        cells = cells_by_index(quarters)
         for i in range(quarters.size):
-            assert cell_matches_set_formula(quarters, i, stair_cell(quarters, i))
+            assert cell_matches_set_formula(quarters, i, cells.get(i))
 
     def test_single_translate_keeps_hypotenuse(self):
         inst = CoveringInstance.of(1, 1, [(0, 0)])
-        cell = stair_cell(inst, 0)
+        cell = cells_by_index(inst)[0]
         assert isinstance(cell, NonStairCell)
         assert cell.diag_sum == 1
         assert cell.contains(pt("1/2", "1/2"))  # on the hypotenuse, closed
@@ -105,19 +113,19 @@ class TestStairCell:
 
     def test_empty_when_outside_window(self):
         inst = CoveringInstance.of(1, 1, [(0, 0), (5, 5)])
-        assert stair_cell(inst, 1) is None
+        assert decompose(inst).empty_indices == (1,)
 
     def test_degenerate_single_point_cell(self):
         # the translate reaches the window only at its closed corner point
         inst = CoveringInstance.of(1, 1, [(-1, 0)])
-        cell = stair_cell(inst, 0)
+        cell = cells_by_index(inst)[0]
         assert isinstance(cell, NonStairCell)
         assert cell.contains(pt(0, 0)) and cell.area() == 0
         assert cell.diagonal_witness() == pt(0, 0)
         assert not cell.contains(pt(0, "1/8"))
         # a second translate swallowing the corner empties the cell entirely
         crowded = CoveringInstance.of(1, 1, [(-1, 0), (0, 0)])
-        assert stair_cell(crowded, 0) is None
+        assert decompose(crowded).empty_indices == (0,)
 
     def test_empty_cell_in_crowded_corner(self):
         # the late corner translate is completely swallowed by earlier ones
@@ -160,8 +168,9 @@ class TestDecompose:
             inst = lattice_instance(diag_lattice(k), 1, k)
             result = decompose(inst)
             assert result.is_stair_decomposition
+            cells = dict(result.cells)
             for i in range(inst.size):
-                assert cell_matches_set_formula(inst, i, result.cell_for(i))
+                assert cell_matches_set_formula(inst, i, cells.get(i))
 
     def test_total_cell_area_is_k_window_area(self):
         for k, lat in ((1, diag_lattice(1)), (2, diag_lattice(2)), (3, grid_lattice(3))):
@@ -184,9 +193,9 @@ class TestDecompose:
         k, corners, window, hole = family
         assume(hole is not None)
         inst = CoveringInstance(k, max(window.x1, window.y1), tuple(corners))
-        result = decompose(inst)
+        cells = cells_by_index(inst)
         for i in range(inst.size):
-            assert cell_matches_set_formula(inst, i, result.cell_for(i))
+            assert cell_matches_set_formula(inst, i, cells.get(i))
 
 
 def _square_instance(family) -> CoveringInstance:
@@ -237,7 +246,7 @@ class TestMatchesFractionReference:
 
     def test_cutter_set_matches_triangle_pairs(self):
         inst = lattice_instance(diag_lattice(2), 1, 2)
-        tris = inst.triangles()
+        tris = [Triangle(c) for c in inst.corners]
         for i, t in enumerate(tris):
             expected = tuple(j for j, u in enumerate(tris) if cuts(u, t))
             assert cutter_set(inst, i) == expected
@@ -288,7 +297,7 @@ class TestBignumPath:
 class TestCuttingTransitivity:
     def test_on_fixture_triples(self):
         inst = lattice_instance(diag_lattice(2), 1, 2)
-        tris = inst.triangles()
+        tris = [Triangle(c) for c in inst.corners]
         n = len(tris)
         # triples with a common point: all three pairwise intersections plus
         # the shared-corner criterion via componentwise max

@@ -25,6 +25,7 @@ from staircover.verification import (
     FAIL,
     PASS,
     SKIP,
+    AuditVerdict,
     audit_boundary_cut,
     audit_corner_counts,
     audit_disjointness,
@@ -33,7 +34,12 @@ from staircover.verification import (
     _removed_boundary_hit,
 )
 from conftest import diag_lattice, grid_lattice
-from _oracles import audit_boundary_cut_reference, depth_at, removed_boundary_hit_reference
+from _oracles import (
+    audit_boundary_cut_reference,
+    depth_at,
+    exact_tiling_reference,
+    removed_boundary_hit_reference,
+)
 from staircover.cli import _corrupt
 from staircover.lattice import lattice_instance
 
@@ -117,23 +123,25 @@ class TestCoverageCertificate:
 
 class TestExactTiling:
     def test_quarter_partition(self):
-        assert verify_exact_tiling(quarter_cells(), 1, rat(1)).ok
+        verdict = verify_exact_tiling(quarter_cells(), 1, rat(1))
+        assert verdict == AuditVerdict("exact_tiling", PASS, "all grid cells have multiplicity 1")
 
     def test_missing_cell_detected(self):
         verdict = verify_exact_tiling(quarter_cells()[1:], 1, rat(1))
-        assert not verdict.ok
-        assert verdict.multiplicity == 0
-        assert verdict.point is not None and verdict.point.x < Fraction(1, 2)
+        assert not verdict.passed
+        assert verdict.witness["multiplicity"] == 0
+        assert pt(*verdict.witness["point"]).x < Fraction(1, 2)
 
     def test_duplicate_cell_detected(self):
         cells = quarter_cells() + [quarter_cells()[0]]
         verdict = verify_exact_tiling(cells, 1, rat(1))
-        assert not verdict.ok
-        assert verdict.multiplicity == 2
+        assert not verdict.passed
+        assert verdict.witness["multiplicity"] == 2
+        assert verdict.detail == "multiplicity 2 != 1"
 
     def test_empty_family_fails_with_witness(self):
         verdict = verify_exact_tiling([], 1, rat(1))
-        assert not verdict.ok and verdict.multiplicity == 0
+        assert not verdict.passed and verdict.witness["multiplicity"] == 0
 
     def test_cell_outside_window_rejected(self):
         with pytest.raises(ValueError, match="window"):
@@ -149,7 +157,7 @@ class TestExactTiling:
             assert is_k_fold_covering(inst)
             result = decompose(inst)
             assert result.is_stair_decomposition
-            assert verify_exact_tiling(result.stair_cells(), k, inst.window).ok
+            assert verify_exact_tiling(result.stair_cells(), k, inst.window).passed
 
 
 class TestAuditsOnRealInstances:
@@ -163,6 +171,9 @@ class TestAuditsOnRealInstances:
         for k, lat, l in ((1, diag_lattice(1), 2), (2, diag_lattice(2), 1), (3, diag_lattice(3), 1)):
             report = run_audits(lattice_instance(lat, l, k))
             assert report.passed, [v for v in report.verdicts if v.status != PASS]
+            total = sum(c.stair_count for _, c in report.result.cells)
+            assert report.stats["sum_stair_counts"] == total
+            assert report.verdict("stair_count_total").detail.startswith(f"sum r_i = {total} <=")
 
     def test_non_covering_fails_and_skips(self):
         report = run_audits(CoveringInstance.of(1, 1, [(0, 0)]))
@@ -268,16 +279,16 @@ class TestPlantedCounterexamples:
     def test_stair_count_total_fails_on_stair_heavy_cells(self):
         s1 = StairPolygon.of((0, 1, 2, 3), (3, 2, 1, 0))
         s2 = StairPolygon.of((4, 5, 6, 7), (3, 2, 1, 0))
-        _, _, total, stats = audit_corner_counts(((0, s1), (1, s2)), 1)
+        _, _, total, _ = audit_corner_counts(((0, s1), (1, s2)), 1)
         assert total.status == FAIL
-        assert stats["sum_stair_counts"] == 4
+        assert total.witness == {"total": 4, "limit": 2}
 
     def test_corner_counts_pass_on_true_fixture(self):
         staircase = StairPolygon.of((0, 1, 2, 3), (3, 2, 1, 0))
         top = sq(1, 3, 2, 3)
         side = sq(2, 3, 1, 2)
         cells = ((0, staircase), (1, top), (2, side))
-        assert verify_exact_tiling([c for _, c in cells], 1, rat(3)).ok
+        assert verify_exact_tiling([c for _, c in cells], 1, rat(3)).passed
         lower, upper, total, stats = audit_corner_counts(cells, 1)
         assert (lower.status, upper.status, total.status) == (PASS, PASS, PASS)
         assert stats["anchor_counts"] == {0: 2, 1: 0, 2: 0}
@@ -304,17 +315,18 @@ class TestExactTilingFromBounds:
     @pytest.mark.parametrize(
         "k,lattice,l", [(1, diag_lattice(1), 1), (2, diag_lattice(2), "3/2"), (3, grid_lattice(3), 1)]
     )
-    def test_audit_matches_verify_exact_tiling(self, edit, k, lattice, l):
+    def test_verdicts_match_grid_point_count(self, edit, k, lattice, l):
         inst = lattice_instance(lattice, l, k)
         result = self.EDITS[edit](decompose(inst))
         report = run_audits(inst, result)
-        verdict = report.verdict("exact_tiling")
-        tiling = verify_exact_tiling(result.stair_cells(), k, inst.window)
-        point = pt(*verdict.witness["point"]) if verdict.witness else None
-        multiplicity = verdict.witness["multiplicity"] if verdict.witness else None
-        assert (verdict.status == PASS, point, multiplicity) == (
-            tiling.ok, tiling.point, tiling.multiplicity
-        )
+        expected = exact_tiling_reference(result.stair_cells(), k, inst.window)
+        for verdict in (
+            report.verdict("exact_tiling"),
+            verify_exact_tiling(result.stair_cells(), k, inst.window),
+        ):
+            w = verdict.witness
+            got = (pt(*w["point"]), w["multiplicity"]) if w else None
+            assert (verdict.status == PASS, got) == (expected is None, expected)
         if edit.startswith("copy"):
             assert report.verdict("multiplicity_upper").status == FAIL
             assert report.verdict("multiplicity_lower").status == FAIL
@@ -344,7 +356,7 @@ class TestTilingCertificateCrossCheck:
         result = decompose(inst)
         tiles = result.is_stair_decomposition and verify_exact_tiling(
             result.stair_cells(), inst.k, inst.window
-        ).ok
+        ).passed
         assert tiles == coverage_certificate(inst).covers
 
 
@@ -456,6 +468,22 @@ class TestBoundaryCutMatchesAllPairs:
         assert got == audit_boundary_cut_reference(corners, cells)
         assert got[0].status == status
 
+    def test_shuffled_entries_pick_the_first_one_sided_pair_in_entry_order(self):
+        # shuffled entries, some with an index repeated by a new cell; the
+        # first one-sided failure follows the entries, not the sorted pairs
+        reordered = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            corners, cells = _stair_family(rng)
+            rng.shuffle(cells)
+            if rng.random() < 0.3:
+                cells.append((rng.choice(cells)[0], _random_stair(rng)))
+            got = audit_boundary_cut(corners, cells)
+            assert got == audit_boundary_cut_reference(corners, cells), seed
+            in_index_order = audit_boundary_cut_reference(corners, sorted(dict(cells).items()))
+            reordered += got[1] != in_index_order[1]
+        assert reordered >= 50, reordered
+
     def test_random_stair_families(self):
         failed = set()
         for seed in range(300):
@@ -470,7 +498,8 @@ class TestWitnessReproduction:
     def test_tiling_witness_recomputes(self):
         cells = quarter_cells()[1:]
         verdict = verify_exact_tiling(cells, 1, rat(1))
-        assert sum(c.contains(verdict.point) for c in cells) == verdict.multiplicity
+        p = pt(*verdict.witness["point"])
+        assert sum(c.contains(p) for c in cells) == verdict.witness["multiplicity"]
 
     def test_audit_report_witnesses_recompute(self):
         inst = CoveringInstance.of(2, 1, [(0, 0), (0, "1/2"), ("1/2", 0), ("1/2", "1/2")])

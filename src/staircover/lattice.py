@@ -15,14 +15,18 @@ window. Instances use the same enumeration, so a lattice gives the same
 sorted corners in any basis.
 
 The search maximizes the determinant (equivalently minimizes the density
-(1/2)/det) over normalized bases subject to the exact feasibility oracle
-"multiplicity >= k". It leans on one rigorous fact: shrinking a lattice
-uniformly never decreases multiplicity, so the maximal feasible scale along
-any basis ray can be bisected exactly; rays are seeded from a ratio grid,
-refined along the mirror-symmetric line b = c, then pattern-searched. Every
-accepted lattice is exactly verified; the only approximation anywhere is
-that the search may stop short of the true optimum, which is reported as a
-gap.
+(1/2)/det) over normalized bases subject to "multiplicity >= k". Shrinking
+a lattice uniformly never decreases multiplicity, and the triangles are
+closed, so the feasible scales of a ray t * (1, beta, gamma) are exactly
+(0, 1/s*], s* being the least triangle size at which the lattice
+(1, 0), (beta, gamma) covers k-fold (`_critical_size`, exact, in ints).
+Each feasibility check is therefore the one comparison t * s* <= 1, with
+s* computed once per shape; the depth check `lattice_covers` is its oracle
+in the tests, and the search's result is re-checked by the exhaustive
+`lattice_multiplicity`. Rays are seeded from a ratio grid, bisected,
+refined along the mirror-symmetric line b = c, then pattern-searched. The
+only approximation anywhere is that the search may stop short of the true
+optimum, which is reported as a gap.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import nlargest
 from math import ceil, gcd, isqrt, lcm
 
 from . import arrangement
@@ -139,10 +144,55 @@ def lattice_multiplicity(lat: Lattice) -> int:
 
 
 def lattice_covers(lat: Lattice, k: int) -> bool:
-    """Whether the lattice family is a k-fold covering (early-exit check)."""
+    """Whether the lattice family is a k-fold covering (early-exit check).
+    The search decides feasibility by `_critical_size` instead; this depth
+    check is its oracle in the tests."""
     window, corners = _multiplicity_window(lat)
     depth, _ = arrangement.min_depth(corners, window, early_below=k)
     return depth >= k
+
+
+def _critical_size(shape: tuple[Fraction, Fraction], k: int) -> Fraction:
+    """The least triangle size s* at which the lattice with basis (1, 0),
+    (beta, gamma), gamma > 0, covers the plane k-fold; so the lattice with
+    basis (t, 0), (t*beta, t*gamma) is a k-fold covering exactly when
+    t * s* <= 1.
+
+    Works in ints on the shape's own frame: scaled by the lcm of the
+    denominators of beta and gamma, the basis is (a, 0), (b, c). A point p
+    lies in the closed triangle of size s at lam exactly when lam <= p in
+    both coordinates and (p.x + p.y) - (lam.x + lam.y) <= s, so p is covered
+    k-fold exactly when s >= p.x + p.y - S_k(p), S_k(p) being the k-th
+    largest lam.x + lam.y over the lattice points lam <= p. By periodicity
+    p can be taken in [0, a) x [0, c). Row j <= 0 (y = j*c) then holds the
+    points x_j - m*a, m >= 0, below p, x_j being the largest x = j*b mod a
+    with x <= p.x; only m < k can be among the k largest. So S_k is constant
+    on each cell [x, x') x [0, c) between consecutive cuts j*b mod a, and
+    s* is the largest x' + c - S_k over the cells: the supremum at the
+    cell's open upper-right corner.
+
+    Given a bound u, a row with j*c <= c - u has every sum at most
+    x' - 1 + j*c, below x' + c - u, so it can neither cut a cell nor lift
+    S_k to that level: the cells and S_k of the rows j*c > c - u alone give
+    s* exactly when every cell comes out at most u, and otherwise s* > u.
+    So u doubles until the cells fit; any start gives the same s*, and
+    isqrt((2k+1)*a*c) is at most s*, as no k-fold lattice covering has
+    density below (2k+1)/2 (Sriamorn).
+    """
+    beta, gamma = shape
+    scale = lcm(beta.denominator, gamma.denominator)
+    a, b, c = scale, int(beta * scale), int(gamma * scale)
+    u = isqrt((2 * k + 1) * a * c)
+    while True:
+        rows = range(0, -((u - 1) // c), -1)  # the rows j*c > c - u
+        cuts = sorted({j * b % a for j in rows})
+        worst = 0
+        for x, right in zip(cuts, cuts[1:] + [a]):
+            sums = (x - (x - j * b) % a + j * c - m * a for j in rows for m in range(k))
+            worst = max(worst, right + c - nlargest(k, sums)[-1])
+        if cuts and worst <= u:
+            return Fraction(worst, scale)
+        u *= 2
 
 
 @dataclass(frozen=True)
@@ -204,10 +254,14 @@ def search_optimal_lattice(
 
     Key structure: shrinking a lattice uniformly never decreases its covering
     multiplicity (equivalently, the triangle grows relative to the lattice),
-    so along any ray t * (a, b, c) the feasible scales form an interval and
-    the maximal scale can be bisected rigorously. The search scans a grid of
-    shape ratios (b/a, c/a), bisects each ray, then refines the best shape by
-    pattern search with step halving, bisecting every candidate ray.
+    so along any ray t * (1, beta, gamma) the feasible scales are exactly
+    (0, 1/s*], s* = `_critical_size((beta, gamma), k)`, and a feasibility
+    check is the exact test t * s* <= 1 (`lattice_covers` is its oracle in
+    the tests). The search scans a grid of shape ratios (b/a, c/a), bisects
+    each ray, then refines the best shape by pattern search with step
+    halving, bisecting every candidate ray. The lattice it returns is
+    re-checked by the exhaustive `lattice_multiplicity`; a multiplicity
+    below k, or a feasible density below (2k+1)/2, raises AssertionError.
 
     Deterministic throughout: fixed scan orders, exact arithmetic, exact
     feasibility verdicts. `budget` caps the number of feasibility
@@ -215,14 +269,13 @@ def search_optimal_lattice(
     report says so explicitly.
     """
     int_at_least(k, 1, "fold must be a positive integer")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    if seed_grid < 1:
-        raise ValueError("seed grid must be at least 1")
+    int_at_least(budget, 1, "budget must be at least 1")
+    int_at_least(seed_grid, 1, "seed grid must be at least 1")
     target_density = Fraction(2 * k + 1, 2)
     target_det = Fraction(1, 2 * k + 1)
     evaluations = 0
     seen: dict[tuple[Fraction, Fraction, Fraction], bool] = {}
+    critical: dict[tuple[Fraction, Fraction], Fraction] = {}
 
     def feasible(cand) -> bool | None:
         """Exact verdict, or None once the budget is exhausted."""
@@ -233,10 +286,12 @@ def search_optimal_lattice(
             return None
         evaluations += 1
         a, b, c = cand
-        lat = Lattice(Point(a, Fraction(0)), Point(b, c))
-        ok = lattice_covers(lat, k)
+        shape = (b / a % 1, c / a)  # beta and beta + 1 span one lattice
+        if shape not in critical:
+            critical[shape] = _critical_size(shape, k)
+        ok = a * critical[shape] <= 1
         if ok:
-            _guard_density(k, lat.density)
+            _guard_density(k, Fraction(1, 2) / (a * c))
         seen[cand] = ok
         return ok
 
@@ -372,6 +427,11 @@ def search_optimal_lattice(
     a, b, c = best
     lat = Lattice(Point(a, Fraction(0)), Point(b, c))
     multiplicity = lattice_multiplicity(lat)
+    if multiplicity < k:  # the depth engine must agree with the critical size
+        raise AssertionError(
+            f"k={k} lattice {best} passed the critical size but has "
+            f"multiplicity {multiplicity}; exact verifier bug"
+        )
     return LatticeSearchReport(
         k=k,
         feasible=True,

@@ -269,7 +269,7 @@ class TestCommands:
     @pytest.mark.parametrize("grid", ["0", "-2"])
     def test_optimize_seed_grid_below_1_exits_2(self, capsys, grid):
         assert main(["optimize", "--k", "1", "--seed-grid", grid]) == 2
-        assert capsys.readouterr().err == "error: seed grid must be at least 1\n"
+        assert capsys.readouterr().err == f"error: seed grid must be at least 1, got {grid}\n"
 
     def test_optimize_tiny_budget_reports_infeasible(self, tmp_path, capsys):
         out = tmp_path / "opt.json"

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from staircover import (
@@ -16,7 +16,8 @@ from staircover import (
     pt,
     search_optimal_lattice,
 )
-from staircover.lattice import _guard_density, _multiplicity_window
+from staircover import lattice
+from staircover.lattice import _critical_size, _guard_density, _multiplicity_window
 from _oracles import translates_meeting_scan
 from conftest import diag_lattice, grid_lattice
 
@@ -143,6 +144,61 @@ class TestMultiplicity:
         assert lattice_multiplicity(scaled) == 0
 
 
+def ray_lattice(shape, t) -> Lattice:
+    beta, gamma = shape
+    return Lattice.of(t, 0, t * beta, t * gamma)
+
+
+class TestCriticalSize:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_diagonal_family_is_tight(self, k):
+        # density (2k+1)/2 at size 1: the search's first bound is already s*
+        c = Fraction(1, 2 * k + 1)
+        assert _critical_size((c, c), k) == 1
+        assert _critical_size((c, c), k + 1) > 1
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.fractions(0, 3, max_denominator=12),
+        st.fractions(Fraction(1, 12), 3, max_denominator=12),
+        st.integers(1, 3),
+    )
+    @example(Fraction(1, 3), Fraction(1, 3), 1)  # s* = 1
+    # a k-th sum exactly at the bound, in the last row the bound admits
+    @example(Fraction(36, 5), Fraction(86, 15), 6)
+    @example(Fraction(1, 38), Fraction(114, 23), 5)
+    def test_matches_covers_oracle(self, beta, gamma, k):
+        # the feasible scales of the ray are exactly (0, 1/s*]
+        t_star = 1 / _critical_size((beta, gamma), k)
+        for factor, covers in (
+            (1, True), (Fraction(999, 1000), True), (Fraction(1001, 1000), False)
+        ):
+            lat = ray_lattice((beta, gamma), t_star * factor)
+            assert lattice_covers(lat, k) is covers
+
+    def test_depends_on_the_lattice_only(self):
+        gamma = Fraction(1, 6)
+        for beta in (Fraction(0), Fraction(5, 12)):
+            assert _critical_size((beta, gamma), 2) == _critical_size((beta + 2, gamma), 2)
+
+    @pytest.mark.parametrize("k,least,shape", [
+        (1, Fraction(1), (Fraction(1, 3), Fraction(1, 3))),
+        (2, Fraction(121, 120), (Fraction(5, 12), Fraction(1, 6))),
+        (3, Fraction(169, 168), (Fraction(5, 12), Fraction(1, 6))),
+    ])
+    def test_sriamorn_bound_on_a_grid_of_shapes(self, k, least, shape):
+        # the density (s*^2 / 2) / gamma of a shape at its critical size is
+        # at least (2k+1)/2 (Sriamorn), so s*^2 >= (2k+1) * gamma
+        ratios = {
+            (Fraction(i, 12), Fraction(j, 12)):
+                _critical_size((Fraction(i, 12), Fraction(j, 12)), k) ** 2
+                / ((2 * k + 1) * Fraction(j, 12))
+            for i in range(12) for j in range(1, 25)
+        }
+        assert min(ratios.values()) == least
+        assert min(ratios, key=lambda s: (ratios[s], s)) == shape
+
+
 class TestInstanceConsistency:
     @pytest.mark.parametrize("k,l", [(1, 1), (1, "5/2"), (2, "3/2")])
     def test_windowed_instances_inherit_coverage(self, k, l):
@@ -155,6 +211,39 @@ class TestSearch:
     def test_rejects_fold_that_is_not_a_positive_int(self, k):
         with pytest.raises(ValueError, match="fold must be a positive integer"):
             search_optimal_lattice(k)
+
+    @pytest.mark.parametrize("value", [True, 2.5, 0])
+    def test_rejects_budget_that_is_not_a_positive_int(self, value):
+        with pytest.raises(ValueError, match="budget must be at least 1, got"):
+            search_optimal_lattice(1, budget=value)
+
+    @pytest.mark.parametrize("value", [True, 2.5, 0])
+    def test_rejects_seed_grid_that_is_not_a_positive_int(self, value):
+        with pytest.raises(ValueError, match="seed grid must be at least 1, got"):
+            search_optimal_lattice(1, seed_grid=value)
+
+    # pinned reports: the lattice, density, multiplicity, evaluations and
+    # message of these searches are fixed
+    @pytest.mark.parametrize("k,kwargs,u,v,density,evaluations", [
+        (1, {"budget": 400}, (1, 0), ("1/3", "1/3"), Fraction(3, 2), 400),
+        (2, {"budget": 400, "seed_grid": 3}, ("1/2", 0), ("1/3", "1/3"), Fraction(3), 400),
+        (3, {"budget": 400, "seed_grid": 6}, ("6/7", 0), ("1/7", "1/7"), Fraction(49, 12), 400),
+        (1, {}, (1, 0), ("1/3", "1/3"), Fraction(3, 2), 1574),
+        (2, {}, (1, 0), ("4915/24576", "4915/24576"), Fraction(12288, 4915), 2083),
+        (3, {}, ("24576/24577", 0), ("1/7", "1/7"), Fraction(172039, 49152), 2068),
+    ])
+    def test_pinned_reports(self, k, kwargs, u, v, density, evaluations):
+        report = search_optimal_lattice(k, **kwargs)
+        assert report.lattice == Lattice.of(*u, *v)
+        assert report.density == density
+        assert report.multiplicity == k
+        assert report.evaluations == evaluations
+        assert report.message == "search complete"
+
+    def test_final_depth_check_gates_the_critical_size(self, monkeypatch):
+        monkeypatch.setattr(lattice, "lattice_multiplicity", lambda lat: 0)
+        with pytest.raises(AssertionError, match="exact verifier bug"):
+            search_optimal_lattice(1, budget=60, seed_grid=4)
 
     def test_budget_one_reports_infeasible(self):
         report = search_optimal_lattice(1, budget=1, seed_grid=6)

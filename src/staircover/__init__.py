@@ -6,10 +6,7 @@ exact verification and audits, area/density bounds, and lattice search.
 from .bounds import (
     BoundReport,
     density_chain,
-    grid_max_stair_area,
     max_stair_area,
-    max_stair_in_triangle,
-    optimal_covering_density,
     stair_area_bound,
 )
 from .decomposition import (

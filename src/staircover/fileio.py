@@ -121,7 +121,7 @@ def _load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, integer digit limit
         raise InstanceFormatError(f"{path}: invalid JSON ({exc})") from exc
 
 

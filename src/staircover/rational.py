@@ -18,7 +18,8 @@ def rat(value) -> Fraction:
 
     Accepts Fraction, int, and strings such as "3" or "-2/7".
     Floats raise TypeError instead of being rounded into the lattice of
-    representable binary values.
+    representable binary values. Exponent notation ("1e9") is refused: its
+    cost grows with the exponent, not with the length of the string.
     """
     if isinstance(value, Fraction):
         return value
@@ -27,10 +28,12 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed rational literal {value!r}") from exc
+        if "e" not in value.lower():
+            try:
+                return Fraction(value.strip())
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise ValueError(f"malformed rational literal {value!r}")
     raise TypeError(f"exact rational required, got {type(value).__name__}: {value!r}")
 
 

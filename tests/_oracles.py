@@ -4,7 +4,9 @@ Everything here deliberately avoids the package's optimized code paths:
 triangle intersection goes through vertex containment, exact segment
 crossings and rational grid sampling; cell regions are evaluated pointwise
 from the defining set formula (inside the triangle and the window, not
-inside at least k cutter triangles at once); the grid stair-area maximum is
+inside at least k cutter triangles at once); the stair of the maximal area
+is built by its uniform breaks, the grid stair-area maximum is found by a
+dynamic program over the last break, and that program is itself checked by
 a full enumeration over break tuples; coverage depth is counted triangle by
 triangle, and the minimum depth over a window by testing every face sample
 against every translate; the lattice translates meeting a window are found
@@ -25,8 +27,10 @@ from itertools import combinations
 import numpy as np
 
 from staircover.arrangement import _frame, _iter_chunks
+from staircover.bounds import max_stair_area
 from staircover.decomposition import CoveringInstance, DecompositionResult, NonStairCell
 from staircover.geom import Point, Rect, StairPolygon, Triangle, cuts
+from staircover.rational import int_at_least
 from staircover.verification import PASS, AuditVerdict, _fail, _point_json
 
 
@@ -423,6 +427,57 @@ def translates_meeting_scan(u: Point, v: Point, window: Rect, radius: int):
                 ring += max(abs(i), abs(j)) == radius
     found.sort(key=lambda p: (p.x, p.y))
     return found, ring
+
+
+# --- extremal stair construction and grid stair DP -------------------------
+
+def max_stair_in_triangle(r: int) -> StairPolygon:
+    """An r-stair polygon of the maximal area inside the closed triangle.
+
+    Uniform breaks x_i = i/(r+2), column tops y_i = (r+1-i)/(r+2); each
+    column's open corner sits exactly on the hypotenuse, so the half-open
+    polygon stays inside the closed triangle with area max_stair_area(r).
+    """
+    area = max_stair_area(r)  # validates r
+    d = r + 2
+    xs = [Fraction(i, d) for i in range(r + 2)]
+    ys = [Fraction(r + 1 - j, d) for j in range(r + 2)]
+    stair = StairPolygon(xs, ys)
+    if stair.area() != area:
+        raise AssertionError("extremal construction has wrong area; bug")
+    return stair
+
+
+def grid_max_stair_area(r: int, grid: int) -> Fraction:
+    """Exact maximum area of an r-stair polygon inside the triangle with all
+    breaks on the grid {0, 1/grid, ..., 1}.
+
+    Independent check of `max_stair_area`: containment forces each column
+    top y_i <= 1 - x_{i+1}, and raising any top or lowering the base to 0
+    never shrinks the area, so the grid optimum is a maximization over the
+    x-breaks alone, done here by dynamic programming over (columns, last
+    break) in pure integer arithmetic (areas in units of 1/grid^2).
+    """
+    int_at_least(r, 0, "stair count must be a nonnegative integer")
+    if grid < r + 2:
+        raise ValueError("grid too coarse to place r+2 distinct breaks")
+    g = grid
+    # best[x] = max area (scaled by g^2) of j columns ending at break x, or
+    # None where no j columns can end there
+    best = [0] * (g + 1)  # zero columns: free choice of first break
+    for _ in range(r + 1):
+        nxt = [None] * (g + 1)
+        for x1 in range(1, g + 1):
+            height = g - x1  # top of the column ending at x1, with base 0
+            if height < 1:
+                continue  # top must stay strictly above the base
+            nxt[x1] = max(
+                (best[x0] + (x1 - x0) * height for x0 in range(x1) if best[x0] is not None),
+                default=None,
+            )
+        best = nxt
+    # breaks 0, 1, ..., r + 1 always fit, as grid >= r + 2
+    return Fraction(max(v for v in best if v is not None), g * g)
 
 
 # --- exhaustive grid stair search ------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,15 +9,11 @@ from staircover import (
     Triangle,
     decompose,
     density_chain,
-    grid_max_stair_area,
     max_stair_area,
-    max_stair_in_triangle,
-    optimal_covering_density,
     pt,
     stair_area_bound,
-    verify_exact_tiling,
 )
-from _oracles import grid_stair_max_bruteforce
+from _oracles import grid_max_stair_area, grid_stair_max_bruteforce, max_stair_in_triangle
 from conftest import diag_lattice
 from staircover.lattice import lattice_instance
 
@@ -44,8 +41,6 @@ class TestAreaFormula:
             max_stair_area(flag)
         with pytest.raises(ValueError, match="stair count must be a nonnegative integer"):
             grid_max_stair_area(flag, 12)
-        with pytest.raises(ValueError, match="fold must be a positive integer"):
-            optimal_covering_density(flag)
 
 
 class TestBoundExtension:
@@ -71,14 +66,10 @@ class TestBoundExtension:
 
 
 class TestDensityFormula:
-    def test_known_values(self):
-        assert optimal_covering_density(1) == Fraction(3, 2)
-        assert optimal_covering_density(2) == Fraction(5, 2)
-        assert optimal_covering_density(5) == Fraction(11, 2)
-
     def test_two_forms_agree_exactly(self):
+        # (2k + 1) / 2 == k |T| / A(2k - 1) with |T| = 1/2
         for k in range(1, 11):
-            assert optimal_covering_density(k) == k * Fraction(1, 2) / max_stair_area(2 * k - 1)
+            assert Fraction(2 * k + 1, 2) == k * Fraction(1, 2) / max_stair_area(2 * k - 1)
 
 
 class TestExtremalStair:
@@ -131,9 +122,7 @@ class TestGridSearch:
 
 class TestDensityChain:
     def test_quarters_chain_values(self, quarters):
-        result = decompose(quarters)
-        tiling = verify_exact_tiling(result.stair_cells(), 1, quarters.window)
-        report = density_chain(result, tiling.passed)
+        report = density_chain(decompose(quarters))
         assert report.holds
         values = {link.label: link.value for link in report.links}
         assert values["window_area"] == 1
@@ -145,9 +134,7 @@ class TestDensityChain:
 
     def test_lattice_fixture_with_slack(self):
         inst = lattice_instance(diag_lattice(2), 1, 2)
-        result = decompose(inst)
-        tiling = verify_exact_tiling(result.stair_cells(), 2, inst.window)
-        report = density_chain(result, tiling.passed)
+        report = density_chain(decompose(inst))
         assert report.holds
         final = report.links[-1].value
         assert final >= 1  # l^2 <= (N/k) A(2k-1)
@@ -159,14 +146,22 @@ class TestDensityChain:
         from staircover import CoveringInstance
 
         broken = CoveringInstance(1, quarters.window, quarters.corners[:-1])
-        result = decompose(broken)
-        ok = (
-            result.is_stair_decomposition
-            and verify_exact_tiling(result.stair_cells(), 1, broken.window).passed
-        )
-        report = density_chain(result, ok)
+        report = density_chain(decompose(broken))
         assert not report.valid and not report.holds
         assert report.links == ()
+        assert report.detail == "cells are not all stair polygons"
+
+    def test_missing_cell_does_not_tile(self, quarters):
+        result = decompose(quarters)
+        assert result.is_stair_decomposition
+        report = density_chain(dataclasses.replace(result, cells=result.cells[1:]))
+        assert not report.valid and not report.holds
+        assert report.links == ()
+        assert report.detail == "cells do not tile the window exactly k-fold"
+        assert report.n_nonempty == len(result.cells) - 1
+        # no cells at all never tile a nonempty window
+        empty = density_chain(dataclasses.replace(result, cells=()))
+        assert empty.detail == "cells do not tile the window exactly k-fold"
 
     def test_jensen_step_exact_on_fixture(self):
         inst = lattice_instance(diag_lattice(1), 1, 2)

@@ -114,6 +114,22 @@ class TestCommands:
         assert main(["verify", bad]) == 2
         assert capsys.readouterr().err == "error: l: window side must be positive, got 0\n"
 
+    @pytest.mark.parametrize("field, data", [
+        ("translates[1][0]", dict(QUARTERS, translates=[["0", "0"], ["1e-5000", "0"]])),
+        ("l", dict(QUARTERS, l="1e5000")),
+        ("l", dict(QUARTERS, l="1E100000000")),
+    ])
+    def test_exponent_notation_exits_2_and_names_the_field(self, tmp_path, capsys, field, data):
+        bad = write_instance(tmp_path / "bad.json", data)
+        assert main(["verify", bad]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: malformed rational literal")
+
+    def test_overlong_json_integer_exits_2_and_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(QUARTERS).replace('"k": 1', '"k": ' + "1" * 5000))
+        assert main(["verify", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: invalid JSON (")
+
     def test_decompose_report_and_svg(self, tmp_path, quarters_file, capsys):
         svg_path = tmp_path / "cells.svg"
         out_path = tmp_path / "report.json"

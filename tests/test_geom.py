@@ -40,6 +40,14 @@ class TestRational:
         with pytest.raises(ValueError):
             rat("abc")
 
+    @pytest.mark.parametrize("text", ["1e5", "1E5", "2.5e-3", " 1e100000000 "])
+    def test_rejects_exponent_notation(self, text):
+        with pytest.raises(ValueError, match="malformed rational literal"):
+            rat(text)
+
+    def test_accepts_decimals(self):
+        assert rat("0.25") == Fraction(1, 4)
+
 
 class TestPrecedes:
     def test_smaller_sum_first(self):
@@ -171,7 +179,7 @@ class TestStairPolygon:
         assert sum(r.area() for r in rects) == s.area()
 
     def test_uniform_stair_column_count(self):
-        from staircover import max_stair_in_triangle
+        from _oracles import max_stair_in_triangle
 
         assert len(max_stair_in_triangle(5).to_rects()) == 6
 

@@ -18,6 +18,7 @@ from .decomposition import decompose
 from .geom import StairPolygon
 from .lattice import (
     Lattice,
+    _critical_size,
     hermite_basis,
     lattice_instance,
     perturb_instance,
@@ -52,8 +53,8 @@ def _load(path: str):
 
 def cmd_decompose(args) -> int:
     inst, _ = _load(args.instance)
-    cert = coverage_certificate(inst)
     result = decompose(inst)
+    cert = coverage_certificate(inst, result)
     report = fileio.report_decompose(inst, result, cert)
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
@@ -113,6 +114,11 @@ def cmd_optimize(args) -> int:
         if args.k in store:
             lat, _ = store[args.k]
             warm = (hermite_basis(lat),)
+            a, b, c = warm[0]
+            try:  # refuse a flat stored lattice before the search scans it
+                _critical_size((b / a % 1, c / a), args.k)
+            except ValueError as exc:
+                raise ValueError(f"best.{args.k}: {exc}") from exc
     report = search_optimal_lattice(
         args.k, budget=args.budget, seed_grid=args.seed_grid, warm_starts=warm
     )

@@ -21,7 +21,7 @@ from .bounds import BoundReport
 from .decomposition import CoveringInstance, DecompositionResult
 from .geom import Point
 from .lattice import Lattice, LatticeSearchReport
-from .rational import int_at_least, rat, rat_str
+from .rational import brief_repr, int_at_least, rat, rat_str
 from .verification import AuditReport, CoverageCertificate, _point_json
 
 __all__ = [
@@ -57,7 +57,7 @@ def _rat_field(raw, where: str) -> Fraction:
 
 def _point_field(raw, where: str) -> Point:
     if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
-        raise InstanceFormatError(f"{where}: expected a pair [x, y], got {raw!r}")
+        raise InstanceFormatError(f"{where}: expected a pair [x, y], got {brief_repr(raw)}")
     return Point(_rat_field(raw[0], f"{where}[0]"), _rat_field(raw[1], f"{where}[1]"))
 
 

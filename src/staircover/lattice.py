@@ -43,6 +43,15 @@ from .geom import Point, Rect, pt
 from .rational import int_at_least, rat
 from .verification import is_k_fold_covering
 
+_MAX_ROWS = 1000
+"""Most lattice rows `_critical_size` scans before it refuses the shape.
+
+Its cost grows as rows^2 * k. The pinned searches (`optimize` at k = 1, 2
+and 3 with the defaults, and k = 2 with --seed-grid 3) reach at most 143
+rows; a warm start from a flat stored lattice has no such bound: the shape
+(1/3 + 1/70000, 1/10000) needs 5,542 rows and took 21 s at k = 1.
+"""
+
 __all__ = [
     "Lattice",
     "hermite_basis",
@@ -185,6 +194,10 @@ def _critical_size(shape: tuple[Fraction, Fraction], k: int) -> Fraction:
     u = isqrt((2 * k + 1) * a * c)
     while True:
         rows = range(0, -((u - 1) // c), -1)  # the rows j*c > c - u
+        if len(rows) > _MAX_ROWS:
+            raise ValueError(
+                f"lattice too flat: its critical size needs more than {_MAX_ROWS} rows"
+            )
         cuts = sorted({j * b % a for j in rows})
         worst = 0
         for x, right in zip(cuts, cuts[1:] + [a]):

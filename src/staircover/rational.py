@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["rat", "rat_str", "int_at_least"]
+__all__ = ["rat", "rat_str", "int_at_least", "brief_repr"]
+
+_ECHO_CHARS = 40  # most characters of an input that an error message repeats
 
 
 def rat(value) -> Fraction:
@@ -33,8 +35,10 @@ def rat(value) -> Fraction:
                 return Fraction(value.strip())
             except (ValueError, ZeroDivisionError):
                 pass
-        raise ValueError(f"malformed rational literal {value!r}")
-    raise TypeError(f"exact rational required, got {type(value).__name__}: {value!r}")
+        raise ValueError(f"malformed rational literal {brief_repr(value)}")
+    raise TypeError(
+        f"exact rational required, got {type(value).__name__}: {brief_repr(value)}"
+    )
 
 
 def int_at_least(value, least: int, message: str) -> None:
@@ -42,7 +46,17 @@ def int_at_least(value, least: int, message: str) -> None:
     of at least *least*. A bool is not a count, as `rat` refuses it as a
     rational."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValueError(f"{message}, got {value!r}")
+        raise ValueError(f"{message}, got {brief_repr(value)}")
+
+
+def brief_repr(value) -> str:
+    """`repr(value)`, or, for a string (or a repr) longer than 40
+    characters, the repr of its first 40 characters and its length, so
+    that an error message stays short on a huge literal."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return repr(value)
+    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
 
 
 def rat_str(value: Fraction) -> str:

@@ -7,6 +7,16 @@ boundary; the tiling check rasterizes the stair cells onto the grid of their
 own breakpoints, where multiplicity is constant per grid cell and equal to
 its value at the closed lower-left corner. Every failing verdict carries a
 witness that can be re-evaluated independently.
+
+The stair tiling is also a proof of coverage, as in the paper: if every
+cell is a stair polygon lying in its own closed triangle, no two cells share
+an index, and the cells tile the window exactly k-fold, then every window
+point lies in k cells of k distinct triangles, so its depth is >= k.
+`coverage_certificate` offers that proof to `arrangement.min_depth`, which
+asks for it only on a scan of more than 1,000 sample slots per translate
+(the cost rule, `arrangement._CERTIFY_SLOTS_PER_TRANSLATE`) and then stops
+at its first sample of depth k: the exhaustive scan's (depth, witness).
+Containment is checked here, exactly, not taken from `decompose`.
 """
 
 from __future__ import annotations
@@ -68,9 +78,50 @@ class CoverageCertificate:
         return self.min_depth >= self.k
 
 
-def coverage_certificate(inst: CoveringInstance) -> CoverageCertificate:
-    depth, witness = arrangement.min_depth(inst.corners, inst.window_rect())
+def coverage_certificate(
+    inst: CoveringInstance, result: DecompositionResult | None = None
+) -> CoverageCertificate:
+    """Exact minimum depth and its witness, by the arrangement scan.
+
+    On a large scan the stair tiling of `result` (decomposed here when not
+    given) is asked to prove depth >= k first; the answer is the same
+    either way.
+    """
+
+    def certify() -> int:
+        decomposition = decompose(inst) if result is None else result
+        return inst.k if _tiling_proves_depth(inst, decomposition) else 0
+
+    depth, witness = arrangement.min_depth(
+        inst.corners, inst.window_rect(), certify=certify
+    )
     return CoverageCertificate(k=inst.k, min_depth=depth, witness=witness)
+
+
+def _within_triangle(cell: StairPolygon, corner: Point) -> bool:
+    """Whether the closed cell lies in the closed triangle at `corner`: its
+    anchor dominates the corner, and the top-right corner (x_{j+1}, y_j) of
+    every column lies under the hypotenuse."""
+    h = corner.x + corner.y + 1
+    return (
+        cell.anchor.x >= corner.x
+        and cell.anchor.y >= corner.y
+        and all(x + y <= h for x, y in zip(cell.x_breaks[1:], cell.y_breaks))
+    )
+
+
+def _tiling_proves_depth(inst: CoveringInstance, result: DecompositionResult) -> bool:
+    """Whether the cells prove that every window point has depth >= k: all
+    are stair polygons, their indices are distinct triangles of `inst`,
+    each lies in its own triangle, and they tile the window exactly k-fold."""
+    if result.non_stair:
+        return False
+    seen = set()
+    for i, cell in result.cells:
+        if i in seen or not 0 <= i < inst.size or not _within_triangle(cell, inst.corners[i]):
+            return False
+        seen.add(i)
+    return verify_exact_tiling(result.stair_cells(), inst.k, inst.window).passed
 
 
 def is_k_fold_covering(inst: CoveringInstance) -> bool:
@@ -397,9 +448,9 @@ def run_audits(inst: CoveringInstance, result: DecompositionResult | None = None
     exact, are skipped (not failed) when their precondition already failed;
     the precondition's own verdict carries the witness.
     """
-    cert = coverage_certificate(inst)
     if result is None:
         result = decompose(inst)
+    cert = coverage_certificate(inst, result)
     verdicts = [audit_cell_shape(result), audit_minimal_element(inst)]
     stats = {
         "n_translates": inst.size,

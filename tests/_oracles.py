@@ -26,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from staircover.arrangement import _frame, _iter_chunks
+from staircover.arrangement import _frame, _iter_chunks, _sweep
 from staircover.bounds import max_stair_area
 from staircover.decomposition import CoveringInstance, DecompositionResult, NonStairCell
 from staircover.geom import Point, Rect, StairPolygon, Triangle, cuts
@@ -149,7 +149,7 @@ def cell_matches_set_formula(inst: CoveringInstance, i: int, cell) -> bool:
     checked = 0
     frame = _frame(pts, bbox)
     scale = frame.scale
-    for ts, ys, valid in _iter_chunks(frame):
+    for ts, ys, valid in _iter_chunks(frame, _sweep(frame)):
         cx = _scaled_breaks([p.x for p in pts], scale)
         cy = _scaled_breaks([p.y for p in pts], scale)
         cs = _scaled_breaks([p.x + p.y + 1 for p in pts], scale)
@@ -375,7 +375,7 @@ def min_depth_reference(corners, window: Rect, *, early_below: int | None = None
     witness = None
     frame = _frame(corners, window)
     scale = frame.scale
-    for ts, ys, valid in _iter_chunks(frame):
+    for ts, ys, valid in _iter_chunks(frame, _sweep(frame)):
         if corners:
             dtype = ts.dtype
             cx = np.asarray([int(c.x * scale) for c in corners], dtype=dtype)

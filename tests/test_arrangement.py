@@ -138,7 +138,8 @@ def _sliver():
 
 
 def _dtype(corners, window):
-    ts, _, _ = next(arrangement._iter_chunks(arrangement._frame(corners, window)))
+    frame = arrangement._frame(corners, window)
+    ts, _, _ = next(arrangement._iter_chunks(frame, arrangement._sweep(frame)))
     return ts.dtype
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,27 @@ class TestCommands:
         bad.write_text(json.dumps(QUARTERS).replace('"k": 1', '"k": ' + "1" * 5000))
         assert main(["verify", str(bad)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: invalid JSON (")
+
+    def test_huge_literal_is_echoed_in_brief(self, tmp_path, capsys):
+        bad = write_instance(tmp_path / "bad.json", dict(QUARTERS, l="1" * 5000))
+        assert main(["verify", bad]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: l: malformed rational literal {'1' * 40!r}... (5000 characters)\n"
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("literal", ["zzz", "x" * 40])
+    def test_short_literal_is_echoed_whole(self, tmp_path, capsys, literal):
+        bad = write_instance(tmp_path / "bad.json", dict(QUARTERS, l=literal))
+        assert main(["verify", bad]) == 2
+        assert capsys.readouterr().err == f"error: l: malformed rational literal {literal!r}\n"
+
+    def test_huge_pair_is_echoed_in_brief(self, tmp_path, capsys):
+        pair = ["0"] * 2000
+        bad = write_instance(tmp_path / "bad.json", dict(QUARTERS, translates=[pair]))
+        assert main(["verify", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: translates[0]: expected a pair [x, y], got ")
+        assert err.endswith(f"... ({len(repr(pair))} characters)\n") and len(err) < 200
 
     def test_decompose_report_and_svg(self, tmp_path, quarters_file, capsys):
         svg_path = tmp_path / "cells.svg"
@@ -286,6 +308,19 @@ class TestCommands:
     def test_optimize_seed_grid_below_1_exits_2(self, capsys, grid):
         assert main(["optimize", "--k", "1", "--seed-grid", grid]) == 2
         assert capsys.readouterr().err == f"error: seed grid must be at least 1, got {grid}\n"
+
+    def test_optimize_refuses_a_flat_stored_lattice_fast(self, tmp_path, capsys):
+        # the shape (1/3 + 1/70000, 1/10000) took 19 s to scan before the row cap
+        store = write_instance(tmp_path / "store.json", {"best": {"1": {
+            "u": ["1", "0"], "v": ["70003/210000", "1/10000"], "multiplicity": 1}}})
+        before = (tmp_path / "store.json").read_bytes()
+        start = time.process_time()
+        assert main(["optimize", "--k", "1", "--resume", store]) == 2
+        assert time.process_time() - start < 1
+        assert capsys.readouterr().err == (
+            "error: best.1: lattice too flat: its critical size needs more than 1000 rows\n"
+        )
+        assert (tmp_path / "store.json").read_bytes() == before
 
     def test_optimize_tiny_budget_reports_infeasible(self, tmp_path, capsys):
         out = tmp_path / "opt.json"

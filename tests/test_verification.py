@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from staircover import (
     CoveringInstance,
+    Lattice,
     Rect,
     StairPolygon,
     Triangle,
@@ -20,7 +22,9 @@ from staircover import (
     run_audits,
     verify_exact_tiling,
 )
+from staircover import arrangement
 from staircover.arrangement import min_depth
+from staircover.fileio import report_audit
 from staircover.verification import (
     FAIL,
     PASS,
@@ -32,12 +36,15 @@ from staircover.verification import (
     audit_inner_corners,
     audit_minimal_element,
     _removed_boundary_hit,
+    _tiling_proves_depth,
+    _within_triangle,
 )
 from conftest import diag_lattice, grid_lattice
 from _oracles import (
     audit_boundary_cut_reference,
     depth_at,
     exact_tiling_reference,
+    min_depth_reference,
     removed_boundary_hit_reference,
 )
 from staircover.cli import _corrupt
@@ -358,6 +365,147 @@ class TestTilingCertificateCrossCheck:
             result.stair_cells(), inst.k, inst.window
         ).passed
         assert tiles == coverage_certificate(inst).covers
+
+
+@st.composite
+def generic_families(draw):
+    """(instance, holed): the diagonal lattice family of fold k shrunk by
+    1/8, every corner shifted down-left by less than 1/16 per coordinate
+    onto the 1/997 grid, which still covers the window k-fold (a point in
+    the shrunk triangle at p lies in the full one at p - e); holed, all but
+    k - 1 of the triangles through one point are dropped."""
+    rng = draw(st.randoms(use_true_random=False))
+    k = rng.choice((1, 2))
+    l = rng.choice((Fraction(1), Fraction(5, 4)))
+    shrink, den = Fraction(1, 8), 997
+    c = (1 - shrink) / (2 * k + 1)
+    base = lattice_instance(Lattice.of(1 - shrink, 0, c, c), l + 1, k).corners
+    top = math.floor(shrink / 2 * den) - 1
+    corners = []
+    for p in base:
+        x = Fraction(math.floor(p.x * den) - rng.randint(0, top), den)
+        y = Fraction(math.floor(p.y * den) - rng.randint(0, top), den)
+        if x < l and y < l and max(x, 0) + max(y, 0) <= x + y + 1:
+            corners.append(pt(x, y))
+    holed = rng.random() < 0.5
+    if holed:
+        hole = pt(l * Fraction(rng.randint(1, 96), 97), l * Fraction(rng.randint(1, 96), 97))
+        through = [i for i, p in enumerate(corners) if Triangle(p).contains(hole)]
+        dropped = set(rng.sample(through, len(through) - (k - 1)))
+        corners = [p for i, p in enumerate(corners) if i not in dropped]
+    return CoveringInstance(k, l, tuple(corners)), holed
+
+
+def _paths_agree(inst, result=None):
+    """`coverage_certificate` with the certificate path taken on every scan
+    and with it forced off: both must give the broadcast oracle's (depth,
+    witness). Returns the certificate."""
+    got = []
+    for limit in (-1, math.inf):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(arrangement, "_CERTIFY_SLOTS_PER_TRANSLATE", limit)
+            got.append(coverage_certificate(inst, result))
+    on, off = got
+    reference = min_depth_reference(inst.corners, inst.window_rect())
+    assert (on.min_depth, on.witness) == (off.min_depth, off.witness) == reference
+    return on
+
+
+def _swap_indices(result, a, b):
+    cells = list(result.cells)
+    (i, cell_i), (j, cell_j) = cells[a], cells[b]
+    cells[a], cells[b] = (j, cell_i), (i, cell_j)
+    return dataclasses.replace(result, cells=tuple(cells))
+
+
+class TestCertificatePath:
+    """The certificate-first scan gives the exhaustive (depth, witness)."""
+
+    @given(generic_families())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_generic_families(self, drawn):
+        inst, holed = drawn
+        cert = _paths_agree(inst)
+        assert cert.covers is not holed
+        # coverings take the early path, holes fall back to the full scan
+        assert _tiling_proves_depth(inst, decompose(inst)) is not holed
+
+    @given(generic_families())
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    def test_generic_families_on_the_bignum_path(self, drawn):
+        inst, holed = drawn
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(arrangement, "_INT64_LIMIT", 1)
+            assert _paths_agree(inst).covers is not holed
+            assert _tiling_proves_depth(inst, decompose(inst)) is not holed
+
+    @pytest.mark.parametrize(
+        "lattice, l, k, depth",
+        [(diag_lattice(2), 3, 1, 2), (grid_lattice(3), 2, 2, 3), (diag_lattice(1), 2, 1, 1)],
+    )
+    @pytest.mark.parametrize("bignum", [False, True])
+    def test_lattices_with_minimum_above_k(self, monkeypatch, lattice, l, k, depth, bignum):
+        if bignum:
+            monkeypatch.setattr(arrangement, "_INT64_LIMIT", 1)
+        inst = lattice_instance(lattice, l, k)
+        result = decompose(inst)
+        assert _tiling_proves_depth(inst, result)
+        assert _paths_agree(inst).min_depth == _paths_agree(inst, result).min_depth == depth
+
+    @pytest.mark.parametrize("mode", ["dup-cell", "drop-cell", "shrink-cell"])
+    def test_corrupted_audits_fall_back(self, monkeypatch, mode):
+        inst = lattice_instance(diag_lattice(2), "3/2", 2)
+        result = _corrupt(decompose(inst), mode)
+        assert not _tiling_proves_depth(inst, result)
+        _paths_agree(inst, result)
+        reports = []
+        for limit in (-1, math.inf):
+            monkeypatch.setattr(arrangement, "_CERTIFY_SLOTS_PER_TRANSLATE", limit)
+            reports.append(report_audit(inst, run_audits(inst, result)))
+        assert reports[0] == reports[1]
+        assert reports[0]["min_depth"] == 2 and reports[0]["passed"] is False
+
+    def test_swapped_indices_tile_but_are_refused(self):
+        inst = lattice_instance(diag_lattice(1), 2, 1)
+        result = decompose(inst)
+        swapped = _swap_indices(result, 0, 1)
+        # the tiling and the distinct indices survive; only containment fails
+        assert verify_exact_tiling(swapped.stair_cells(), 1, inst.window).passed
+        assert not all(_within_triangle(c, inst.corners[i]) for i, c in swapped.cells)
+        assert _tiling_proves_depth(inst, result)
+        assert not _tiling_proves_depth(inst, swapped)
+        assert _paths_agree(inst, swapped) == _paths_agree(inst, result)
+
+    def test_repeated_index_is_refused(self, quarters):
+        # every quarter cell twice under its own index: an exact 2-fold tiling
+        # by cells inside their triangles, but each point is in one triangle
+        inst = dataclasses.replace(quarters, k=2)
+        result = decompose(quarters)
+        doubled = dataclasses.replace(result, instance=inst, cells=result.cells * 2)
+        assert verify_exact_tiling(doubled.stair_cells(), 2, inst.window).passed
+        assert not _tiling_proves_depth(inst, doubled)
+        assert _paths_agree(inst, doubled).min_depth == 1
+
+    def test_out_of_range_index_is_refused(self, quarters):
+        result = decompose(quarters)
+        i, cell = result.cells[-1]
+        for bad in (-1, quarters.size):
+            cells = result.cells[:-1] + ((bad, cell),)
+            assert not _tiling_proves_depth(quarters, dataclasses.replace(result, cells=cells))
+
+    @pytest.mark.parametrize(
+        "cell, inside",
+        [
+            (sq(0, 1, 0, "1/2"), False),  # its top-right corner (1, 1/2) is over x + y = 1
+            (sq(0, "1/2", 0, "1/2"), True),  # the closed corner (1/2, 1/2) touches it
+            (StairPolygon.of((0, "1/4", "1/2"), ("3/4", "1/2", 0)), True),  # both touch it
+            (StairPolygon.of((0, "1/4", "1/2"), ("3/4", "1/2", "-1/4")), False),
+            (StairPolygon.of(("-1/4", "1/2"), ("1/2", 0)), False),  # left of the corner
+            (StairPolygon.of((0, "1/2"), ("1/2", "-1/4")), False),  # below the corner
+        ],
+    )
+    def test_within_triangle(self, cell, inside):
+        assert _within_triangle(cell, pt(0, 0)) is inside
 
 
 def _random_stair(rng) -> StairPolygon:

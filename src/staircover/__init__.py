@@ -47,7 +47,6 @@ from .verification import (
     audit_inner_corners,
     audit_minimal_element,
     coverage_certificate,
-    is_k_fold_covering,
     multiplicity_grid,
     run_audits,
     verify_exact_tiling,

@@ -37,10 +37,11 @@ order, at the global minimum. If every window point is known to have depth
 that same (depth, witness): such a sample has depth exactly d, the minimum;
 and if the minimum is above d the scan never stops early and is the
 exhaustive scan. d = 0 holds everywhere, so every scan stops at its first
-depth-0 sample. A larger d comes from a `certify` callable (in the package,
-the stair tiling of `verification`), which `min_depth` calls only when the
-scan has more than _CERTIFY_SLOTS_PER_TRANSLATE sample slots per
-translate, a count read from the sweep before any sample is evaluated.
+depth-0 sample; the scan has no other stop rule. A larger d comes from a
+`certify` callable (in the package, the stair tiling of `verification`),
+which `min_depth` calls only when the scan has more than
+_CERTIFY_SLOTS_PER_TRANSLATE sample slots per translate, a count read from
+the sweep before any sample is evaluated.
 """
 
 from __future__ import annotations
@@ -163,14 +164,11 @@ def _count_tables(frame: _Frame):
     return ucx, np.unique(frame.cs - frame.cy), table(frame.cy), table(frame.cs)
 
 
-def min_depth(corners, window: Rect, *, early_below: int | None = None, certify=None):
+def min_depth(corners, window: Rect, *, certify=None):
     """Exact minimum coverage depth of the triangle family over the window.
 
-    Returns (depth, witness). Without `early_below` the scan is exhaustive
-    and the result is the true minimum together with a point attaining it.
-    With `early_below` set, the scan may stop at the first sample whose depth
-    falls below that threshold; the returned depth is then exact at the
-    returned witness but only an upper bound on the true minimum.
+    Returns (depth, witness): the true minimum and the first sample, in scan
+    order, that attains it.
 
     `certify`, if given, is a zero-argument callable returning a depth d
     that every window point provably reaches (0 when it proves nothing).
@@ -185,7 +183,6 @@ def min_depth(corners, window: Rect, *, early_below: int | None = None, certify=
     floor = 0
     if certify is not None and slots > _CERTIFY_SLOTS_PER_TRANSLATE * len(frame.cx):
         floor = certify()
-    stop_below = floor + 1 if early_below is None else max(early_below, floor + 1)
     ucx, uxe, (ucy, Cy), (ucs, Cs) = _count_tables(frame)
     best = None
     witness = None
@@ -210,7 +207,7 @@ def min_depth(corners, window: Rect, *, early_below: int | None = None, certify=
                     Fraction(int(ts[row]), frame.scale),
                     Fraction(int(ys[row, col]), frame.scale),
                 )
-                if best < stop_below:
+                if best <= floor:
                     return best, witness
     if best is None:
         raise ValueError("window produced no sample points")

@@ -57,8 +57,9 @@ def cmd_decompose(args) -> int:
     cert = coverage_certificate(inst, result)
     report = fileio.report_decompose(inst, result, cert)
     if args.svg:
+        text = svg.render_decomposition(result)  # may refuse; open no file first
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg.render_decomposition(result))
+            fh.write(text)
     _emit(report, args.out)
     return 0 if cert.covers and result.is_stair_decomposition else 1
 

@@ -21,9 +21,9 @@ closed, so the feasible scales of a ray t * (1, beta, gamma) are exactly
 (0, 1/s*], s* being the least triangle size at which the lattice
 (1, 0), (beta, gamma) covers k-fold (`_critical_size`, exact, in ints).
 Each feasibility check is therefore the one comparison t * s* <= 1, with
-s* computed once per shape; the depth check `lattice_covers` is its oracle
-in the tests, and the search's result is re-checked by the exhaustive
-`lattice_multiplicity`. Rays are seeded from a ratio grid, bisected,
+s* computed once per shape; the depth check `lattice_covers` (the exhaustive
+`lattice_multiplicity` against k) is its oracle in the tests, and it
+re-checks the search's result. Rays are seeded from a ratio grid, bisected,
 refined along the mirror-symmetric line b = c, then pattern-searched. The
 only approximation anywhere is that the search may stop short of the true
 optimum, which is reported as a gap.
@@ -41,7 +41,7 @@ from . import arrangement
 from .decomposition import CoveringInstance
 from .geom import Point, Rect, pt
 from .rational import int_at_least, rat
-from .verification import is_k_fold_covering
+from .verification import coverage_certificate
 
 _MAX_ROWS = 1000
 """Most lattice rows `_critical_size` scans before it refuses the shape.
@@ -51,6 +51,13 @@ and 3 with the defaults, and k = 2 with --seed-grid 3) reach at most 143
 rows; a warm start from a flat stored lattice has no such bound: the shape
 (1/3 + 1/70000, 1/10000) needs 5,542 rows and took 21 s at k = 1.
 """
+
+_MAX_FOLD = 64
+"""Largest fold k that `_critical_size` (so `optimize`) accepts. Its cost
+grows as rows * k: a default search took 3.9 s of CPU at k = 64, 47 s at
+k = 150, and a 50-check search 193 s at k = 20,000."""
+
+_PERTURB_TRIES = 64  # draws `perturb_instance` makes before it gives up
 
 __all__ = [
     "Lattice",
@@ -153,12 +160,9 @@ def lattice_multiplicity(lat: Lattice) -> int:
 
 
 def lattice_covers(lat: Lattice, k: int) -> bool:
-    """Whether the lattice family is a k-fold covering (early-exit check).
-    The search decides feasibility by `_critical_size` instead; this depth
-    check is its oracle in the tests."""
-    window, corners = _multiplicity_window(lat)
-    depth, _ = arrangement.min_depth(corners, window, early_below=k)
-    return depth >= k
+    """Whether the lattice family is a k-fold covering: the oracle, in the
+    tests, of the search's feasibility check by `_critical_size`."""
+    return lattice_multiplicity(lat) >= k
 
 
 def _critical_size(shape: tuple[Fraction, Fraction], k: int) -> Fraction:
@@ -188,6 +192,8 @@ def _critical_size(shape: tuple[Fraction, Fraction], k: int) -> Fraction:
     isqrt((2k+1)*a*c) is at most s*, as no k-fold lattice covering has
     density below (2k+1)/2 (Sriamorn).
     """
+    if k > _MAX_FOLD:
+        raise ValueError(f"fold must be at most {_MAX_FOLD}, got {k}")
     beta, gamma = shape
     scale = lcm(beta.denominator, gamma.denominator)
     a, b, c = scale, int(beta * scale), int(gamma * scale)
@@ -277,9 +283,9 @@ def search_optimal_lattice(
     below k, or a feasible density below (2k+1)/2, raises AssertionError.
 
     Deterministic throughout: fixed scan orders, exact arithmetic, exact
-    feasibility verdicts. `budget` caps the number of feasibility
-    evaluations; if it runs out before any feasible lattice is seen the
-    report says so explicitly.
+    feasibility verdicts. `budget` caps the number of feasibility checks; if
+    it runs out before any feasible lattice is seen the report says so. A
+    fold above _MAX_FOLD raises ValueError at the first check.
     """
     int_at_least(k, 1, "fold must be a positive integer")
     int_at_least(budget, 1, "budget must be at least 1")
@@ -458,12 +464,10 @@ def search_optimal_lattice(
     )
 
 
-def perturb_instance(
-    inst: CoveringInstance, magnitude, seed: int, max_tries: int = 64
-) -> CoveringInstance:
+def perturb_instance(inst: CoveringInstance, magnitude, seed: int) -> CoveringInstance:
     """Randomly shift every translate by up to *magnitude* in each coordinate,
-    keeping only results that are still verified k-fold coverings with
-    distinct corners. Rejection-sampled; deterministic for a fixed seed.
+    keeping only verified k-fold coverings with distinct corners. At most
+    _PERTURB_TRIES rejection-sampled draws; deterministic for a fixed seed.
     """
     mag = rat(magnitude)
     if mag < 0:
@@ -472,10 +476,9 @@ def perturb_instance(
         return inst
     rng = random.Random(seed)
     den = 64  # perturbations live on a fixed rational grid
-    for _ in range(max_tries):
+    for _ in range(_PERTURB_TRIES):
         used: set[Point] = set()
         corners: list[Point] = []
-        feasible_draw = True
         for c in inst.corners:
             for _ in range(16):  # re-draw collisions so normality survives
                 cand = Point(
@@ -487,14 +490,13 @@ def perturb_instance(
                     corners.append(cand)
                     break
             else:
-                feasible_draw = False
                 break
-        if not feasible_draw:
+        if len(corners) < inst.size:  # some corner found no free spot
             continue
         candidate = CoveringInstance(inst.k, inst.window, tuple(corners))
-        if is_k_fold_covering(candidate):
+        if coverage_certificate(candidate).covers:
             return candidate
     raise ValueError(
         f"no covering-preserving perturbation of magnitude {mag} found "
-        f"in {max_tries} attempts"
+        f"in {_PERTURB_TRIES} attempts"
     )

@@ -8,6 +8,7 @@ decomposition, so byte-identical reruns are guaranteed.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .decomposition import DecompositionResult
@@ -24,7 +25,12 @@ def _fmt(v: float) -> str:
 
 class _Mapper:
     def __init__(self, window: Fraction):
-        self.scale = (_SIZE - 2 * _MARGIN) / float(window)
+        try:  # float(window) is 0.0 below float range and raises above it
+            self.scale = (_SIZE - 2 * _MARGIN) / float(window)
+        except (OverflowError, ZeroDivisionError):
+            self.scale = math.inf
+        if not math.isfinite(self.scale):
+            raise ValueError("l: the window side is outside the SVG's float range")
         self.window = window
 
     def x(self, v) -> str:

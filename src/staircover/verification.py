@@ -39,7 +39,6 @@ from .rational import rat_str
 __all__ = [
     "CoverageCertificate",
     "coverage_certificate",
-    "is_k_fold_covering",
     "verify_exact_tiling",
     "multiplicity_grid",
     "AuditVerdict",
@@ -122,10 +121,6 @@ def _tiling_proves_depth(inst: CoveringInstance, result: DecompositionResult) ->
             return False
         seen.add(i)
     return verify_exact_tiling(result.stair_cells(), inst.k, inst.window).passed
-
-
-def is_k_fold_covering(inst: CoveringInstance) -> bool:
-    return coverage_certificate(inst).covers
 
 
 def multiplicity_grid(cells, l: Fraction):

@@ -366,10 +366,10 @@ def depth_at(corners, p: Point) -> int:
     return sum(1 for c in corners if Triangle(c).contains(p))
 
 
-def min_depth_reference(corners, window: Rect, *, early_below: int | None = None):
-    """`arrangement.min_depth` by an N-wide broadcast: every face sample of
-    each chunk is tested against every translate. Same samples, chunk order,
-    argmin rule and early exit, so (depth, witness) must match exactly."""
+def min_depth_reference(corners, window: Rect):
+    """`arrangement.min_depth` by an exhaustive N-wide broadcast: every face
+    sample of every chunk is tested against every translate. Same samples,
+    chunk order and argmin rule, so (depth, witness) must match exactly."""
     corners = list(corners)
     best = None
     witness = None
@@ -397,8 +397,6 @@ def min_depth_reference(corners, window: Rect, *, early_below: int | None = None
                 witness = Point(
                     Fraction(int(ts[row]), scale), Fraction(int(ys[row, col]), scale)
                 )
-                if early_below is not None and best < early_below:
-                    return best, witness
     if best is None:
         raise ValueError("window produced no sample points")
     return best, witness

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from staircover import CoveringInstance, Lattice, decompose, is_k_fold_covering, perturb_instance
+from staircover import CoveringInstance, Lattice, coverage_certificate, decompose, perturb_instance
 from staircover.lattice import lattice_instance
 
 
@@ -61,7 +61,7 @@ def corpus():
     for lat, l, k in bases:
         inst = lattice_instance(lat, l, k)
         assert inst.size <= 40, f"base instance too large: {inst.size}"
-        assert is_k_fold_covering(inst)
+        assert coverage_certificate(inst).covers
         instances.append(inst)
     # families with genuine coverage slack; tight ones (the half grid at
     # k = 1, the diagonal family at its own fold) reject almost every draw

@@ -1,6 +1,8 @@
 """Every exported name resolves: each module's `__all__`, and every name
 that the package `__init__` imports from its modules. And every exported
-name has a caller in the package or is traced by the benchmark."""
+name has a caller in the package or is traced by the benchmark, and every
+defaulted parameter of a module-level function is passed by some call in
+the package."""
 
 import ast
 import importlib
@@ -52,3 +54,51 @@ def test_every_export_has_a_caller():
         if name not in used and (stem, name) not in traced
     ]
     assert not uncalled, f"exported without a caller in staircover: {uncalled}"
+
+
+def _defaulted_params(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position or None for keyword-only, name) of each parameter with a
+    default value."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = [(i, positional[i].arg) for i in range(first, len(positional))]
+    out += [
+        (None, arg.arg)
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+        if default is not None
+    ]
+    return out
+
+
+def test_every_default_is_overridden_by_some_caller():
+    """A defaulted parameter that no call in the package passes, by
+    position or by keyword, is an option nothing uses."""
+    sources = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in Path(staircover.__file__).parent.glob("*.py")
+    }
+    passed = {}  # function name -> (most positional arguments, keywords)
+    for tree in sources.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            most, keywords = passed.get(name, (0, set()))
+            keywords = keywords | {kw.arg for kw in call.keywords}
+            passed[name] = (max(most, len(call.args)), keywords)
+
+    def overridden(name, position, param) -> bool:
+        most, keywords = passed.get(name, (0, set()))
+        return param in keywords or (position is not None and position < most)
+
+    unused = [
+        f"{stem}.{fn.name}.{param}"
+        for stem, tree in sorted(sources.items())
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for position, param in _defaulted_params(fn)
+        if (stem, fn.name, param) != ("cli", "main", "argv")
+        and not overridden(fn.name, position, param)
+    ]
+    assert not unused, f"defaulted parameters that no call in staircover passes: {unused}"

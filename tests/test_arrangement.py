@@ -19,6 +19,22 @@ DEN = 9973  # prime: generic coordinates share no structure with the lattices
 SHRINK = Fraction(1, 8)
 
 
+def _floored(corners, window, d):
+    """`min_depth` with a proof of depth >= d asked for on every scan."""
+    asked = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arrangement, "_CERTIFY_SLOTS_PER_TRANSLATE", -1)
+        got = min_depth(corners, window, certify=lambda: asked.append(d) or d)
+    assert asked == [d]
+    return got
+
+
+def _every_floor(corners, window, expected):
+    """Every valid floor d = 0..min gives the exhaustive (depth, witness)."""
+    for d in range(expected[0] + 1):
+        assert _floored(corners, window, d) == expected
+
+
 def _generic(v: Fraction, rng) -> Fraction:
     """A point of the 1/DEN grid at most SHRINK/2 below v."""
     return Fraction(floor(v * DEN) - rng.randrange(int(DEN * SHRINK / 2)), DEN)
@@ -76,27 +92,25 @@ def lattice_windows(draw):
 
 
 class TestDepthKernelMatchesReference:
-    @given(generic_families(), st.data())
+    @given(generic_families())
     @settings(max_examples=120, deadline=None, derandomize=True)
-    def test_generic_coverings_and_holes(self, family, data):
+    def test_generic_coverings_and_holes(self, family):
         k, corners, window, hole = family
         assert len(corners) <= 40
-        early = data.draw(st.sampled_from([None, *range(1, k + 2)]))
-        got = min_depth(corners, window, early_below=early)
-        assert got == min_depth_reference(corners, window, early_below=early)
+        got = min_depth(corners, window)
+        assert got == min_depth_reference(corners, window)
+        _every_floor(corners, window, got)
         depth, witness = got
         assert window.contains(witness) and depth_at(corners, witness) == depth
-        if early is None and hole is None:
-            assert depth >= k
-        if hole is not None and (early or k) <= k:
-            assert depth < k
+        assert depth < k if hole is not None else depth >= k
 
-    @given(lattice_windows(), st.sampled_from([None, 1, 2, 3, 4]))
+    @given(lattice_windows())
     @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_lattice_multiplicity_windows(self, case, early):
+    def test_lattice_multiplicity_windows(self, case):
         corners, window = case
-        got = min_depth(corners, window, early_below=early)
-        assert got == min_depth_reference(corners, window, early_below=early)
+        got = min_depth(corners, window)
+        assert got == min_depth_reference(corners, window)
+        _every_floor(corners, window, got)
 
     def test_right_vertex_on_window_edge(self):
         # the first slab passes through the right vertex (1, 0) of T(0, 0),
@@ -110,10 +124,10 @@ class TestDepthKernelMatchesReference:
         Rect.of(0, 1, 0, 1),
         Rect.of("1/3", "5/2", "-1/7", "2/9"),
     ])
-    @pytest.mark.parametrize("early", [None, 1])
-    def test_no_corners(self, window, early):
-        got = min_depth([], window, early_below=early)
-        assert got == min_depth_reference([], window, early_below=early)
+    @pytest.mark.parametrize("floor", [None, 0])
+    def test_no_corners(self, window, floor):
+        got = min_depth([], window) if floor is None else _floored([], window, floor)
+        assert got == min_depth_reference([], window)
         assert got[0] == 0
 
 
@@ -145,13 +159,23 @@ def _dtype(corners, window):
 
 class TestBignumPath:
     @pytest.mark.parametrize("corners, window", list(_lattice_cases()))
-    @pytest.mark.parametrize("early", [None, 1, 4])
-    def test_object_dtype_matches_int64(self, monkeypatch, corners, window, early):
+    @pytest.mark.parametrize("proof", ["none", "trivial", "positive"])
+    def test_object_dtype_matches_int64(self, monkeypatch, corners, window, proof):
+        # no proof, the floor d = 0, or each floor d = 1..min
         assert _dtype(corners, window) == "int64"
-        expected = min_depth(corners, window, early_below=early)
+        expected = min_depth_reference(corners, window)
+        floors = {"none": [], "trivial": [0], "positive": range(1, expected[0] + 1)}[proof]
+        assert proof == "none" or floors
+
+        def check():
+            assert min_depth(corners, window) == expected
+            for d in floors:
+                assert _floored(corners, window, d) == expected
+
+        check()
         monkeypatch.setattr(arrangement, "_INT64_LIMIT", 1)
         assert _dtype(corners, window) == object
-        assert min_depth(corners, window, early_below=early) == expected
+        check()
 
     @pytest.mark.parametrize("limit", [None, 1])
     def test_sliver_beyond_int64(self, monkeypatch, limit):

@@ -166,6 +166,19 @@ class TestCommands:
         assert svg.startswith("<svg") and "stroke-dasharray" in svg
         assert svg.count("<circle") == 4  # four anchors, no inner corners
 
+    @pytest.mark.parametrize("l", [
+        "1/1" + "0" * 400,  # float 0.0
+        "1" + "0" * 400,  # beyond float
+        "1/1" + "0" * 310,  # subnormal float: infinite scale
+    ], ids=["underflow", "overflow", "subnormal"])
+    def test_decompose_svg_refuses_a_window_outside_float_range(self, tmp_path, capsys, l):
+        inst = write_instance(tmp_path / "s.json", {"k": 1, "l": l, "translates": [["0", "0"]]})
+        svg_path, out_path = tmp_path / "cells.svg", tmp_path / "report.json"
+        code = main(["decompose", inst, "--out", str(out_path), "--svg", str(svg_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: l: ")
+        assert not svg_path.exists() and not out_path.exists()
+
     def test_decompose_flags_non_covering(self, tmp_path, capsys):
         single = write_instance(
             tmp_path / "s.json", {"k": 1, "l": "1", "translates": [["0", "0"]]}
@@ -321,6 +334,13 @@ class TestCommands:
             "error: best.1: lattice too flat: its critical size needs more than 1000 rows\n"
         )
         assert (tmp_path / "store.json").read_bytes() == before
+
+    def test_optimize_refuses_a_fold_above_the_cap_fast(self, capsys):
+        # a 50-check search took 193 s at k = 20,000 before the fold cap
+        start = time.process_time()
+        assert main(["optimize", "--k", "20000", "--budget", "50"]) == 2
+        assert time.process_time() - start < 1
+        assert capsys.readouterr().err == "error: fold must be at most 64, got 20000\n"
 
     def test_optimize_tiny_budget_reports_infeasible(self, tmp_path, capsys):
         out = tmp_path / "opt.json"

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from staircover import (
     Lattice,
     Rect,
+    coverage_certificate,
     hermite_basis,
-    is_k_fold_covering,
     lattice_covers,
     lattice_instance,
     lattice_multiplicity,
@@ -203,7 +203,7 @@ class TestInstanceConsistency:
     @pytest.mark.parametrize("k,l", [(1, 1), (1, "5/2"), (2, "3/2")])
     def test_windowed_instances_inherit_coverage(self, k, l):
         inst = lattice_instance(diag_lattice(k), l, k)
-        assert is_k_fold_covering(inst)
+        assert coverage_certificate(inst).covers
 
 
 class TestSearch:
@@ -211,6 +211,12 @@ class TestSearch:
     def test_rejects_fold_that_is_not_a_positive_int(self, k):
         with pytest.raises(ValueError, match="fold must be a positive integer"):
             search_optimal_lattice(k)
+
+    def test_rejects_fold_above_the_cap(self):
+        shape = (Fraction(1, 3), Fraction(1, 3))
+        assert _critical_size(shape, lattice._MAX_FOLD) > 0
+        with pytest.raises(ValueError, match="fold must be at most 64, got 65"):
+            search_optimal_lattice(lattice._MAX_FOLD + 1)
 
     @pytest.mark.parametrize("value", [True, 2.5, 0])
     def test_rejects_budget_that_is_not_a_positive_int(self, value):
@@ -284,7 +290,7 @@ class TestPerturb:
         out = perturb_instance(inst, "1/64", seed=7)
         assert out.k == inst.k and out.size == inst.size
         assert out.corners != inst.corners
-        assert is_k_fold_covering(out)
+        assert coverage_certificate(out).covers
 
     def test_determinism(self):
         inst = lattice_instance(grid_lattice(3), 1, 2)
@@ -294,7 +300,7 @@ class TestPerturb:
 
     def test_oversized_magnitude_errors(self, quarters):
         with pytest.raises(ValueError, match="no covering-preserving"):
-            perturb_instance(quarters, 1, seed=0, max_tries=8)
+            perturb_instance(quarters, 1, seed=0)
 
     def test_rejects_negative_magnitude(self, quarters):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from staircover import (
     Triangle,
     coverage_certificate,
     decompose,
-    is_k_fold_covering,
     multiplicity_grid,
     pt,
     rat,
@@ -85,13 +84,13 @@ class TestCoverageCertificate:
         cert = coverage_certificate(inst)
         assert cert.min_depth == 0
         assert cert.witness.x + cert.witness.y > 1
-        assert not is_k_fold_covering(inst)
+        assert not cert.covers
 
     def test_third_grid_covers_twice(self):
         inst = lattice_instance(grid_lattice(3), 1, 2)
         cert = coverage_certificate(inst)
         assert cert.min_depth == 3
-        assert is_k_fold_covering(inst)
+        assert cert.covers
 
     def test_invariant_under_permutation(self, quarters):
         shuffled = CoveringInstance(
@@ -161,7 +160,7 @@ class TestExactTiling:
     def test_holds_on_verified_covering_decompositions(self):
         for k, lat in ((1, diag_lattice(1)), (2, diag_lattice(2)), (2, grid_lattice(3))):
             inst = lattice_instance(lat, "3/2", k)
-            assert is_k_fold_covering(inst)
+            assert coverage_certificate(inst).covers
             result = decompose(inst)
             assert result.is_stair_decomposition
             assert verify_exact_tiling(result.stair_cells(), k, inst.window).passed

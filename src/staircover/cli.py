@@ -113,11 +113,10 @@ def cmd_optimize(args) -> int:
         except FileNotFoundError:
             store = {}
         if args.k in store:
-            lat, _ = store[args.k]
-            warm = (hermite_basis(lat),)
-            a, b, c = warm[0]
+            a, b, c = hermite_basis(store[args.k][0])
+            warm = ((b / a, c / a),)
             try:  # refuse a flat stored lattice before the search scans it
-                _critical_size((b / a % 1, c / a), args.k)
+                _critical_size(warm[0], args.k)
             except ValueError as exc:
                 raise ValueError(f"best.{args.k}: {exc}") from exc
     report = search_optimal_lattice(

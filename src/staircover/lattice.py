@@ -8,11 +8,12 @@ With a basis normalized to u = (a, 0), v = (b, c), a, c > 0, 0 <= b < a
 (every rational lattice has exactly one: c is the gcd of the heights of its
 vectors and a = det / c, see `hermite_basis`), the half-open box
 [0, a+b) x [0, c) contains the fundamental parallelogram, and the window
-depth engine gives the exact value. The translates meeting a window are enumerated on the
-normalized basis, row by row: the rows y = j*c, and in each row the points
-x = i*a + j*b, both ranges cut exactly to the triangles that meet the
-window. Instances use the same enumeration, so a lattice gives the same
-sorted corners in any basis.
+depth engine gives the exact value. The translates meeting a window are
+enumerated on the normalized basis, row by row: the rows y = j*c, and in
+each row the points x = i*a + j*b, both ranges cut exactly to the triangles
+that meet the window. Instances use the same enumeration, so a lattice gives
+the same sorted corners in any basis; their size is bounded before the
+first row and capped at _MAX_TRANSLATES.
 
 The search maximizes the determinant (equivalently minimizes the density
 (1/2)/det) over normalized bases subject to "multiplicity >= k". Shrinking
@@ -20,13 +21,15 @@ a lattice uniformly never decreases multiplicity, and the triangles are
 closed, so the feasible scales of a ray t * (1, beta, gamma) are exactly
 (0, 1/s*], s* being the least triangle size at which the lattice
 (1, 0), (beta, gamma) covers k-fold (`_critical_size`, exact, in ints).
-Each feasibility check is therefore the one comparison t * s* <= 1, with
-s* computed once per shape; the depth check `lattice_covers` (the exhaustive
-`lattice_multiplicity` against k) is its oracle in the tests, and it
-re-checks the search's result. Rays are seeded from a ratio grid, bisected,
-refined along the mirror-symmetric line b = c, then pattern-searched. The
-only approximation anywhere is that the search may stop short of the true
-optimum, which is reported as a gap.
+Each feasibility check is therefore the one comparison t * s* <= 1. s*
+is computed once per shape (beta, gamma), and Sriamorn's bound is checked
+with it: no k-fold lattice covering has density below (2k+1)/2. The
+exhaustive `lattice_multiplicity` re-checks the search's result, and
+`lattice_covers` (it against k) is the oracle of the comparison in the
+tests. Rays, warm-start shapes first, are seeded from a ratio grid,
+bisected, refined along the mirror-symmetric line b = c, then
+pattern-searched. The only approximation anywhere is that the search may
+stop short of the true optimum, which is reported as a gap.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from heapq import nlargest
 from math import ceil, gcd, isqrt, lcm
 
@@ -56,6 +60,8 @@ _MAX_FOLD = 64
 """Largest fold k that `_critical_size` (so `optimize`) accepts. Its cost
 grows as rows * k: a default search took 3.9 s of CPU at k = 64, 47 s at
 k = 150, and a 50-check search 193 s at k = 20,000."""
+
+_MAX_TRANSLATES = 100_000  # about 90x the largest benchmark instance (1,083)
 
 _PERTURB_TRIES = 64  # draws `perturb_instance` makes before it gives up
 
@@ -141,7 +147,13 @@ def lattice_instance(lat: Lattice, l, k: int) -> CoveringInstance:
     if side <= 0:
         raise ValueError("window side must be positive")
     window = Rect(Fraction(0), side, Fraction(0), side)
-    corners = _translates_meeting(*hermite_basis(lat), window)
+    a, b, c = hermite_basis(lat)
+    # rows times the most points a row's x-range [-1 - min(y, 0), l) holds
+    bound = (ceil(side / c) - ceil(-1 / c)) * ceil((side + 1) / a)
+    if bound > _MAX_TRANSLATES:
+        raise ValueError(f"l: the window meets up to {bound} translates of this "
+                         f"lattice, more than {_MAX_TRANSLATES}")
+    corners = _translates_meeting(a, b, c, window)
     corners.sort(key=lambda p: (p.x, p.y))  # the order reaches instance files
     return CoveringInstance(k=k, window=side, corners=tuple(corners))
 
@@ -171,7 +183,7 @@ def _critical_size(shape: tuple[Fraction, Fraction], k: int) -> Fraction:
     basis (t, 0), (t*beta, t*gamma) is a k-fold covering exactly when
     t * s* <= 1.
 
-    Works in ints on the shape's own frame: scaled by the lcm of the
+    Works in ints on the shape's own frame: times the lcm of the
     denominators of beta and gamma, the basis is (a, 0), (b, c). A point p
     lies in the closed triangle of size s at lam exactly when lam <= p in
     both coordinates and (p.x + p.y) - (lam.x + lam.y) <= s, so p is covered
@@ -234,7 +246,7 @@ class LatticeSearchReport:
 
 
 def _guard_density(k: int, density: Fraction):
-    # (2k+1)/2 is optimal; a verified-feasible lattice below it means the
+    # (2k+1)/2 is optimal; a lattice below it at its critical size means the
     # exact verifier itself is broken, which must never pass silently
     if density < Fraction(2 * k + 1, 2):
         raise AssertionError(
@@ -266,21 +278,22 @@ def search_optimal_lattice(
     k: int,
     budget: int = 6000,
     seed_grid: int = 6,
-    warm_starts: tuple[tuple[Fraction, Fraction, Fraction], ...] = (),
+    warm_starts: tuple[tuple[Fraction, Fraction], ...] = (),
 ) -> LatticeSearchReport:
     """Search normalized bases u = (a, 0), v = (b, c) for the
     largest-determinant k-fold covering lattice.
 
-    Key structure: shrinking a lattice uniformly never decreases its covering
-    multiplicity (equivalently, the triangle grows relative to the lattice),
-    so along any ray t * (1, beta, gamma) the feasible scales are exactly
-    (0, 1/s*], s* = `_critical_size((beta, gamma), k)`, and a feasibility
-    check is the exact test t * s* <= 1 (`lattice_covers` is its oracle in
-    the tests). The search scans a grid of shape ratios (b/a, c/a), bisects
-    each ray, then refines the best shape by pattern search with step
-    halving, bisecting every candidate ray. The lattice it returns is
-    re-checked by the exhaustive `lattice_multiplicity`; a multiplicity
-    below k, or a feasible density below (2k+1)/2, raises AssertionError.
+    Along a ray t * (1, beta, gamma) the feasible scales are exactly
+    (0, 1/s*], s* = `_critical_size((beta, gamma), k)` (see the module
+    docstring), so a feasibility check is the exact test t * s* <= 1. The
+    search scans a grid of shapes (beta, gamma) = (b/a, c/a), after the
+    `warm_starts` shapes, bisects each ray, then refines the best shape by
+    pattern search with step halving, bisecting every candidate ray; a ray's
+    result is the record (det, t, shape), det = t^2 * gamma. Sriamorn's
+    bound is checked once per shape, at its densest feasible scale t = 1/s*:
+    a density s*^2 / (2 gamma) below (2k+1)/2 raises AssertionError, and so
+    does a multiplicity below k when the exhaustive `lattice_multiplicity`
+    re-checks the lattice found.
 
     Deterministic throughout: fixed scan orders, exact arithmetic, exact
     feasibility verdicts. `budget` caps the number of feasibility checks; if
@@ -293,84 +306,67 @@ def search_optimal_lattice(
     target_density = Fraction(2 * k + 1, 2)
     target_det = Fraction(1, 2 * k + 1)
     evaluations = 0
-    seen: dict[tuple[Fraction, Fraction, Fraction], bool] = {}
-    critical: dict[tuple[Fraction, Fraction], Fraction] = {}
+    seen: dict[tuple[tuple[Fraction, Fraction], Fraction], bool] = {}
 
-    def feasible(cand) -> bool | None:
+    @cache
+    def critical(shape) -> Fraction:
+        s = _critical_size(shape, k)
+        _guard_density(k, s * s / (2 * shape[1]))  # the ray's least density
+        return s
+
+    def feasible(shape, t) -> bool | None:
         """Exact verdict, or None once the budget is exhausted."""
         nonlocal evaluations
-        if cand in seen:
-            return seen[cand]
-        if evaluations >= budget:
-            return None
-        evaluations += 1
-        a, b, c = cand
-        shape = (b / a % 1, c / a)  # beta and beta + 1 span one lattice
-        if shape not in critical:
-            critical[shape] = _critical_size(shape, k)
-        ok = a * critical[shape] <= 1
-        if ok:
-            _guard_density(k, Fraction(1, 2) / (a * c))
-        seen[cand] = ok
-        return ok
-
-    def scaled(shape, t):
-        beta, gamma = shape
-        return (t, t * beta, t * gamma)
+        if (shape, t) not in seen:
+            if evaluations >= budget:
+                return None
+            evaluations += 1
+            seen[shape, t] = t * critical(shape) <= 1
+        return seen[shape, t]
 
     def ray_best(shape, precision: Fraction):
-        """Largest verified-feasible point on the ray, or None.
+        """Record (det, t, shape) of the ray's largest feasible scale, or None.
 
         Probes det = f * target for descending fractions f, then bisects the
         scale between the first feasible probe and a just-infeasible upper
         scale until the relative det window is below `precision`.
         """
-        beta, gamma = shape
-        t_lo = None
+        gamma = shape[1]
         for f in _PROBE_FRACS:
-            t = _sqrt_below(f * target_det / gamma)
-            verdict = feasible(scaled(shape, t))
+            t_lo = _sqrt_below(f * target_det / gamma)
+            verdict = feasible(shape, t_lo)
             if verdict is None:
                 return None
             if verdict:
-                t_lo = t
                 break
-        if t_lo is None:
+        else:
             return None
-        t_hi = Fraction(21, 20) * _sqrt_below(target_det / gamma) + Fraction(
-            1, 10**6
-        )  # strictly above the optimal scale; verified infeasible or guarded
+        # strictly above the optimal scale; verified infeasible or guarded
+        t_hi = Fraction(21, 20) * _sqrt_below(target_det / gamma) + Fraction(1, 10**6)
         while (t_hi - t_lo) > precision * t_lo and evaluations < budget:
             mid = (t_lo + t_hi) / 2
-            if feasible(scaled(shape, mid)):  # never None: evaluations < budget
+            if feasible(shape, mid):  # never None: evaluations < budget
                 t_lo = mid
             else:
                 t_hi = mid
-        return scaled(shape, t_lo)
-
-    def det(cand) -> Fraction:
-        return cand[0] * cand[2]
+        return (t_lo * t_lo * gamma, t_lo, shape)
 
     # phase 1: coarse rays over the ratio grid, warm starts first
     g = Fraction(1, seed_grid)
-    shapes = []
-    for a, b, c in warm_starts:
-        shapes.append((b / a, c / a))
-    for i in range(0, seed_grid):
-        for j in range(1, seed_grid + 1):
-            shapes.append((Fraction(i, seed_grid), Fraction(j, seed_grid)))
+    shapes = list(warm_starts) + [
+        (Fraction(i, seed_grid), Fraction(j, seed_grid))
+        for i in range(seed_grid)
+        for j in range(1, seed_grid + 1)
+    ]
     coarse = Fraction(1, 64)
-    best = None
-    best_diag = None
+    best = best_diag = None
     for shape in shapes:
-        cand = ray_best(shape, coarse)
-        if cand is not None:
-            if best is None or det(cand) > det(best):
-                best, best_shape = cand, shape
-            if shape[0] == shape[1] and (
-                best_diag is None or det(cand) > det(best_diag)
-            ):
-                best_diag, best_diag_shape = cand, shape
+        rec = ray_best(shape, coarse)
+        if rec is not None:
+            if best is None or rec[0] > best[0]:
+                best = rec
+            if shape[0] == shape[1] and (best_diag is None or rec[0] > best_diag[0]):
+                best_diag = rec
         if evaluations >= budget:
             break
 
@@ -391,7 +387,7 @@ def search_optimal_lattice(
     # is symmetric under swapping x and y, so this line is a canonical home
     # for optima); catches sharp ridges that local 2D moves walk past
     if best_diag is not None:
-        center = best_diag_shape[1]
+        center = best_diag[2][1]
         width = 2 * g
         for level in range(6):
             lo = max(center - width / 2, width / 64)
@@ -400,19 +396,17 @@ def search_optimal_lattice(
             for gamma in samples:
                 if gamma > 2:
                     continue
-                cand = ray_best((gamma, gamma), Fraction(1, 256 << level))
-                if cand is not None and (
-                    level_best is None or det(cand) > det(level_best)
-                ):
-                    level_best, level_gamma = cand, gamma
+                rec = ray_best((gamma, gamma), Fraction(1, 256 << level))
+                if rec is not None and (level_best is None or rec[0] > level_best[0]):
+                    level_best = rec
                 if evaluations >= budget:
                     break
             if level_best is None or evaluations >= budget:
                 break
-            center = level_gamma
+            center = level_best[2][1]
             width = width / 4
-            if det(level_best) > det(best):
-                best, best_shape = level_best, (level_gamma, level_gamma)
+            if level_best[0] > best[0]:
+                best = level_best
 
     # phase 3: 2D pattern search on the shape ratios from the best seen
     step = g / 2
@@ -420,8 +414,7 @@ def search_optimal_lattice(
     while evaluations < budget and step >= min_step:
         precision = min(coarse, step / 4)
         improved = None
-        improved_shape = None
-        beta, gamma = best_shape
+        beta, gamma = best[2]
         for db, dc in (
             (step, 0), (-step, 0), (0, step), (0, -step),
             (step, step), (-step, step), (step, -step), (-step, -step),
@@ -429,26 +422,24 @@ def search_optimal_lattice(
             shape = (beta + db, gamma + dc)
             if not (0 <= shape[0] < 1 and 0 < shape[1] <= 2):
                 continue
-            cand = ray_best(shape, precision)
-            if cand is not None and det(cand) > det(best) and (
-                improved is None or (det(cand), cand) > (det(improved), improved)
-            ):
-                improved, improved_shape = cand, shape
+            rec = ray_best(shape, precision)
+            if rec is not None and rec[0] > best[0] and (improved is None or rec > improved):
+                improved = rec
         if improved is not None:
-            best, best_shape = improved, improved_shape
+            best = improved
         else:
             step = step / 2
     # final polish along the best ray at full precision
-    cand = ray_best(best_shape, Fraction(1, 1 << 12))
-    if cand is not None and det(cand) > det(best):
-        best = cand
+    rec = ray_best(best[2], Fraction(1, 1 << 12))
+    if rec is not None and rec[0] > best[0]:
+        best = rec
 
-    a, b, c = best
-    lat = Lattice(Point(a, Fraction(0)), Point(b, c))
+    _, t, (beta, gamma) = best
+    lat = Lattice(Point(t, Fraction(0)), Point(t * beta, t * gamma))
     multiplicity = lattice_multiplicity(lat)
     if multiplicity < k:  # the depth engine must agree with the critical size
         raise AssertionError(
-            f"k={k} lattice {best} passed the critical size but has "
+            f"k={k} lattice {lat} passed the critical size but has "
             f"multiplicity {multiplicity}; exact verifier bug"
         )
     return LatticeSearchReport(

@@ -270,6 +270,29 @@ class TestCommands:
         assert main(["gen-lattice", "--k", "2", "--l", "1", "--results", str(store)]) == 2
         assert capsys.readouterr().err == "error: no stored lattice for k=2\n"
 
+    @pytest.mark.parametrize("source, bound", [
+        (["--l", "600", "--basis", "1,0;0,1"], 361201),
+        (["--l", "1", "--basis", "1000000,0;0,1/1000000"], 2000000),
+        (["--l", "1", "--basis", "10000000,0;0,1/10000000"], 20000000),
+        (["--l", "1", "--results"], 20000000),
+    ])
+    def test_gen_lattice_refuses_a_huge_instance_fast(self, tmp_path, capsys, source, bound):
+        # before the cap, 600 wrote 361,200 translates in 10.7 s and the
+        # 10^6-flat basis 2,000,000 in 90 s; det = 1 in both flat cases
+        if source[-1] == "--results":
+            store = tmp_path / "store.json"
+            save_results_store(store, {1: (Lattice.of(10**7, 0, 0, Fraction(1, 10**7)), 1)})
+            source = source + [str(store)]
+        out = tmp_path / "inst.json"
+        start = time.process_time()
+        assert main(["gen-lattice", "--k", "1", *source, "--out", str(out)]) == 2
+        assert time.process_time() - start < 1
+        assert capsys.readouterr().err == (
+            f"error: l: the window meets up to {bound} translates of this lattice, "
+            "more than 100000\n"
+        )
+        assert not out.exists()
+
     def test_gen_lattice_perturbed_fixture_is_seeded_and_verified(self, tmp_path, capsys):
         args = ["gen-lattice", "--k", "2", "--l", "1", "--basis", "1/3,0;0,1/3",
                 "--perturb", "1/64", "--seed", "11"]

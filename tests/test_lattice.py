@@ -237,6 +237,13 @@ class TestSearch:
         (1, {}, (1, 0), ("1/3", "1/3"), Fraction(3, 2), 1574),
         (2, {}, (1, 0), ("4915/24576", "4915/24576"), Fraction(12288, 4915), 2083),
         (3, {}, ("24576/24577", 0), ("1/7", "1/7"), Fraction(172039, 49152), 2068),
+        # the whole budget spent: the exits of phases 2 and 3 on the budget
+        (2, {"seed_grid": 3}, ("1242763607503/1624064000000", 0),
+         ("1723713123606661/6652166144000000", "1242763607503/5033164800000"),
+         Fraction(4087090878873600000000000, 1544461384133870637895009), 6000),
+        (4, {}, ("10053837233269/26755891200000", 0),
+         ("329976991833121849/1315105564262400000", "10053837233269/40265318400000"),
+         Fraction(538667239121879040000000000, 101079643113066060720426361), 6000),
     ])
     def test_pinned_reports(self, k, kwargs, u, v, density, evaluations):
         report = search_optimal_lattice(k, **kwargs)
@@ -249,6 +256,19 @@ class TestSearch:
     def test_final_depth_check_gates_the_critical_size(self, monkeypatch):
         monkeypatch.setattr(lattice, "lattice_multiplicity", lambda lat: 0)
         with pytest.raises(AssertionError, match="exact verifier bug"):
+            search_optimal_lattice(1, budget=60, seed_grid=4)
+
+    def test_density_guard_fires_inside_the_search(self, monkeypatch):
+        # a critical size 9/10 of the true one puts the shape (1/3, 1/3)
+        # below (2k+1)/2; the guard must raise before the final depth check
+        true_size = lattice._critical_size
+        monkeypatch.setattr(
+            lattice, "_critical_size", lambda shape, k: true_size(shape, k) * Fraction(9, 10)
+        )
+        monkeypatch.setattr(
+            lattice, "lattice_multiplicity", lambda lat: pytest.fail("depth check reached")
+        )
+        with pytest.raises(AssertionError, match="beats the optimum"):
             search_optimal_lattice(1, budget=60, seed_grid=4)
 
     def test_budget_one_reports_infeasible(self):
@@ -264,7 +284,7 @@ class TestSearch:
 
     def test_warm_start_reaches_stored_quality(self):
         report = search_optimal_lattice(
-            1, budget=60, seed_grid=4, warm_starts=((1, Fraction(1, 3), Fraction(1, 3)),)
+            1, budget=60, seed_grid=4, warm_starts=((Fraction(1, 3), Fraction(1, 3)),)
         )
         assert report.feasible
         assert report.density == Fraction(3, 2)

@@ -6,7 +6,7 @@ l^2 <= (N/k) * A(2k - 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .decomposition import DecompositionResult
@@ -46,12 +46,21 @@ class ChainLink:
 
 @dataclass(frozen=True)
 class BoundReport:
-    valid: bool
-    n_nonempty: int
-    sum_stairs: int
     cells: tuple[tuple[int, int, Fraction], ...]  # (index, r_i, area)
-    links: tuple[ChainLink, ...]
+    links: tuple[ChainLink, ...]  # empty when the chain does not apply
     detail: str = ""
+
+    @property
+    def valid(self) -> bool:
+        return bool(self.links)
+
+    @property
+    def n_nonempty(self) -> int:
+        return len(self.cells)
+
+    @property
+    def sum_stairs(self) -> int:
+        return sum(r for _, r, _ in self.cells)
 
     @property
     def holds(self) -> bool:
@@ -73,20 +82,13 @@ def density_chain(result: DecompositionResult) -> BoundReport:
     """
     inst = result.instance
     k, l = inst.k, inst.window
-    cells = [(i, c.stair_count, c.area()) for i, c in result.cells]
-    base = BoundReport(
-        valid=False,
-        n_nonempty=len(cells),
-        sum_stairs=sum(r for _, r, _ in cells),
-        cells=tuple(cells),
-        links=(),
-    )
+    cells = tuple((i, c.stair_count, c.area()) for i, c in result.cells)
     if not result.is_stair_decomposition:
-        return replace(base, detail="cells are not all stair polygons")
+        return BoundReport(cells, (), "cells are not all stair polygons")
     if not verify_exact_tiling(result.stair_cells(), k, l).passed:
-        return replace(base, detail="cells do not tile the window exactly k-fold")
+        return BoundReport(cells, (), "cells do not tile the window exactly k-fold")
     n_prime = len(cells)
-    sum_r = base.sum_stairs
+    sum_r = sum(r for _, r, _ in cells)
     window_area = l * l
     cell_total = sum(a for _, _, a in cells) / k
     per_cell_bound = sum(max_stair_area(r) for _, r, _ in cells) / k
@@ -104,4 +106,4 @@ def density_chain(result: DecompositionResult) -> BoundReport:
     ):
         links.append(ChainLink(label, value, value >= prev))
         prev = value
-    return replace(base, valid=True, links=tuple(links))
+    return BoundReport(cells, tuple(links))

@@ -116,9 +116,11 @@ def cmd_optimize(args) -> int:
             a, b, c = hermite_basis(store[args.k][0])
             warm = ((b / a, c / a),)
             try:  # refuse a flat stored lattice before the search scans it
-                _critical_size(warm[0], args.k)
+                s = _critical_size(warm[0], args.k)
             except ValueError as exc:
                 raise ValueError(f"best.{args.k}: {exc}") from exc
+            if a * s > 1:  # the stored basis is a times the shape's
+                raise ValueError(f"best.{args.k}: not a {args.k}-fold lattice covering")
     report = search_optimal_lattice(
         args.k, budget=args.budget, seed_grid=args.seed_grid, warm_starts=warm
     )

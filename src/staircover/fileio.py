@@ -3,7 +3,9 @@
 Instances and reports are JSON with every rational carried as an exact
 string ("p/q" or "n"); nothing is ever written as a float. Reports are
 rendered with sorted keys and a fixed layout so identical inputs produce
-byte-identical files.
+byte-identical files. This module alone formats values for JSON: the result
+records and audit witnesses hold exact values (points as `Point`s), and the
+report functions derive the counts and totals they print.
 
 An instance file may carry an optional "triangle" header with three vertex
 pairs [A, B, C]; translates are then interpreted as positions of that
@@ -22,7 +24,7 @@ from .decomposition import CoveringInstance, DecompositionResult
 from .geom import Point
 from .lattice import Lattice, LatticeSearchReport
 from .rational import brief_repr, int_at_least, rat, rat_str
-from .verification import AuditReport, CoverageCertificate, _point_json
+from .verification import AuditReport, CoverageCertificate
 
 __all__ = [
     "InstanceFormatError",
@@ -46,6 +48,19 @@ SCHEMA_RESULTS = "staircover.lattices/1"
 
 class InstanceFormatError(ValueError):
     """Malformed instance file; message carries the offending field."""
+
+
+def _point_json(p: Point):
+    return [rat_str(p.x), rat_str(p.y)]
+
+
+def _cell_row(i: int, stairs: int, area: Fraction) -> dict:
+    return {"index": i, "stairs": stairs, "area": rat_str(area)}
+
+
+def _lattice_json(lat: Lattice) -> dict:
+    return {"u": _point_json(lat.u), "v": _point_json(lat.v),
+            "det": rat_str(lat.det), "density": rat_str(lat.density)}
 
 
 def _rat_field(raw, where: str) -> Fraction:
@@ -167,9 +182,7 @@ def report_verify(inst: CoveringInstance, cert: CoverageCertificate) -> dict:
 def _cells_json(result: DecompositionResult):
     cells = [
         {
-            "index": i,
-            "stairs": cell.stair_count,
-            "area": rat_str(cell.area()),
+            **_cell_row(i, cell.stair_count, cell.area()),
             "x_breaks": [rat_str(v) for v in cell.x_breaks],
             "y_breaks": [rat_str(v) for v in cell.y_breaks],
         }
@@ -205,17 +218,29 @@ def report_decompose(
     }
 
 
+def _witness_json(witness: dict) -> dict:
+    return {k: _point_json(v) if isinstance(v, Point) else v for k, v in witness.items()}
+
+
 def report_audit(inst: CoveringInstance, report: AuditReport) -> dict:
     verdicts = [
         {
             "check": v.check,
             "status": v.status,
             "detail": v.detail,
-            **({"witness": v.witness} if v.witness else {}),
+            **({"witness": _witness_json(v.witness)} if v.witness else {}),
         }
         for v in report.verdicts
     ]
-    stats = dict(report.stats)
+    result = report.result
+    stats = {
+        **report.stats,
+        "n_translates": inst.size,
+        "n_nonempty": len(result.cells) + len(result.non_stair),
+        "min_depth": report.certificate.min_depth,
+        "sum_stair_counts": sum(c.stair_count for _, c in result.cells),
+        "cells": [_cell_row(i, c.stair_count, c.area()) for i, c in result.cells],
+    }
     if "anchor_counts" in stats:
         stats["anchor_counts"] = {str(i): n for i, n in sorted(stats["anchor_counts"].items())}
     return {
@@ -240,10 +265,7 @@ def report_bounds(inst: CoveringInstance, report: BoundReport) -> dict:
             {"label": link.label, "value": rat_str(link.value), "holds": link.holds}
             for link in report.links
         ],
-        "cells": [
-            {"index": i, "stairs": r, "area": rat_str(area)}
-            for i, r, area in report.cells
-        ],
+        "cells": [_cell_row(*cell) for cell in report.cells],
     }
 
 
@@ -259,16 +281,10 @@ def report_optimize(report: LatticeSearchReport) -> dict:
         "message": report.message,
     }
     if report.feasible:
-        lat = report.lattice
         data.update(
-            {
-                "u": _point_json(lat.u),
-                "v": _point_json(lat.v),
-                "det": rat_str(lat.det),
-                "multiplicity": report.multiplicity,
-                "density": rat_str(report.density),
-                "gap": rat_str(report.gap),
-            }
+            _lattice_json(report.lattice),
+            multiplicity=report.multiplicity,
+            gap=rat_str(report.gap),
         )
     return data
 
@@ -307,13 +323,7 @@ def save_results_store(path, store: dict) -> None:
     data = {
         "schema": SCHEMA_RESULTS,
         "best": {
-            str(k): {
-                "u": _point_json(lat.u),
-                "v": _point_json(lat.v),
-                "det": rat_str(lat.det),
-                "density": rat_str(lat.density),
-                "multiplicity": mult,
-            }
+            str(k): {**_lattice_json(lat), "multiplicity": mult}
             for k, (lat, mult) in sorted(store.items())
         },
     }

@@ -229,20 +229,30 @@ def _critical_size(shape: tuple[Fraction, Fraction], k: int) -> Fraction:
 @dataclass(frozen=True)
 class LatticeSearchReport:
     k: int
-    feasible: bool
-    lattice: Lattice | None
+    lattice: Lattice | None  # None when the budget ran out before any was found
     multiplicity: int
-    density: Fraction | None
-    target_density: Fraction
     evaluations: int
     budget: int
-    message: str
+
+    @property
+    def feasible(self) -> bool:
+        return self.lattice is not None
+
+    @property
+    def density(self) -> Fraction | None:
+        return self.lattice.density if self.feasible else None
+
+    @property
+    def target_density(self) -> Fraction:
+        return Fraction(2 * self.k + 1, 2)
+
+    @property
+    def message(self) -> str:
+        return "search complete" if self.feasible else "infeasible within budget"
 
     @property
     def gap(self) -> Fraction | None:
-        if self.density is None:
-            return None
-        return self.density - self.target_density
+        return self.density - self.target_density if self.feasible else None
 
 
 def _guard_density(k: int, density: Fraction):
@@ -303,7 +313,6 @@ def search_optimal_lattice(
     int_at_least(k, 1, "fold must be a positive integer")
     int_at_least(budget, 1, "budget must be at least 1")
     int_at_least(seed_grid, 1, "seed grid must be at least 1")
-    target_density = Fraction(2 * k + 1, 2)
     target_det = Fraction(1, 2 * k + 1)
     evaluations = 0
     seen: dict[tuple[tuple[Fraction, Fraction], Fraction], bool] = {}
@@ -371,17 +380,7 @@ def search_optimal_lattice(
             break
 
     if best is None:
-        return LatticeSearchReport(
-            k=k,
-            feasible=False,
-            lattice=None,
-            multiplicity=0,
-            density=None,
-            target_density=target_density,
-            evaluations=evaluations,
-            budget=budget,
-            message="infeasible within budget",
-        )
+        return LatticeSearchReport(k, None, 0, evaluations, budget)
 
     # phase 2: zoom scan along the mirror-symmetric line b = c (the triangle
     # is symmetric under swapping x and y, so this line is a canonical home
@@ -442,17 +441,7 @@ def search_optimal_lattice(
             f"k={k} lattice {lat} passed the critical size but has "
             f"multiplicity {multiplicity}; exact verifier bug"
         )
-    return LatticeSearchReport(
-        k=k,
-        feasible=True,
-        lattice=lat,
-        multiplicity=multiplicity,
-        density=lat.density,
-        target_density=target_density,
-        evaluations=evaluations,
-        budget=budget,
-        message="search complete",
-    )
+    return LatticeSearchReport(k, lat, multiplicity, evaluations, budget)
 
 
 def perturb_instance(inst: CoveringInstance, magnitude, seed: int) -> CoveringInstance:

@@ -6,7 +6,8 @@ per face of the line arrangement spanned by the triangle edges and window
 boundary; the tiling check rasterizes the stair cells onto the grid of their
 own breakpoints, where multiplicity is constant per grid cell and equal to
 its value at the closed lower-left corner. Every failing verdict carries a
-witness that can be re-evaluated independently.
+witness that can be re-evaluated independently: exact values (points are
+`Point`s), which `fileio` formats for reports.
 
 The stair tiling is also a proof of coverage, as in the paper: if every
 cell is a stair polygon lying in its own closed triangle, no two cells share
@@ -21,7 +22,7 @@ Containment is checked here, exactly, not taken from `decompose`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +35,6 @@ from .decomposition import (
     repeated_corners,
 )
 from .geom import Point, StairPolygon, Triangle, cuts
-from .rational import rat_str
 
 __all__ = [
     "CoverageCertificate",
@@ -60,10 +60,6 @@ FAIL = "fail"
 SKIP = "skipped"
 
 
-def _point_json(p: Point):
-    return [rat_str(p.x), rat_str(p.y)]
-
-
 @dataclass(frozen=True)
 class CoverageCertificate:
     """Exact minimum coverage depth over the window, with an attaining point."""
@@ -86,13 +82,16 @@ def coverage_certificate(
     given) is asked to prove depth >= k first; the answer is the same
     either way.
     """
+    return _certificate(
+        inst, lambda: _tiling_proves_depth(inst, decompose(inst) if result is None else result)
+    )
 
-    def certify() -> int:
-        decomposition = decompose(inst) if result is None else result
-        return inst.k if _tiling_proves_depth(inst, decomposition) else 0
 
+def _certificate(inst: CoveringInstance, proves) -> CoverageCertificate:
+    """The scan of `coverage_certificate`, offered depth k when the
+    zero-argument `proves` (called only on a large scan) holds."""
     depth, witness = arrangement.min_depth(
-        inst.corners, inst.window_rect(), certify=certify
+        inst.corners, inst.window_rect(), certify=lambda: inst.k if proves() else 0
     )
     return CoverageCertificate(k=inst.k, min_depth=depth, witness=witness)
 
@@ -109,10 +108,13 @@ def _within_triangle(cell: StairPolygon, corner: Point) -> bool:
     )
 
 
-def _tiling_proves_depth(inst: CoveringInstance, result: DecompositionResult) -> bool:
+def _tiling_proves_depth(
+    inst: CoveringInstance, result: DecompositionResult, tiling: AuditVerdict | None = None
+) -> bool:
     """Whether the cells prove that every window point has depth >= k: all
     are stair polygons, their indices are distinct triangles of `inst`,
-    each lies in its own triangle, and they tile the window exactly k-fold."""
+    each lies in its own triangle, and they tile the window exactly k-fold,
+    by `tiling` (their `exact_tiling` verdict) when given."""
     if result.non_stair:
         return False
     seen = set()
@@ -120,7 +122,7 @@ def _tiling_proves_depth(inst: CoveringInstance, result: DecompositionResult) ->
         if i in seen or not 0 <= i < inst.size or not _within_triangle(cell, inst.corners[i]):
             return False
         seen.add(i)
-    return verify_exact_tiling(result.stair_cells(), inst.k, inst.window).passed
+    return (tiling or verify_exact_tiling(result.stair_cells(), inst.k, inst.window)).passed
 
 
 def multiplicity_grid(cells, l: Fraction):
@@ -183,7 +185,7 @@ def audit_cell_shape(result: DecompositionResult) -> AuditVerdict:
             check,
             f"cell {i} keeps part of its hypotenuse (input is not a covering)",
             cell=i,
-            point=_point_json(p),
+            point=p,
         )
     inst = result.instance
     by_index = dict(result.cells)
@@ -197,8 +199,8 @@ def audit_cell_shape(result: DecompositionResult) -> AuditVerdict:
                     check,
                     f"cell {i} is not anchored at its corner",
                     cell=i,
-                    anchor=_point_json(cell.anchor),
-                    corner=_point_json(corner),
+                    anchor=cell.anchor,
+                    corner=corner,
                 )
     return AuditVerdict(check, PASS, f"{len(result.cells)} stair cells")
 
@@ -220,7 +222,7 @@ def audit_minimal_element(inst: CoveringInstance) -> AuditVerdict:
             return _fail(
                 check,
                 f"triangle {j} contains the point but does not cut minimal triangle {i}",
-                point=_point_json(p),
+                point=p,
                 minimal=i,
                 other=j,
             )
@@ -249,7 +251,7 @@ def audit_disjointness(cells, k: int, l: Fraction):
             return AuditVerdict(check, PASS, passed)
         i, j = map(int, bad[0])
         m = int(counts[i, j])
-        return _fail(check, failed(m), point=_point_json(Point(xs[i], ys[j])), multiplicity=m)
+        return _fail(check, failed(m), point=Point(xs[i], ys[j]), multiplicity=m)
 
     return (
         verdict("multiplicity_upper", counts > k, f"max multiplicity <= {k}",
@@ -317,7 +319,7 @@ def audit_boundary_cut(corners, indexed_cells):
                 f"triangle {i} cuts triangle {j} but boundary of cell {i} meets cell {j}",
                 cutter=i,
                 cut=j,
-                point=_point_json(w),
+                point=w,
             )
             break
     pairwise = AuditVerdict(pairwise_check, PASS, "every pair is one-sided")
@@ -328,8 +330,8 @@ def audit_boundary_cut(corners, indexed_cells):
                 f"boundaries of cells {i} and {j} each meet the other cell",
                 first=i,
                 second=j,
-                point=_point_json(w),
-                point_reverse=_point_json(hits[(j, i)]),
+                point=w,
+                point_reverse=hits[(j, i)],
             )
             break
     return directed, pairwise
@@ -352,7 +354,7 @@ def audit_inner_corners(indexed_cells) -> AuditVerdict:
                     check,
                     f"inner corner of cell {i} is in no cell anchored at its x",
                     cell=i,
-                    point=_point_json(corner),
+                    point=corner,
                 )
     return AuditVerdict(check, PASS, f"{corners_checked} inner corners checked")
 
@@ -420,7 +422,7 @@ class AuditReport:
     certificate: CoverageCertificate
     result: DecompositionResult
     verdicts: tuple[AuditVerdict, ...]
-    stats: dict = field(default_factory=dict)
+    stats: dict  # the stats of audit_corner_counts, if it ran
 
     @property
     def passed(self) -> bool:
@@ -441,28 +443,25 @@ def run_audits(inst: CoveringInstance, result: DecompositionResult | None = None
 
     Checks that need the cells to be stair polygons, or the tiling to be
     exact, are skipped (not failed) when their precondition already failed;
-    the precondition's own verdict carries the witness.
+    the precondition's own verdict carries the witness. The one tiling grid
+    is built before the depth scan, whose proof reads its verdict.
     """
     if result is None:
         result = decompose(inst)
-    cert = coverage_certificate(inst, result)
-    verdicts = [audit_cell_shape(result), audit_minimal_element(inst)]
-    stats = {
-        "n_translates": inst.size,
-        "n_nonempty": len(result.cells) + len(result.non_stair),
-        "min_depth": cert.min_depth,
-    }
+    grid = None
     if result.is_stair_decomposition:
-        upper, lower, tiling = audit_disjointness(result.stair_cells(), inst.k, inst.window)
+        grid = audit_disjointness(result.stair_cells(), inst.k, inst.window)
+    cert = _certificate(inst, lambda: _tiling_proves_depth(inst, result, grid and grid[2]))
+    verdicts = [audit_cell_shape(result), audit_minimal_element(inst)]
+    stats = {}
+    if grid is not None:
+        upper, lower, tiling = grid
         verdicts += [upper, lower, tiling]
         verdicts += list(audit_boundary_cut(inst.corners, result.cells))
         if tiling.passed:
             corner_verdict = audit_inner_corners(result.cells)
-            c_lower, c_upper, c_total, count_stats = audit_corner_counts(
-                result.cells, inst.k
-            )
+            c_lower, c_upper, c_total, stats = audit_corner_counts(result.cells, inst.k)
             verdicts += [corner_verdict, c_lower, c_upper, c_total]
-            stats.update(count_stats)
         else:
             verdicts += [
                 AuditVerdict(check, SKIP, "precondition failed: not an exact tiling")
@@ -472,14 +471,11 @@ def run_audits(inst: CoveringInstance, result: DecompositionResult | None = None
         # not a covering: the hypotenuse survived in some cell, so the cells
         # cannot tile; report the failure with a genuine multiplicity witness
         if cert.min_depth < inst.k:
-            witness = {
-                "point": _point_json(cert.witness),
-                "multiplicity": cert.min_depth,
-            }
+            witness = {"point": cert.witness, "multiplicity": cert.min_depth}
             detail = f"coverage depth {cert.min_depth} < {inst.k} at witness"
         else:  # unreachable for correct decompositions; keep the report honest
             i, cell = result.non_stair[0]
-            witness = {"point": _point_json(cell.diagonal_witness()), "cell": i}
+            witness = {"point": cell.diagonal_witness(), "cell": i}
             detail = f"cell {i} is not a stair polygon"
         verdicts.append(AuditVerdict("exact_tiling", FAIL, detail, witness))
         skipped = ("multiplicity_upper", "multiplicity_lower", "boundary_vs_cutter",
@@ -488,11 +484,4 @@ def run_audits(inst: CoveringInstance, result: DecompositionResult | None = None
             AuditVerdict(check, SKIP, "precondition failed: cells are not all stair polygons")
             for check in skipped
         ]
-    stats["sum_stair_counts"] = sum(c.stair_count for _, c in result.cells)
-    stats["cells"] = [
-        {"index": i, "stairs": c.stair_count, "area": rat_str(c.area())}
-        for i, c in result.cells
-    ]
-    return AuditReport(
-        certificate=cert, result=result, verdicts=tuple(verdicts), stats=stats
-    )
+    return AuditReport(cert, result, tuple(verdicts), stats)

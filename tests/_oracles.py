@@ -31,7 +31,7 @@ from staircover.bounds import max_stair_area
 from staircover.decomposition import CoveringInstance, DecompositionResult, NonStairCell
 from staircover.geom import Point, Rect, StairPolygon, Triangle, cuts
 from staircover.rational import int_at_least
-from staircover.verification import PASS, AuditVerdict, _fail, _point_json
+from staircover.verification import PASS, AuditVerdict, _fail
 
 
 # --- exact convex-geometry primitives -------------------------------------
@@ -340,7 +340,7 @@ def audit_boundary_cut_reference(corners, indexed_cells):
                 f"triangle {i} cuts triangle {j} but boundary of cell {i} meets cell {j}",
                 cutter=i,
                 cut=j,
-                point=_point_json(w),
+                point=w,
             )
             break
     pairwise = AuditVerdict("boundary_one_sided", PASS, "every pair is one-sided")
@@ -352,8 +352,8 @@ def audit_boundary_cut_reference(corners, indexed_cells):
                 f"boundaries of cells {i} and {j} each meet the other cell",
                 first=i,
                 second=j,
-                point=_point_json(w_ij),
-                point_reverse=_point_json(w_ji),
+                point=w_ij,
+                point_reverse=w_ji,
             )
             break
     return directed, pairwise

@@ -102,3 +102,27 @@ def test_every_default_is_overridden_by_some_caller():
         and not overridden(fn.name, position, param)
     ]
     assert not unused, f"defaulted parameters that no call in staircover passes: {unused}"
+
+
+def test_no_module_uses_a_private_name_of_another():
+    """No package module imports an underscore name from another, or reads
+    one off a package module it imported, except the shared integer frame
+    (`decomposition` builds its cells on `arrangement._frame`) and the
+    `--resume` pre-check (`cli` calls `lattice._critical_size`)."""
+    allowed = {("decomposition", "arrangement", "_frame"), ("cli", "lattice", "_critical_size")}
+    used = set()
+    for path in Path(staircover.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # local name -> package module bound by `from . import`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    elif alias.name.startswith("_"):
+                        used.add((path.stem, node.module, alias.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name) and node.value.id in modules):
+                used.add((path.stem, modules[node.value.id], node.attr))
+    assert not used - allowed, f"private names used across modules: {sorted(used - allowed)}"

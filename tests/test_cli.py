@@ -358,6 +358,19 @@ class TestCommands:
         )
         assert (tmp_path / "store.json").read_bytes() == before
 
+    def test_optimize_refuses_a_stored_lattice_that_does_not_cover(self, tmp_path, capsys):
+        # (1,0),(0,1) has density 1/2, below Sriamorn's 3/2, so it covers
+        # nowhere near 1-fold; kept, its det 1 would outrank the density-3/2
+        # lattice the search finds, and gen-lattice would write a non-covering
+        store = write_instance(tmp_path / "store.json", {"best": {"1": {
+            "u": ["1", "0"], "v": ["0", "1"], "multiplicity": 1}}})
+        before = (tmp_path / "store.json").read_bytes()
+        assert main(["optimize", "--k", "1", "--budget", "400", "--resume", store]) == 2
+        assert capsys.readouterr().err == (
+            "error: best.1: not a 1-fold lattice covering\n"
+        )
+        assert (tmp_path / "store.json").read_bytes() == before
+
     def test_optimize_refuses_a_fold_above_the_cap_fast(self, capsys):
         # a 50-check search took 193 s at k = 20,000 before the fold cap
         start = time.process_time()

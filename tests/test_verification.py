@@ -21,7 +21,7 @@ from staircover import (
     run_audits,
     verify_exact_tiling,
 )
-from staircover import arrangement
+from staircover import arrangement, verification
 from staircover.arrangement import min_depth
 from staircover.fileio import report_audit
 from staircover.verification import (
@@ -136,7 +136,7 @@ class TestExactTiling:
         verdict = verify_exact_tiling(quarter_cells()[1:], 1, rat(1))
         assert not verdict.passed
         assert verdict.witness["multiplicity"] == 0
-        assert pt(*verdict.witness["point"]).x < Fraction(1, 2)
+        assert verdict.witness["point"].x < Fraction(1, 2)
 
     def test_duplicate_cell_detected(self):
         cells = quarter_cells() + [quarter_cells()[0]]
@@ -171,14 +171,15 @@ class TestAuditsOnRealInstances:
         report = run_audits(quarters)
         assert report.passed
         assert {v.status for v in report.verdicts} == {PASS}
-        assert report.stats["sum_stair_counts"] == 0
+        assert sum(c.stair_count for _, c in report.result.cells) == 0
 
     def test_lattice_instances_all_pass(self):
         for k, lat, l in ((1, diag_lattice(1), 2), (2, diag_lattice(2), 1), (3, diag_lattice(3), 1)):
             report = run_audits(lattice_instance(lat, l, k))
             assert report.passed, [v for v in report.verdicts if v.status != PASS]
             total = sum(c.stair_count for _, c in report.result.cells)
-            assert report.stats["sum_stair_counts"] == total
+            stats = report_audit(report.result.instance, report)["stats"]
+            assert stats["sum_stair_counts"] == total
             assert report.verdict("stair_count_total").detail.startswith(f"sum r_i = {total} <=")
 
     def test_non_covering_fails_and_skips(self):
@@ -189,7 +190,7 @@ class TestAuditsOnRealInstances:
         assert report.verdict("stair_count_total").status == SKIP
         # the tiling witness is a genuine uncovered point, re-checkable
         w = report.verdict("exact_tiling").witness
-        p = pt(w["point"][0], w["point"][1])
+        p = w["point"]
         assert depth_at(report.result.instance.corners, p) == w["multiplicity"] == 0
 
 
@@ -208,7 +209,7 @@ class TestPlantedCounterexamples:
         assert verdict.status == FAIL
         w = verdict.witness
         assert (w["minimal"], w["other"]) == (1, 2)
-        p = pt(*w["point"])
+        p = w["point"]
         assert 0 <= p.x < inst.window and 0 <= p.y < inst.window
         assert all(Triangle(inst.corners[i]).contains(p) for i in (1, 2))
 
@@ -237,7 +238,7 @@ class TestPlantedCounterexamples:
         assert directed.status == FAIL
         assert directed.witness["cutter"] == 1 and directed.witness["cut"] == 0
         # witness point is on cell 1's removed boundary and inside cell 0
-        p = pt(*directed.witness["point"])
+        p = directed.witness["point"]
         assert fake_cells[0][1].contains(p) and not fake_cells[1][1].contains(p)
 
     def test_boundary_one_sided_fails_when_both_directions_hit(self):
@@ -256,7 +257,7 @@ class TestPlantedCounterexamples:
         off_anchor = sq("1/2", 2, 1, 2)  # contains the corner, anchored at x=1/2
         verdict = audit_inner_corners(((0, l_shape), (1, off_anchor)))
         assert verdict.status == FAIL
-        assert verdict.witness["point"] == ["1", "1"]
+        assert verdict.witness["point"] == pt(1, 1)
 
     def test_corner_anchor_column_passes_on_true_tiling(self):
         l_shape = StairPolygon.of((0, 1, 2), (2, 1, 0))
@@ -331,7 +332,7 @@ class TestExactTilingFromBounds:
             verify_exact_tiling(result.stair_cells(), k, inst.window),
         ):
             w = verdict.witness
-            got = (pt(*w["point"]), w["multiplicity"]) if w else None
+            got = (w["point"], w["multiplicity"]) if w else None
             assert (verdict.status == PASS, got) == (expected is None, expected)
         if edit.startswith("copy"):
             assert report.verdict("multiplicity_upper").status == FAIL
@@ -463,6 +464,19 @@ class TestCertificatePath:
             reports.append(report_audit(inst, run_audits(inst, result)))
         assert reports[0] == reports[1]
         assert reports[0]["min_depth"] == 2 and reports[0]["passed"] is False
+
+    def test_run_audits_builds_one_grid(self, monkeypatch, quarters):
+        # the depth scan's proof reads the exact_tiling verdict of the grid
+        # that the audits build, and builds none of its own
+        real = verification.multiplicity_grid
+        builds = []
+        monkeypatch.setattr(
+            verification, "multiplicity_grid", lambda *args: builds.append(args) or real(*args)
+        )
+        monkeypatch.setattr(arrangement, "_CERTIFY_SLOTS_PER_TRANSLATE", -1)
+        report = run_audits(quarters)
+        assert report.passed and report.certificate.min_depth == 1
+        assert len(builds) == 1
 
     def test_swapped_indices_tile_but_are_refused(self):
         inst = lattice_instance(diag_lattice(1), 2, 1)
@@ -645,7 +659,7 @@ class TestWitnessReproduction:
     def test_tiling_witness_recomputes(self):
         cells = quarter_cells()[1:]
         verdict = verify_exact_tiling(cells, 1, rat(1))
-        p = pt(*verdict.witness["point"])
+        p = verdict.witness["point"]
         assert sum(c.contains(p) for c in cells) == verdict.witness["multiplicity"]
 
     def test_audit_report_witnesses_recompute(self):
@@ -656,7 +670,7 @@ class TestWitnessReproduction:
         assert v.status == FAIL
         # witness carries the coverage depth at an under-covered point; the
         # cells through that point can only be fewer still
-        p = pt(*v.witness["point"])
+        p = v.witness["point"]
         assert depth_at(inst.corners, p) == v.witness["multiplicity"] < 2
         cells = [c for _, c in report.result.cells]
         assert sum(c.contains(p) for c in cells) <= v.witness["multiplicity"]

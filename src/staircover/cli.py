@@ -18,8 +18,7 @@ from .decomposition import decompose
 from .geom import StairPolygon
 from .lattice import (
     Lattice,
-    _critical_size,
-    hermite_basis,
+    lattice_covers,
     lattice_instance,
     perturb_instance,
     search_optimal_lattice,
@@ -104,6 +103,19 @@ def cmd_bounds(args) -> int:
     return 0 if report.holds else 1
 
 
+def _stored_covering(store: dict, k: int) -> Lattice:
+    """The stored lattice of fold k, refused unless it is a k-fold covering
+    (before a search or an instance is built on it)."""
+    lat = store[k][0]
+    try:
+        covers = lattice_covers(lat, k)
+    except ValueError as exc:  # a flat lattice or a fold above the cap
+        raise ValueError(f"best.{k}: {exc}") from exc
+    if not covers:
+        raise ValueError(f"best.{k}: not a {k}-fold lattice covering")
+    return lat
+
+
 def cmd_optimize(args) -> int:
     warm = ()
     store = {}
@@ -113,14 +125,7 @@ def cmd_optimize(args) -> int:
         except FileNotFoundError:
             store = {}
         if args.k in store:
-            a, b, c = hermite_basis(store[args.k][0])
-            warm = ((b / a, c / a),)
-            try:  # refuse a flat stored lattice before the search scans it
-                s = _critical_size(warm[0], args.k)
-            except ValueError as exc:
-                raise ValueError(f"best.{args.k}: {exc}") from exc
-            if a * s > 1:  # the stored basis is a times the shape's
-                raise ValueError(f"best.{args.k}: not a {args.k}-fold lattice covering")
+            warm = (_stored_covering(store, args.k),)
     report = search_optimal_lattice(
         args.k, budget=args.budget, seed_grid=args.seed_grid, warm_starts=warm
     )
@@ -157,7 +162,7 @@ def cmd_gen_lattice(args) -> int:
             raise ValueError(f"results file not found: {args.results}") from exc
         if args.k not in store:
             raise ValueError(f"no stored lattice for k={args.k}")
-        lat = store[args.k][0]
+        lat = _stored_covering(store, args.k)
     else:
         raise ValueError("need --basis or --results")
     inst = lattice_instance(lat, rat(args.l), args.k)

@@ -27,6 +27,7 @@ T_i, and O(N) memory beyond its output.
 from __future__ import annotations
 
 from bisect import insort
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,24 +41,8 @@ __all__ = [
     "CoveringInstance",
     "DecompositionResult",
     "NonStairCell",
-    "repeated_corners",
     "decompose",
 ]
-
-
-def repeated_corners(corners) -> list[tuple[int, int]]:
-    """Pairs (i, j) with corners[j] == corners[i], i < j, in order of j.
-
-    i is the first occurrence of the corner, so the list is empty exactly
-    when the corners are pairwise distinct. One pass with a dict: O(N).
-    """
-    first: dict[Point, int] = {}
-    pairs = []
-    for j, c in enumerate(corners):
-        i = first.setdefault(c, j)
-        if i != j:
-            pairs.append((i, j))
-    return pairs
 
 
 @dataclass(frozen=True)
@@ -74,9 +59,9 @@ class CoveringInstance:
             raise ValueError("window side must be positive")
         if not self.corners:
             raise ValueError("instance needs at least one translate")
-        repeats = repeated_corners(self.corners)
-        if repeats:
-            smallest = min(str(self.corners[j]) for _, j in repeats)
+        counts = Counter(self.corners)  # one hash per corner
+        if len(counts) < len(self.corners):
+            smallest = min(str(c) for c, n in counts.items() if n > 1)
             raise ValueError(f"corners must be pairwise distinct; repeated {smallest}")
 
     @classmethod

@@ -300,7 +300,8 @@ def load_results_store(path) -> dict:
     out = {}
     for key, entry in best.items():
         where = f"best.{key}"
-        if not (key.isascii() and key.isdigit() and int(key) >= 1):
+        # plain decimal only: "01" next to "1" would silently replace it
+        if not (key.isascii() and key.isdigit() and key == str(int(key)) and int(key) >= 1):
             raise InstanceFormatError(f"{where}: the key must be a fold k >= 1")
         if not isinstance(entry, dict):
             raise InstanceFormatError(f"{where}: expected an object with u, v and multiplicity")

@@ -23,13 +23,14 @@ closed, so the feasible scales of a ray t * (1, beta, gamma) are exactly
 (1, 0), (beta, gamma) covers k-fold (`_critical_size`, exact, in ints).
 Each feasibility check is therefore the one comparison t * s* <= 1. s*
 is computed once per shape (beta, gamma), and Sriamorn's bound is checked
-with it: no k-fold lattice covering has density below (2k+1)/2. The
-exhaustive `lattice_multiplicity` re-checks the search's result, and
-`lattice_covers` (it against k) is the oracle of the comparison in the
-tests. Rays, warm-start shapes first, are seeded from a ratio grid,
-bisected, refined along the mirror-symmetric line b = c, then
-pattern-searched. The only approximation anywhere is that the search may
-stop short of the true optimum, which is reported as a gap.
+with it: no k-fold lattice covering has density below (2k+1)/2. The same
+comparison, on a lattice's own normalized basis, is the exact test
+`lattice_covers` of a stored lattice; the exhaustive `lattice_multiplicity`
+is its oracle in the tests and re-checks the search's result. Rays,
+warm-start shapes first, are seeded from a ratio grid, bisected, refined
+along the mirror-symmetric line b = c, then pattern-searched. The only
+approximation anywhere is that the search may stop short of the true
+optimum, which is reported as a gap.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ rows; a warm start from a flat stored lattice has no such bound: the shape
 """
 
 _MAX_FOLD = 64
-"""Largest fold k that `_critical_size` (so `optimize`) accepts. Its cost
+"""Largest fold k that `_critical_size` (so `optimize` and `lattice_covers`)
+accepts. Its cost
 grows as rows * k: a default search took 3.9 s of CPU at k = 64, 47 s at
 k = 150, and a 50-check search 193 s at k = 20,000."""
 
@@ -172,9 +174,12 @@ def lattice_multiplicity(lat: Lattice) -> int:
 
 
 def lattice_covers(lat: Lattice, k: int) -> bool:
-    """Whether the lattice family is a k-fold covering: the oracle, in the
-    tests, of the search's feasibility check by `_critical_size`."""
-    return lattice_multiplicity(lat) >= k
+    """Whether the lattice family is a k-fold covering, exactly: with the
+    normalized basis (a, 0), (b, c), the lattice is a times the one with
+    basis (1, 0), (b/a, c/a), so it covers k-fold when a * s* <= 1.
+    Raises ValueError where `_critical_size` refuses the shape or fold."""
+    a, b, c = hermite_basis(lat)
+    return a * _critical_size((b / a, c / a), k) <= 1
 
 
 def _critical_size(shape: tuple[Fraction, Fraction], k: int) -> Fraction:
@@ -288,7 +293,7 @@ def search_optimal_lattice(
     k: int,
     budget: int = 6000,
     seed_grid: int = 6,
-    warm_starts: tuple[tuple[Fraction, Fraction], ...] = (),
+    warm_starts: tuple[Lattice, ...] = (),
 ) -> LatticeSearchReport:
     """Search normalized bases u = (a, 0), v = (b, c) for the
     largest-determinant k-fold covering lattice.
@@ -297,25 +302,25 @@ def search_optimal_lattice(
     (0, 1/s*], s* = `_critical_size((beta, gamma), k)` (see the module
     docstring), so a feasibility check is the exact test t * s* <= 1. The
     search scans a grid of shapes (beta, gamma) = (b/a, c/a), after the
-    `warm_starts` shapes, bisects each ray, then refines the best shape by
-    pattern search with step halving, bisecting every candidate ray; a ray's
-    result is the record (det, t, shape), det = t^2 * gamma. Sriamorn's
-    bound is checked once per shape, at its densest feasible scale t = 1/s*:
-    a density s*^2 / (2 gamma) below (2k+1)/2 raises AssertionError, and so
-    does a multiplicity below k when the exhaustive `lattice_multiplicity`
-    re-checks the lattice found.
+    shapes of the `warm_starts` lattices, bisects each ray, then refines the
+    best shape by pattern search with step halving, bisecting every
+    candidate ray; a ray's result is the record (det, t, shape),
+    det = t^2 * gamma. Sriamorn's bound is checked once per shape, at its
+    densest feasible scale t = 1/s*: a density s*^2 / (2 gamma) below
+    (2k+1)/2 raises AssertionError, and so does a multiplicity below k when
+    the exhaustive `lattice_multiplicity` re-checks the lattice found.
 
     Deterministic throughout: fixed scan orders, exact arithmetic, exact
-    feasibility verdicts. `budget` caps the number of feasibility checks; if
-    it runs out before any feasible lattice is seen the report says so. A
-    fold above _MAX_FOLD raises ValueError at the first check.
+    feasibility verdicts. `budget` caps the number of distinct feasibility
+    checks (the report's `evaluations`); if it runs out before any feasible
+    lattice is seen the report says so. A fold above _MAX_FOLD raises
+    ValueError at the first check.
     """
     int_at_least(k, 1, "fold must be a positive integer")
     int_at_least(budget, 1, "budget must be at least 1")
     int_at_least(seed_grid, 1, "seed grid must be at least 1")
     target_det = Fraction(1, 2 * k + 1)
-    evaluations = 0
-    seen: dict[tuple[tuple[Fraction, Fraction], Fraction], bool] = {}
+    seen: set[tuple[tuple[Fraction, Fraction], Fraction]] = set()  # the checks made
 
     @cache
     def critical(shape) -> Fraction:
@@ -325,13 +330,11 @@ def search_optimal_lattice(
 
     def feasible(shape, t) -> bool | None:
         """Exact verdict, or None once the budget is exhausted."""
-        nonlocal evaluations
         if (shape, t) not in seen:
-            if evaluations >= budget:
+            if len(seen) >= budget:
                 return None
-            evaluations += 1
-            seen[shape, t] = t * critical(shape) <= 1
-        return seen[shape, t]
+            seen.add((shape, t))
+        return t * critical(shape) <= 1
 
     def ray_best(shape, precision: Fraction):
         """Record (det, t, shape) of the ray's largest feasible scale, or None.
@@ -352,9 +355,9 @@ def search_optimal_lattice(
             return None
         # strictly above the optimal scale; verified infeasible or guarded
         t_hi = Fraction(21, 20) * _sqrt_below(target_det / gamma) + Fraction(1, 10**6)
-        while (t_hi - t_lo) > precision * t_lo and evaluations < budget:
+        while (t_hi - t_lo) > precision * t_lo and len(seen) < budget:
             mid = (t_lo + t_hi) / 2
-            if feasible(shape, mid):  # never None: evaluations < budget
+            if feasible(shape, mid):  # never None: len(seen) < budget
                 t_lo = mid
             else:
                 t_hi = mid
@@ -362,7 +365,7 @@ def search_optimal_lattice(
 
     # phase 1: coarse rays over the ratio grid, warm starts first
     g = Fraction(1, seed_grid)
-    shapes = list(warm_starts) + [
+    shapes = [(b / a, c / a) for a, b, c in map(hermite_basis, warm_starts)] + [
         (Fraction(i, seed_grid), Fraction(j, seed_grid))
         for i in range(seed_grid)
         for j in range(1, seed_grid + 1)
@@ -376,11 +379,11 @@ def search_optimal_lattice(
                 best = rec
             if shape[0] == shape[1] and (best_diag is None or rec[0] > best_diag[0]):
                 best_diag = rec
-        if evaluations >= budget:
+        if len(seen) >= budget:
             break
 
     if best is None:
-        return LatticeSearchReport(k, None, 0, evaluations, budget)
+        return LatticeSearchReport(k, None, 0, len(seen), budget)
 
     # phase 2: zoom scan along the mirror-symmetric line b = c (the triangle
     # is symmetric under swapping x and y, so this line is a canonical home
@@ -398,9 +401,9 @@ def search_optimal_lattice(
                 rec = ray_best((gamma, gamma), Fraction(1, 256 << level))
                 if rec is not None and (level_best is None or rec[0] > level_best[0]):
                     level_best = rec
-                if evaluations >= budget:
+                if len(seen) >= budget:
                     break
-            if level_best is None or evaluations >= budget:
+            if level_best is None or len(seen) >= budget:
                 break
             center = level_best[2][1]
             width = width / 4
@@ -410,7 +413,7 @@ def search_optimal_lattice(
     # phase 3: 2D pattern search on the shape ratios from the best seen
     step = g / 2
     min_step = g / (1 << 12)
-    while evaluations < budget and step >= min_step:
+    while len(seen) < budget and step >= min_step:
         precision = min(coarse, step / 4)
         improved = None
         beta, gamma = best[2]
@@ -441,7 +444,7 @@ def search_optimal_lattice(
             f"k={k} lattice {lat} passed the critical size but has "
             f"multiplicity {multiplicity}; exact verifier bug"
         )
-    return LatticeSearchReport(k, lat, multiplicity, evaluations, budget)
+    return LatticeSearchReport(k, lat, multiplicity, len(seen), budget)
 
 
 def perturb_instance(inst: CoveringInstance, magnitude, seed: int) -> CoveringInstance:

@@ -31,8 +31,8 @@ from staircover.verification import (
     audit_corner_counts,
     audit_disjointness,
     audit_inner_corners,
-    audit_minimal_element,
 )
+from staircover.fileio import InstanceFormatError, parse_instance
 from _oracles import cell_matches_set_formula, grid_max_stair_area, max_stair_in_triangle
 
 
@@ -82,11 +82,13 @@ def test_criterion_4_audits_pass_and_counterexamples_fail(corpus):
     # planted counterexamples: every audit must detect its own violation
     sq = StairPolygon.rect
     one = Fraction(1)
-    dup = object.__new__(CoveringInstance)
-    object.__setattr__(dup, "k", 1)
-    object.__setattr__(dup, "window", one)
-    object.__setattr__(dup, "corners", (pt(0, 0), pt(0, 0), pt("1/2", "1/2")))
-    assert audit_minimal_element(dup).status == FAIL
+    # repeated corners, the one violation of the minimal-corner cut, never
+    # reach an audit: the constructor and the parser refuse them
+    dup = [(0, 0), (0, 0), ("1/2", "1/2")]
+    with pytest.raises(ValueError, match=r"distinct; repeated \(0, 0\)$"):
+        CoveringInstance.of(1, one, dup)
+    with pytest.raises(InstanceFormatError, match=r"^translates: corners must be pairwise"):
+        parse_instance({"k": 1, "l": "1", "translates": [[str(x), str(y)] for x, y in dup]})
 
     upper, _, tiling = audit_disjointness([sq(0, 1, 0, 1)] * 2, 1, one)
     assert upper.status == tiling.status == FAIL

@@ -274,14 +274,14 @@ class TestCommands:
         (["--l", "600", "--basis", "1,0;0,1"], 361201),
         (["--l", "1", "--basis", "1000000,0;0,1/1000000"], 2000000),
         (["--l", "1", "--basis", "10000000,0;0,1/10000000"], 20000000),
-        (["--l", "1", "--results"], 20000000),
+        (["--l", "600", "--results"], 3250809),
     ])
     def test_gen_lattice_refuses_a_huge_instance_fast(self, tmp_path, capsys, source, bound):
         # before the cap, 600 wrote 361,200 translates in 10.7 s and the
         # 10^6-flat basis 2,000,000 in 90 s; det = 1 in both flat cases
-        if source[-1] == "--results":
+        if source[-1] == "--results":  # a stored 3-fold covering, so it is read
             store = tmp_path / "store.json"
-            save_results_store(store, {1: (Lattice.of(10**7, 0, 0, Fraction(1, 10**7)), 1)})
+            save_results_store(store, {1: (Lattice.of("1/3", 0, "1/9", "1/3"), 3)})
             source = source + [str(store)]
         out = tmp_path / "inst.json"
         start = time.process_time()
@@ -291,6 +291,27 @@ class TestCommands:
             f"error: l: the window meets up to {bound} translates of this lattice, "
             "more than 100000\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k, lat, message", [
+        # density 1/2, below Sriamorn's 3/2: it would write 8 translates
+        # that leave most of the window uncovered
+        (1, Lattice.of(1, 0, 0, 1), "not a 1-fold lattice covering"),
+        (4, Lattice.of("1/3", 0, 0, "1/3"), "not a 4-fold lattice covering"),
+        (1, Lattice.of(10**7, 0, 0, Fraction(1, 10**7)),
+         "lattice too flat: its critical size needs more than 1000 rows"),
+        (65, Lattice.of("1/3", 0, 0, "1/3"), "fold must be at most 64, got 65"),
+    ])
+    def test_gen_lattice_refuses_a_stored_lattice_that_does_not_cover(
+        self, tmp_path, capsys, k, lat, message
+    ):
+        store, out = tmp_path / "store.json", tmp_path / "inst.json"
+        save_results_store(store, {k: (lat, k)})
+        start = time.process_time()
+        assert main(["gen-lattice", "--k", str(k), "--l", "1", "--results", str(store),
+                     "--out", str(out)]) == 2
+        assert time.process_time() - start < 1
+        assert capsys.readouterr().err == f"error: best.{k}: {message}\n"
         assert not out.exists()
 
     def test_gen_lattice_perturbed_fixture_is_seeded_and_verified(self, tmp_path, capsys):
@@ -369,6 +390,17 @@ class TestCommands:
         assert capsys.readouterr().err == (
             "error: best.1: not a 1-fold lattice covering\n"
         )
+        assert (tmp_path / "store.json").read_bytes() == before
+
+    @pytest.mark.parametrize("keys", [("1", "01"), ("01",)])
+    def test_optimize_refuses_a_fold_key_not_in_plain_decimal(self, tmp_path, capsys, keys):
+        # "01" next to "1" used to replace it silently, and --resume then
+        # rewrote the file with one entry
+        entry = {"u": ["1", "0"], "v": ["1/3", "1/3"], "multiplicity": 1}
+        store = write_instance(tmp_path / "store.json", {"best": {key: entry for key in keys}})
+        before = (tmp_path / "store.json").read_bytes()
+        assert main(["optimize", "--k", "1", "--budget", "400", "--resume", store]) == 2
+        assert capsys.readouterr().err == "error: best.01: the key must be a fold k >= 1\n"
         assert (tmp_path / "store.json").read_bytes() == before
 
     def test_optimize_refuses_a_fold_above_the_cap_fast(self, capsys):

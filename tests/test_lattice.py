@@ -131,6 +131,25 @@ class TestMultiplicity:
         assert lattice_covers(diag_lattice(k), k)
         assert not lattice_covers(diag_lattice(k), k + 1)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 12), st.integers(0, 11), st.integers(2, 12),
+        st.integers(-2, 2), st.integers(-2, 2), st.integers(1, 4),
+    )
+    @example(12, 4, 4, 0, 0, 1)  # (1, 0), (1/3, 1/3): density 3/2, tight
+    @example(4, 0, 4, 1, -1, 3)  # the third grid, covering 3-fold...
+    @example(4, 0, 4, 1, -1, 4)  # ...and not 4-fold
+    def test_covers_is_exact(self, i, j, m, p, q, k):
+        # the normalized basis (a, 0), (b, c) in 1/12ths, sheared into a
+        # basis that is not normalized; about one draw in five covers
+        a, c = Fraction(i, 12), Fraction(m, 12)
+        u, v = pt(a, 0), pt(j * a / 12, c)
+        u = pt(u.x + p * v.x, u.y + p * v.y)
+        v = pt(v.x + q * u.x, v.y + q * u.y)
+        lat = Lattice(u, v)
+        assert hermite_basis(lat) == (a, j * a / 12, c)
+        assert lattice_covers(lat, k) == (lattice_multiplicity(lat) >= k)
+
     @pytest.mark.parametrize("c", (Fraction(5, 4), Fraction(3, 2), 2))
     def test_scaling_up_never_gains_multiplicity(self, c):
         for lat in (grid_lattice(2), diag_lattice(1)):
@@ -174,7 +193,7 @@ class TestCriticalSize:
             (1, True), (Fraction(999, 1000), True), (Fraction(1001, 1000), False)
         ):
             lat = ray_lattice((beta, gamma), t_star * factor)
-            assert lattice_covers(lat, k) is covers
+            assert (lattice_multiplicity(lat) >= k) is covers
 
     def test_depends_on_the_lattice_only(self):
         gamma = Fraction(1, 6)
@@ -283,8 +302,9 @@ class TestSearch:
         assert (a.feasible, a.density, a.evaluations) == (b.feasible, b.density, b.evaluations)
 
     def test_warm_start_reaches_stored_quality(self):
+        # a basis of the lattice (1, 0), (1/3, 1/3) that is not normalized
         report = search_optimal_lattice(
-            1, budget=60, seed_grid=4, warm_starts=((Fraction(1, 3), Fraction(1, 3)),)
+            1, budget=60, seed_grid=4, warm_starts=(Lattice.of(1, 0, "4/3", "1/3"),)
         )
         assert report.feasible
         assert report.density == Fraction(3, 2)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from staircover import (
 )
 from staircover import arrangement, verification
 from staircover.arrangement import min_depth
-from staircover.fileio import report_audit
+from staircover.fileio import InstanceFormatError, parse_instance, report_audit
 from staircover.verification import (
     FAIL,
     PASS,
@@ -52,15 +53,6 @@ from staircover.lattice import lattice_instance
 
 def sq(x0, x1, y0, y1) -> StairPolygon:
     return StairPolygon.rect(x0, x1, y0, y1)
-
-
-def hand_built(k, l, corners) -> CoveringInstance:
-    """An instance that skips validation, so its corners may repeat."""
-    inst = object.__new__(CoveringInstance)
-    object.__setattr__(inst, "k", k)
-    object.__setattr__(inst, "window", rat(l))
-    object.__setattr__(inst, "corners", tuple(pt(x, y) for x, y in corners))
-    return inst
 
 
 def quarter_cells():
@@ -195,29 +187,26 @@ class TestAuditsOnRealInstances:
 
 
 class TestPlantedCounterexamples:
-    def test_minimal_corner_cut_fails_on_duplicate_translates(self):
-        inst = hand_built(1, 1, [(0, 0), (0, 0), (0, "1/2"), ("1/2", 0), ("1/2", "1/2")])
-        verdict = audit_minimal_element(inst)
-        assert verdict.status == FAIL
-        assert "does not cut" in verdict.detail
-        assert (verdict.witness["minimal"], verdict.witness["other"]) == (0, 1)
+    # the planted duplicates the minimal-corner audit once searched for: the
+    # constructor and the parser refuse them, naming the least repeat by string
+    @pytest.mark.parametrize("l, corners, repeated", [
+        (1, [(0, 0), (0, 0), (0, "1/2"), ("1/2", 0), ("1/2", "1/2")], "(0, 0)"),
+        ("1/2", [(0, 0), ("1/4", 0), ("1/4", 0)], "(1/4, 0)"),
+        (1, [(0, 0), (2, 2), (2, 2), ("1/2", 1), (-2, -2), ("1/2", 1), (-2, -2)], "(-2, -2)"),
+    ])
+    def test_duplicate_translates_are_refused(self, l, corners, repeated):
+        message = f"corners must be pairwise distinct; repeated {repeated}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CoveringInstance.of(1, l, corners)
+        data = {"k": 1, "l": str(l), "translates": [[str(x), str(y)] for x, y in corners]}
+        with pytest.raises(InstanceFormatError, match=re.escape(f"translates: {message}")):
+            parse_instance(data)
 
-    def test_minimal_corner_cut_fails_on_covered_duplicate(self):
-        # T(0,0) alone covers the window, yet the repeated T(1/4,0) meets it
-        inst = hand_built(1, "1/2", [(0, 0), ("1/4", 0), ("1/4", 0)])
-        verdict = audit_minimal_element(inst)
-        assert verdict.status == FAIL
-        w = verdict.witness
-        assert (w["minimal"], w["other"]) == (1, 2)
-        p = w["point"]
-        assert 0 <= p.x < inst.window and 0 <= p.y < inst.window
-        assert all(Triangle(inst.corners[i]).contains(p) for i in (1, 2))
-
-    @pytest.mark.parametrize("repeated", [(2, 2), (-2, -2), ("1/2", 1)])
-    def test_minimal_corner_cut_passes_on_duplicate_missing_the_window(self, repeated):
-        quarters = [(0, 0), (0, "1/2"), ("1/2", 0), ("1/2", "1/2")]
-        inst = hand_built(1, 1, quarters + [repeated, repeated])
-        assert audit_minimal_element(inst).status == PASS
+    def test_minimal_corner_cut_passes_on_every_instance(self, quarters):
+        verdict = audit_minimal_element(quarters)
+        assert (verdict.check, verdict.status, verdict.detail) == (
+            "minimal_corner_cut", PASS, "no two of 4 corners coincide in the window"
+        )
 
     def test_multiplicity_upper_fails_on_duplicate_cell(self):
         cells = [sq(0, 1, 0, 1), sq(0, 1, 0, 1)]

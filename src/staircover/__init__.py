@@ -19,11 +19,7 @@ from .geom import (
     Point,
     Rect,
     StairPolygon,
-    Triangle,
-    cuts,
-    precedes,
     pt,
-    tri_intersects,
 )
 from .lattice import (
     Lattice,

@@ -1,17 +1,18 @@
-"""Exact primitives: points, triangle translates, half-open rectangles and
-half-open stair polygons.
+"""Exact primitives: points, half-open rectangles and half-open stair
+polygons.
 
 Conventions used throughout the package:
 
-* The canonical triangle has vertices (0,0), (1,0), (0,1). A `Triangle` is
-  the translate of it whose right-angle corner sits at `corner`, i.e. the
-  closed set {p : p.x >= corner.x, p.y >= corner.y,
-  (p.x - corner.x) + (p.y - corner.y) <= 1}.
+* The canonical triangle has vertices (0,0), (1,0), (0,1). The translate at
+  a corner is the closed set {p : p.x >= corner.x, p.y >= corner.y,
+  (p.x - corner.x) + (p.y - corner.y) <= 1}, handled through its corner.
 * Rectangles and stair polygons are half open in the [x0, x1) x [y0, y1)
   sense: closed on the left and bottom, open on the right and top. This
   keeps membership and tiling multiplicity free of boundary double counts.
-* `precedes` orders points by coordinate sum, breaking ties by x. It is a
-  strict total order on distinct points and drives the cutting relation.
+* Corners are ordered by coordinate sum, ties broken by x: a strict total
+  order on distinct points. Triangle a cuts triangle b when the two meet
+  and a's corner comes later; `decomposition` and `verification` test this
+  in integers.
 """
 
 from __future__ import annotations
@@ -24,13 +25,9 @@ from .rational import rat, rat_str
 
 __all__ = [
     "Point",
-    "Triangle",
     "Rect",
     "StairPolygon",
     "pt",
-    "precedes",
-    "tri_intersects",
-    "cuts",
 ]
 
 
@@ -46,60 +43,6 @@ class Point:
 def pt(x, y) -> Point:
     """Build a Point from any exact rational representation (not float)."""
     return Point(rat(x), rat(y))
-
-
-def precedes(p: Point, q: Point) -> bool:
-    """Strict order: smaller coordinate sum first, ties broken by smaller x.
-
-    Total on distinct points; p never precedes itself.
-    """
-    return (p.x + p.y, p.x) < (q.x + q.y, q.x)
-
-
-@dataclass(frozen=True)
-class Triangle:
-    """A translate of the canonical right triangle, anchored at its corner."""
-
-    corner: Point
-
-    @classmethod
-    def at(cls, x, y) -> "Triangle":
-        return cls(pt(x, y))
-
-    @property
-    def hyp_sum(self) -> Fraction:
-        """Value of x + y along the hypotenuse."""
-        return self.corner.x + self.corner.y + 1
-
-    def contains(self, p: Point) -> bool:
-        return (
-            p.x >= self.corner.x
-            and p.y >= self.corner.y
-            and p.x + p.y <= self.hyp_sum
-        )
-
-    def __str__(self) -> str:
-        return f"T@{self.corner}"
-
-
-def tri_intersects(a: Triangle, b: Triangle) -> bool:
-    """Whether two closed triangle translates share at least one point.
-
-    The componentwise max of the corners is the lowest point of the
-    intersection of the two quadrants; the triangles meet exactly when that
-    point still lies under both hypotenuses.
-    """
-    return max(a.corner.x, b.corner.x) + max(a.corner.y, b.corner.y) <= min(
-        a.hyp_sum, b.hyp_sum
-    )
-
-
-def cuts(a: Triangle, b: Triangle) -> bool:
-    """Whether *a* cuts *b*: distinct, intersecting, and b's corner precedes a's.
-
-    For any two distinct intersecting translates exactly one direction holds.
-    """
-    return a != b and tri_intersects(a, b) and precedes(b.corner, a.corner)
 
 
 @dataclass(frozen=True)

@@ -18,18 +18,30 @@ asks for it only on a scan of more than 1,000 sample slots per translate
 (the cost rule, `arrangement._CERTIFY_SLOTS_PER_TRANSLATE`) and then stops
 at its first sample of depth k: the exhaustive scan's (depth, witness).
 Containment is checked here, exactly, not taken from `decompose`.
+
+The tiling grid and the pair audits each put their values on one integer
+scale per call (`_on_one_scale`): the lcm of the denominators of the cells'
+breaks, which covers the midpoint breaks of a shrunk cell, plus the
+window's for the grid and the corners' for the cut test. They compare
+Python ints, and make `Fraction`s only for witnesses and for the grid's
+lines. Each visits only what can touch: the boundary audit sweeps the
+cells' closed boxes by x0 and searches just the pairs that meet; the
+anchor counts bisect the x-sorted anchors to each cell's x-range; the
+inner-corner audit tests each corner against the cells anchored at its x.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from . import arrangement
 from .decomposition import CoveringInstance, DecompositionResult, decompose
-from .geom import Point, StairPolygon, Triangle, cuts
+from .geom import Point, StairPolygon
 
 __all__ = [
     "CoverageCertificate",
@@ -120,6 +132,29 @@ def _tiling_proves_depth(
     return (tiling or verify_exact_tiling(result.stair_cells(), inst.k, inst.window)).passed
 
 
+def _on_one_scale(cells, extra):
+    """The breaks of the stair `cells` and the values `extra` as ints on one
+    scale: (scale, [(x_breaks, y_breaks) per cell], extra). The scale is the
+    lcm of every denominator among them, so each int is its value times the
+    scale and keeps its order and ties."""
+    extra = tuple(extra)
+    dens = {v.denominator for v in extra}
+    for cell in cells:
+        dens.update(v.denominator for v in cell.x_breaks)
+        dens.update(v.denominator for v in cell.y_breaks)
+    scale = lcm(*dens)
+    factor = {d: scale // d for d in dens}
+
+    def up(values):
+        return tuple(v.numerator * factor[v.denominator] for v in values)
+
+    return scale, [(up(c.x_breaks), up(c.y_breaks)) for c in cells], up(extra)
+
+
+def _point(x: int, y: int, scale: int) -> Point:
+    return Point(Fraction(x, scale), Fraction(y, scale))
+
+
 def multiplicity_grid(cells, l: Fraction):
     """Multiplicity of a stair-cell family on the grid of all its breaks.
 
@@ -127,30 +162,32 @@ def multiplicity_grid(cells, l: Fraction):
     covering the half-open grid cell [xs[i], xs[i+1]) x [ys[j], ys[j+1]).
     Cells must lie inside [0, l]^2.
     """
-    xs = {Fraction(0), l}
-    ys = {Fraction(0), l}
-    rect_lists = []
-    for cell in cells:
-        rects = cell.to_rects()
-        for r in rects:
-            if r.x0 < 0 or r.x1 > l or r.y0 < 0 or r.y1 > l:
-                raise ValueError(f"cell rectangle {r} extends outside the window")
-            xs.update((r.x0, r.x1))
-            ys.update((r.y0, r.y1))
-        rect_lists.append(rects)
-    xs = sorted(xs)
-    ys = sorted(ys)
+    scale, breaks, (top,) = _on_one_scale(cells, (l,))
+    for cell, (bx, by) in zip(cells, breaks):
+        if bx[0] < 0 or by[-1] < 0 or by[0] > top or bx[-1] > top:
+            r = next(r for r in cell.to_rects() if r.x0 < 0 or r.x1 > l or r.y0 < 0 or r.y1 > l)
+            raise ValueError(f"cell rectangle {r} extends outside the window")
+    xs = sorted({0, top}.union(*(bx for bx, _ in breaks)))
+    ys = sorted({0, top}.union(*(by for _, by in breaks)))
     xi = {v: i for i, v in enumerate(xs)}
-    yi = {v: i for i, v in enumerate(ys)}
-    diff = np.zeros((len(xs), len(ys)), dtype=np.int64)
-    for rects in rect_lists:
-        for r in rects:
-            diff[xi[r.x0], yi[r.y0]] += 1
-            diff[xi[r.x1], yi[r.y0]] -= 1
-            diff[xi[r.x0], yi[r.y1]] -= 1
-            diff[xi[r.x1], yi[r.y1]] += 1
-    counts = diff.cumsum(axis=0).cumsum(axis=1)[:-1, :-1]
-    return xs, ys, counts
+    yi = {v: j for j, v in enumerate(ys)}
+    # corners of the columns, flat in the (x, y) grid; a stair cell's bottom
+    # corners telescope to its two outer ones
+    n = len(ys)
+    plus, minus = [], []
+    for bx, by in breaks:
+        bottom = yi[by[-1]]
+        plus.append(xi[bx[0]] * n + bottom)
+        minus.append(xi[bx[-1]] * n + bottom)
+        for x0, x1, y in zip(bx, bx[1:], by):
+            plus.append(xi[x1] * n + yi[y])
+            minus.append(xi[x0] * n + yi[y])
+    size = len(xs) * n
+    diff = np.bincount(np.asarray(plus, dtype=np.intp), minlength=size) - np.bincount(
+        np.asarray(minus, dtype=np.intp), minlength=size
+    )
+    counts = diff.reshape(len(xs), n).cumsum(axis=0).cumsum(axis=1)[:-1, :-1]
+    return [Fraction(v, scale) for v in xs], [Fraction(v, scale) for v in ys], counts
 
 
 @dataclass(frozen=True)
@@ -247,17 +284,19 @@ def audit_disjointness(cells, k: int, l: Fraction):
     )
 
 
-def _removed_boundary_hit(a: StairPolygon, b: StairPolygon) -> Point | None:
-    """A point of (closure(A) \\ A) ∩ B, or None.
+def _removed_boundary_hit(a, b):
+    """A point (x, y) of (closure(A) \\ A) ∩ B, or None, for stair cells
+    given by their (x_breaks, y_breaks).
 
     The removed boundary of A is its closed staircase path: per column, the
     top edge, then the riser at the column's right end down to the next top
     (the last riser runs down to A's bottom). Each closed segment
     [x0, x1] x [y0, y1] is tested against B's half-open columns in order.
     """
-    xs, ys = a.x_breaks, a.y_breaks
-    bottom = b.y_breaks[-1]
-    columns = tuple(zip(b.x_breaks, b.x_breaks[1:], b.y_breaks))
+    xs, ys = a
+    bxs, bys = b
+    bottom = bys[-1]
+    columns = tuple(zip(bxs, bxs[1:], bys))
     for i in range(len(xs) - 1):
         top_edge = (xs[i], xs[i + 1], ys[i], ys[i])
         riser = (xs[i + 1], xs[i + 1], ys[i + 1], ys[i])
@@ -265,8 +304,19 @@ def _removed_boundary_hit(a: StairPolygon, b: StairPolygon) -> Point | None:
             for u0, u1, top in columns:
                 # closed [lo, hi] meets half-open [c0, c1) iff lo < c1 and hi >= c0
                 if x0 < u1 and x1 >= u0 and y0 < top and y1 >= bottom:
-                    return Point(max(x0, u0), max(y0, bottom))
+                    return max(x0, u0), max(y0, bottom)
     return None
+
+
+def _cuts(a, b, scale: int) -> bool:
+    """Whether the triangle at corner a cuts the one at corner b, both (x, y)
+    ints on `scale`: a comes later in the sum-then-x order, and the lowest
+    point (max x, max y) of the two quadrants' intersection lies under both
+    hypotenuses."""
+    (ax, ay), (bx, by) = a, b
+    return (bx + by, bx) < (ax + ay, ax) and max(ax, bx) + max(ay, by) <= min(
+        ax + ay, bx + by
+    ) + scale
 
 
 def audit_boundary_cut(corners, indexed_cells):
@@ -275,70 +325,87 @@ def audit_boundary_cut(corners, indexed_cells):
     Directed: if T_i cuts T_j then the removed boundary of cell i misses
     cell j; it fails on the least (i, j) in index order. One-sided: for
     every pair at least one direction misses; it fails on the first pair
-    i < j in the order of the entries. Only hits are stored. A pair whose
-    closed bounding boxes are disjoint has no hit, since the removed
-    boundary of a cell lies in its closed box, and is not searched. An
-    index repeated in `indexed_cells` keeps the place of its first entry
-    and is judged by its last.
+    i < j in the order of the entries. An index repeated in
+    `indexed_cells` keeps the place of its first entry and is judged by its
+    last. The removed boundary of a cell lies in its closed box, so only
+    pairs whose closed boxes meet can hit: a sweep over the boxes by x0,
+    with the list of those still open, searches just those pairs, both
+    ways, and only hits are stored.
     """
     directed_check = "boundary_vs_cutter"
     pairwise_check = "boundary_one_sided"
     cells = dict(indexed_cells)
-    boxes = [
-        (i, c, (c.x_breaks[0], c.x_breaks[-1], c.y_breaks[-1], c.y_breaks[0]))
-        for i, c in cells.items()
-    ]
-    hits: dict[tuple[int, int], Point] = {}
-    for i, a, (ax0, ax1, ay0, ay1) in boxes:
-        for j, b, (bx0, bx1, by0, by1) in boxes:
-            if i != j and ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1:
-                w = _removed_boundary_hit(a, b)
-                if w is not None:
-                    hits[(i, j)] = w
+    order = list(cells)  # position -> index
+    scale, breaks, flat = _on_one_scale(
+        cells.values(), (v for i in order for v in (corners[i].x, corners[i].y))
+    )
+    corner = list(zip(flat[::2], flat[1::2]))  # by position
+    boxes = sorted(
+        (bx[0], bx[-1], by[-1], by[0], p) for p, (bx, by) in enumerate(breaks)
+    )
+    hits: dict[tuple[int, int], tuple[int, int]] = {}  # by positions
+    active = []
+    for x0, x1, y0, y1, q in boxes:
+        active = [box for box in active if box[1] >= x0]
+        for _, _, ay0, ay1, p in active:
+            if ay0 <= y1 and y0 <= ay1:
+                for a, b in ((p, q), (q, p)):
+                    w = _removed_boundary_hit(breaks[a], breaks[b])
+                    if w is not None:
+                        hits[(a, b)] = w
+        active.append((x0, x1, y0, y1, q))
     directed = AuditVerdict(directed_check, PASS, "no cutter boundary meets a cut cell")
-    for (i, j), w in sorted(hits.items()):
-        if cuts(Triangle(corners[i]), Triangle(corners[j])):
+    for (i, j), (p, q) in sorted(((order[p], order[q]), (p, q)) for p, q in hits):
+        if _cuts(corner[p], corner[q], scale):
             directed = _fail(
                 directed_check,
                 f"triangle {i} cuts triangle {j} but boundary of cell {i} meets cell {j}",
                 cutter=i,
                 cut=j,
-                point=w,
+                point=_point(*hits[(p, q)], scale),
             )
             break
     pairwise = AuditVerdict(pairwise_check, PASS, "every pair is one-sided")
-    for (i, j), w in hits.items():
-        if i < j and (j, i) in hits:
-            pairwise = _fail(
-                pairwise_check,
-                f"boundaries of cells {i} and {j} each meet the other cell",
-                first=i,
-                second=j,
-                point=w,
-                point_reverse=hits[(j, i)],
-            )
-            break
+    both = [(p, q) for p, q in hits if order[p] < order[q] and (q, p) in hits]
+    if both:
+        p, q = min(both)
+        i, j = order[p], order[q]
+        pairwise = _fail(
+            pairwise_check,
+            f"boundaries of cells {i} and {j} each meet the other cell",
+            first=i,
+            second=j,
+            point=_point(*hits[(p, q)], scale),
+            point_reverse=_point(*hits[(q, p)], scale),
+        )
     return directed, pairwise
 
 
 def audit_inner_corners(indexed_cells) -> AuditVerdict:
     """Every inner corner of a cell lies in some other cell whose anchor
-    shares the corner's x-coordinate."""
+    shares the corner's x-coordinate.
+
+    The cells are grouped by anchor x, so each corner is tested only
+    against the cells anchored at its x; such a cell contains it when it
+    lies in its first column.
+    """
     check = "corner_anchor_column"
+    scale, breaks, _ = _on_one_scale([cell for _, cell in indexed_cells], ())
+    by_anchor_x: dict[int, list] = {}
+    for (j, _), (bx, by) in zip(indexed_cells, breaks):
+        by_anchor_x.setdefault(bx[0], []).append((j, by[-1], by[0]))
     corners_checked = 0
-    for i, cell in indexed_cells:
-        for corner in cell.inner_corners():
+    for (i, _), (bx, by) in zip(indexed_cells, breaks):
+        for x, y in zip(bx[1:-1], by[1:-1]):
             corners_checked += 1
-            found = any(
-                j != i and other.contains(corner) and other.anchor.x == corner.x
-                for j, other in indexed_cells
-            )
-            if not found:
+            if not any(
+                j != i and bottom <= y < top for j, bottom, top in by_anchor_x.get(x, ())
+            ):
                 return _fail(
                     check,
                     f"inner corner of cell {i} is in no cell anchored at its x",
                     cell=i,
-                    point=corner,
+                    point=_point(x, y, scale),
                 )
     return AuditVerdict(check, PASS, f"{corners_checked} inner corners checked")
 
@@ -348,19 +415,25 @@ def audit_corner_counts(indexed_cells, k: int):
 
     n_i counts the anchors of other cells lying in the interior or on the
     inner corners of cell i. Verifies n_i >= r_i - k + 1 per cell,
-    sum(n_i) <= k * N' and sum(r_i) <= (2k - 1) * N'.
+    sum(n_i) <= k * N' and sum(r_i) <= (2k - 1) * N'. Interior points and
+    inner corners lie strictly inside the cell's x-range, so each cell
+    bisects the x-sorted anchors to that range and tests only those.
     """
     n_prime = len(indexed_cells)
+    _, breaks, _ = _on_one_scale([cell for _, cell in indexed_cells], ())
+    anchors = sorted((bx[0], by[-1], j) for (j, _), (bx, by) in zip(indexed_cells, breaks))
+    anchor_xs = [x for x, _, _ in anchors]
     anchor_counts = {}
-    for i, cell in indexed_cells:
-        corner_set = set(cell.inner_corners())
-        n_i = sum(
+    for (i, _), (bx, by) in zip(indexed_cells, breaks):
+        corner_set = set(zip(bx[1:-1], by[1:-1]))
+        bottom = by[-1]
+        anchor_counts[i] = sum(
             1
-            for j, other in indexed_cells
-            if j != i
-            and (cell.interior_contains(other.anchor) or other.anchor in corner_set)
+            for x, y, j in anchors[bisect_right(anchor_xs, bx[0]): bisect_left(anchor_xs, bx[-1])]
+            # interior: above the bottom and under the column top at x, the
+            # right-hand (lower) one at an internal break
+            if j != i and (bottom < y < by[bisect_right(bx, x) - 1] or (x, y) in corner_set)
         )
-        anchor_counts[i] = n_i
     lower = AuditVerdict("anchor_count_lower", PASS, "n_i >= r_i - k + 1 for all cells")
     for i, cell in indexed_cells:
         if anchor_counts[i] < cell.stair_count - k + 1:

@@ -14,13 +14,16 @@ by testing every coefficient pair of a box, in the basis as given. The
 decomposition is rebuilt in Fractions, one `Triangle` pair test per cutter
 candidate; the exact tiling is judged by counting, at the lower-left
 corner of every cell of the grid of breaks, the stair cells that contain
-it; and the boundary audit compares every ordered pair of cells by its own
-search of boundary segments against column rectangles.
+it; the boundary audit compares every ordered pair of cells by its own
+search of boundary segments against column rectangles, with the cutting
+relation of `Triangle`s in Fractions; and the two corner audits test every
+anchor or inner corner against every cell, in Fractions.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -29,9 +32,62 @@ import numpy as np
 from staircover.arrangement import _frame, _iter_chunks, _sweep
 from staircover.bounds import max_stair_area
 from staircover.decomposition import CoveringInstance, DecompositionResult, NonStairCell
-from staircover.geom import Point, Rect, StairPolygon, Triangle, cuts
+from staircover.geom import Point, Rect, StairPolygon, pt
 from staircover.rational import int_at_least
 from staircover.verification import PASS, AuditVerdict, _fail
+
+
+# --- triangle translates and the cutting relation, in Fractions -------------
+
+def precedes(p: Point, q: Point) -> bool:
+    """Strict order: smaller coordinate sum first, ties broken by smaller x.
+
+    Total on distinct points; p never precedes itself.
+    """
+    return (p.x + p.y, p.x) < (q.x + q.y, q.x)
+
+
+@dataclass(frozen=True)
+class Triangle:
+    """A translate of the canonical right triangle, anchored at its corner."""
+
+    corner: Point
+
+    @classmethod
+    def at(cls, x, y) -> "Triangle":
+        return cls(pt(x, y))
+
+    @property
+    def hyp_sum(self) -> Fraction:
+        """Value of x + y along the hypotenuse."""
+        return self.corner.x + self.corner.y + 1
+
+    def contains(self, p: Point) -> bool:
+        return (
+            p.x >= self.corner.x
+            and p.y >= self.corner.y
+            and p.x + p.y <= self.hyp_sum
+        )
+
+
+def tri_intersects(a: Triangle, b: Triangle) -> bool:
+    """Whether two closed triangle translates share at least one point.
+
+    The componentwise max of the corners is the lowest point of the
+    intersection of the two quadrants; the triangles meet exactly when that
+    point still lies under both hypotenuses.
+    """
+    return max(a.corner.x, b.corner.x) + max(a.corner.y, b.corner.y) <= min(
+        a.hyp_sum, b.hyp_sum
+    )
+
+
+def cuts(a: Triangle, b: Triangle) -> bool:
+    """Whether *a* cuts *b*: distinct, intersecting, and b's corner precedes a's.
+
+    For any two distinct intersecting translates exactly one direction holds.
+    """
+    return a != b and tri_intersects(a, b) and precedes(b.corner, a.corner)
 
 
 # --- exact convex-geometry primitives -------------------------------------
@@ -357,6 +413,81 @@ def audit_boundary_cut_reference(corners, indexed_cells):
             )
             break
     return directed, pairwise
+
+
+# --- corner audits ---------------------------------------------------------
+
+def inner_corners_reference(indexed_cells) -> AuditVerdict:
+    """`verification.audit_inner_corners` scanning every entry for every
+    inner corner, in Fractions."""
+    check = "corner_anchor_column"
+    corners_checked = 0
+    for i, cell in indexed_cells:
+        for corner in cell.inner_corners():
+            corners_checked += 1
+            found = any(
+                j != i and other.contains(corner) and other.anchor.x == corner.x
+                for j, other in indexed_cells
+            )
+            if not found:
+                return _fail(
+                    check,
+                    f"inner corner of cell {i} is in no cell anchored at its x",
+                    cell=i,
+                    point=corner,
+                )
+    return AuditVerdict(check, PASS, f"{corners_checked} inner corners checked")
+
+
+def corner_counts_reference(indexed_cells, k: int):
+    """`verification.audit_corner_counts` testing every entry's anchor
+    against every cell, in Fractions."""
+    n_prime = len(indexed_cells)
+    anchor_counts = {}
+    for i, cell in indexed_cells:
+        corner_set = set(cell.inner_corners())
+        anchor_counts[i] = sum(
+            1
+            for j, other in indexed_cells
+            if j != i
+            and (cell.interior_contains(other.anchor) or other.anchor in corner_set)
+        )
+    lower = AuditVerdict("anchor_count_lower", PASS, "n_i >= r_i - k + 1 for all cells")
+    for i, cell in indexed_cells:
+        if anchor_counts[i] < cell.stair_count - k + 1:
+            lower = _fail(
+                "anchor_count_lower",
+                f"cell {i}: {anchor_counts[i]} anchors < r - k + 1 = {cell.stair_count - k + 1}",
+                cell=i,
+                anchors=anchor_counts[i],
+                stairs=cell.stair_count,
+            )
+            break
+    total_anchors = sum(anchor_counts.values())
+    if total_anchors <= k * n_prime:
+        upper = AuditVerdict(
+            "anchor_count_upper", PASS, f"sum n_i = {total_anchors} <= {k * n_prime}"
+        )
+    else:
+        upper = _fail(
+            "anchor_count_upper",
+            f"sum n_i = {total_anchors} exceeds k*N' = {k * n_prime}",
+            total=total_anchors,
+            limit=k * n_prime,
+        )
+    total_stairs = sum(cell.stair_count for _, cell in indexed_cells)
+    budget = (2 * k - 1) * n_prime
+    if total_stairs <= budget:
+        total = AuditVerdict("stair_count_total", PASS, f"sum r_i = {total_stairs} <= {budget}")
+    else:
+        total = _fail(
+            "stair_count_total",
+            f"sum r_i = {total_stairs} exceeds (2k-1)*N' = {budget}",
+            total=total_stairs,
+            limit=budget,
+        )
+    stats = {"anchor_counts": anchor_counts, "sum_anchor_counts": total_anchors}
+    return lower, upper, total, stats
 
 
 # --- coverage depth -------------------------------------------------------

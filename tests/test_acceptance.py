@@ -15,7 +15,6 @@ import pytest
 from staircover import (
     CoveringInstance,
     StairPolygon,
-    Triangle,
     decompose,
     density_chain,
     max_stair_area,
@@ -33,7 +32,12 @@ from staircover.verification import (
     audit_inner_corners,
 )
 from staircover.fileio import InstanceFormatError, parse_instance
-from _oracles import cell_matches_set_formula, grid_max_stair_area, max_stair_in_triangle
+from _oracles import (
+    Triangle,
+    cell_matches_set_formula,
+    grid_max_stair_area,
+    max_stair_in_triangle,
+)
 
 
 def _report(criterion: str, detail: str):

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from staircover import Rect, Triangle, pt
+from staircover import Rect, pt
 from staircover import arrangement
 from staircover.arrangement import min_depth
 from staircover.lattice import Lattice, _multiplicity_window, lattice_instance
 from conftest import diag_lattice, grid_lattice
-from _oracles import depth_at, min_depth_reference
+from _oracles import Triangle, depth_at, min_depth_reference
 
 DEN = 9973  # prime: generic coordinates share no structure with the lattices
 SHRINK = Fraction(1, 8)

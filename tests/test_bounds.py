@@ -6,14 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from staircover import (
-    Triangle,
     decompose,
     density_chain,
     max_stair_area,
     pt,
     stair_area_bound,
 )
-from _oracles import grid_max_stair_area, grid_stair_max_bruteforce, max_stair_in_triangle
+from _oracles import Triangle, grid_max_stair_area, grid_stair_max_bruteforce, max_stair_in_triangle
 from conftest import diag_lattice
 from staircover.lattice import lattice_instance
 

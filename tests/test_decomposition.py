@@ -11,14 +11,12 @@ from staircover import (
     CoveringInstance,
     NonStairCell,
     StairPolygon,
-    Triangle,
-    cuts,
     decompose,
     pt,
 )
 from staircover import arrangement
 from staircover.decomposition import _cutters
-from _oracles import cell_matches_set_formula, decompose_reference
+from _oracles import Triangle, cell_matches_set_formula, cuts, decompose_reference
 from conftest import cells_by_index, diag_lattice, grid_lattice
 from test_arrangement import DEN, SHRINK, _generic, generic_families
 from staircover.lattice import lattice_instance

@@ -1,25 +1,26 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from staircover import (
-    Point,
-    Rect,
-    StairPolygon,
-    Triangle,
-    cuts,
-    precedes,
-    pt,
-    rat,
-    tri_intersects,
-)
-from _oracles import tri_intersects_oracle
+from staircover import Point, Rect, StairPolygon, pt, rat
+from staircover.verification import _cuts
+from _oracles import Triangle, cuts, precedes, tri_intersects, tri_intersects_oracle
 
 coords = st.fractions(min_value=-2, max_value=2, max_denominator=12)
 points = st.builds(Point, coords, coords)
 triangles = st.builds(Triangle, points)
+
+
+def int_cuts(a: Triangle, b: Triangle) -> bool:
+    """`verification._cuts` on the two corners, scaled by the lcm of their
+    denominators."""
+    values = (a.corner.x, a.corner.y, b.corner.x, b.corner.y)
+    scale = lcm(*(v.denominator for v in values))
+    ax, ay, bx, by = (int(v * scale) for v in values)
+    return _cuts((ax, ay), (bx, by), scale)
 
 
 class TestRational:
@@ -113,26 +114,36 @@ class TestTriangle:
             )
             if tri_intersects(t1, t2) != tri_intersects_oracle(t1, t2):
                 disagreements += 1
+            # the audits' integer cut test, both ways, against `cuts`
+            for a, b in ((t1, t2), (t2, t1)):
+                if int_cuts(a, b) != cuts(a, b):
+                    disagreements += 1
         assert disagreements == 0
 
 
 class TestCuts:
+    """`verification._cuts` against the Fraction `cuts` of the oracles."""
+
     def test_examples(self):
-        assert cuts(Triangle.at("1/2", 0), Triangle.at(0, 0))
-        assert not cuts(Triangle.at(0, 0), Triangle.at("1/2", 0))
-        assert cuts(Triangle.at("1/2", 0), Triangle.at(0, "1/2"))
+        for a, b, expected in (
+            (Triangle.at("1/2", 0), Triangle.at(0, 0), True),
+            (Triangle.at(0, 0), Triangle.at("1/2", 0), False),
+            (Triangle.at("1/2", 0), Triangle.at(0, "1/2"), True),
+        ):
+            assert int_cuts(a, b) is cuts(a, b) is expected
 
     @given(triangles, triangles)
     @settings(max_examples=300)
     def test_exactly_one_direction_when_intersecting(self, t1, t2):
+        assert (int_cuts(t1, t2), int_cuts(t2, t1)) == (cuts(t1, t2), cuts(t2, t1))
         if t1 != t2 and tri_intersects(t1, t2):
-            assert cuts(t1, t2) != cuts(t2, t1)
+            assert int_cuts(t1, t2) != int_cuts(t2, t1)
         else:
-            assert not cuts(t1, t2) or not cuts(t2, t1)
+            assert not int_cuts(t1, t2) or not int_cuts(t2, t1)
 
     def test_never_cuts_itself(self):
         t = Triangle.at("1/3", "1/4")
-        assert not cuts(t, t)
+        assert not int_cuts(t, t) and not cuts(t, t)
 
 
 def l_stair() -> StairPolygon:

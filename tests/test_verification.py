@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from staircover import (
     CoveringInstance,
     Lattice,
+    Point,
     Rect,
     StairPolygon,
-    Triangle,
     coverage_certificate,
     decompose,
     multiplicity_grid,
@@ -41,9 +41,12 @@ from staircover.verification import (
 )
 from conftest import diag_lattice, grid_lattice
 from _oracles import (
+    Triangle,
     audit_boundary_cut_reference,
+    corner_counts_reference,
     depth_at,
     exact_tiling_reference,
+    inner_corners_reference,
     min_depth_reference,
     removed_boundary_hit_reference,
 )
@@ -141,9 +144,18 @@ class TestExactTiling:
         verdict = verify_exact_tiling([], 1, rat(1))
         assert not verdict.passed and verdict.witness["multiplicity"] == 0
 
-    def test_cell_outside_window_rejected(self):
-        with pytest.raises(ValueError, match="window"):
-            verify_exact_tiling([sq(0, 2, 0, 2)], 1, rat(1))
+    @pytest.mark.parametrize(
+        "cell, rect",
+        [
+            (sq(0, 2, 0, 2), "[0,2)x[0,2)"),
+            (StairPolygon.of((0, "1/2", "3/2"), (1, "1/2", 0)), "[1/2,3/2)x[0,1/2)"),
+            (StairPolygon.of((0, "1/2", 1), (1, "1/2", "-1/4")), "[0,1/2)x[-1/4,1)"),
+        ],
+    )
+    def test_cell_outside_window_rejected(self, cell, rect):
+        # the message names the first column of the first cell outside
+        with pytest.raises(ValueError, match=re.escape(f"cell rectangle {rect} extends outside")):
+            verify_exact_tiling([quarter_cells()[0], cell], 1, rat(1))
 
     def test_multiplicity_grid_counts(self):
         xs, ys, counts = multiplicity_grid([sq(0, 1, 0, 1), sq("1/2", 1, 0, 1)], rat(1))
@@ -356,17 +368,12 @@ class TestTilingCertificateCrossCheck:
         assert tiles == coverage_certificate(inst).covers
 
 
-@st.composite
-def generic_families(draw):
-    """(instance, holed): the diagonal lattice family of fold k shrunk by
-    1/8, every corner shifted down-left by less than 1/16 per coordinate
-    onto the 1/997 grid, which still covers the window k-fold (a point in
-    the shrunk triangle at p lies in the full one at p - e); holed, all but
-    k - 1 of the triangles through one point are dropped."""
-    rng = draw(st.randoms(use_true_random=False))
-    k = rng.choice((1, 2))
-    l = rng.choice((Fraction(1), Fraction(5, 4)))
-    shrink, den = Fraction(1, 8), 997
+def shifted_diagonal_covering(rng, k: int, l: Fraction, den: int) -> list:
+    """The corners of the diagonal lattice family of fold k shrunk by 1/8,
+    every corner shifted down-left by less than 1/16 per coordinate onto the
+    1/den grid, which still covers the window k-fold (a point in the shrunk
+    triangle at p lies in the full one at p - e)."""
+    shrink = Fraction(1, 8)
     c = (1 - shrink) / (2 * k + 1)
     base = lattice_instance(Lattice.of(1 - shrink, 0, c, c), l + 1, k).corners
     top = math.floor(shrink / 2 * den) - 1
@@ -376,6 +383,17 @@ def generic_families(draw):
         y = Fraction(math.floor(p.y * den) - rng.randint(0, top), den)
         if x < l and y < l and max(x, 0) + max(y, 0) <= x + y + 1:
             corners.append(pt(x, y))
+    return corners
+
+
+@st.composite
+def generic_families(draw):
+    """(instance, holed): a `shifted_diagonal_covering` on the 1/997 grid;
+    holed, all but k - 1 of the triangles through one point are dropped."""
+    rng = draw(st.randoms(use_true_random=False))
+    k = rng.choice((1, 2))
+    l = rng.choice((Fraction(1), Fraction(5, 4)))
+    corners = shifted_diagonal_covering(rng, k, l, 997)
     holed = rng.random() < 0.5
     if holed:
         hole = pt(l * Fraction(rng.randint(1, 96), 97), l * Fraction(rng.randint(1, 96), 97))
@@ -539,6 +557,12 @@ def _closed_boxes_meet(a: StairPolygon, b: StairPolygon) -> bool:
     )
 
 
+def _hit(a: StairPolygon, b: StairPolygon):
+    """`_removed_boundary_hit` on the cells' own breaks, as a Point."""
+    w = _removed_boundary_hit((a.x_breaks, a.y_breaks), (b.x_breaks, b.y_breaks))
+    return None if w is None else Point(*w)
+
+
 class TestRemovedBoundaryHit:
     """`_removed_boundary_hit(a, b)`: a point of closure(A) minus A in B."""
 
@@ -546,29 +570,29 @@ class TestRemovedBoundaryHit:
         "cell", [l_stair(), sq(0, 1, 0, 1), StairPolygon.of((0, 1, 2, 3), (3, 2, 1, 0))]
     )
     def test_own_boundary_misses_the_cell(self, cell):
-        assert _removed_boundary_hit(cell, cell) is None
+        assert _hit(cell, cell) is None
 
     def test_cell_on_the_top_edge_is_hit_but_does_not_hit_back(self):
         above = sq(0, "1/3", "2/3", 1)  # touches A only along A's top edge
-        assert _removed_boundary_hit(l_stair(), above) == pt(0, "2/3")
-        assert _removed_boundary_hit(above, l_stair()) is None
+        assert _hit(l_stair(), above) == pt(0, "2/3")
+        assert _hit(above, l_stair()) is None
 
     def test_cell_under_the_top_edge_is_not_hit(self):
         # A's top edge lies along the open top of B's right column
-        assert _removed_boundary_hit(sq("1/3", "2/3", 0, "1/3"), l_stair()) is None
+        assert _hit(sq("1/3", "2/3", 0, "1/3"), l_stair()) is None
 
     @pytest.mark.parametrize("bottom, witness", [(0, pt("2/3", 0)), ("1/6", pt("2/3", "1/6"))])
     def test_riser_meets_the_closed_left_edge(self, bottom, witness):
         # the last riser runs down to A's bottom; the witness is its lowest point in B
         right = sq("2/3", 1, bottom, "1/3")
-        assert _removed_boundary_hit(l_stair(), right) == witness
+        assert _hit(l_stair(), right) == witness
 
     def test_matches_segment_search_on_random_pairs(self):
         rng = random.Random(7)
         hits = misses = 0
         for _ in range(3000):
             a, b = _random_stair(rng), _random_stair(rng)
-            got = _removed_boundary_hit(a, b)
+            got = _hit(a, b)
             assert got == removed_boundary_hit_reference(a, b), (a, b)
             hits += got is not None
             misses += got is None and _closed_boxes_meet(a, b)
@@ -642,6 +666,111 @@ class TestBoundaryCutMatchesAllPairs:
             assert got == audit_boundary_cut_reference(corners, cells), seed
             failed.update(v.check for v in got if v.status == FAIL)
         assert failed == {"boundary_vs_cutter", "boundary_one_sided"}
+
+
+def _corner_audits_agree(cells, k):
+    """The corner audits equal their all-pairs references; returns the four
+    verdicts."""
+    got = (audit_inner_corners(cells), *audit_corner_counts(cells, k))
+    assert got == (inner_corners_reference(cells), *corner_counts_reference(cells, k))
+    return got[:4]
+
+
+class TestCornerAuditsMatchAllPairs:
+    """The x-grouped inner-corner audit and the bisected anchor counts
+    against the all-pairs references: equal verdicts, details, witnesses
+    and anchor counts."""
+
+    EDITS = TestBoundaryCutMatchesAllPairs.EDITS
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_acceptance_corpus(self, corpus, edit):
+        for inst in corpus:
+            result = decompose(inst)
+            if edit != "none":
+                result = _corrupt(result, edit)
+            _corner_audits_agree(result.cells, inst.k)
+
+    @given(small_instances(), st.sampled_from(EDITS + ("copy-1-over-0",)))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_decomposed_draws(self, inst, edit):
+        result = decompose(inst)
+        if len(result.cells) < 2:
+            return
+        if edit == "copy-1-over-0":
+            result = _copy_cell(result, 1, 0)
+        elif edit != "none":
+            result = _corrupt(result, edit)
+        _corner_audits_agree(result.cells, inst.k)
+
+    def test_duplicate_entry_counts_twice(self):
+        # the anchor of cell 1 is the inner corner (1/2, 1/2) of cell 0; a
+        # second entry of cell 1 counts again, under the same index
+        staircase = StairPolygon.of((0, "1/2", 1), (1, "1/2", 0))
+        cells = [(0, staircase), (1, sq("1/2", 1, "1/2", 1))]
+        _, _, _, stats = audit_corner_counts(cells, 1)
+        _, _, _, doubled = audit_corner_counts(cells + cells[1:], 1)
+        assert stats["anchor_counts"][0] == 1 and doubled["anchor_counts"][0] == 2
+        _corner_audits_agree(cells + cells[1:], 1)
+
+    def test_shuffled_families_with_a_repeated_index(self):
+        # shuffled random families, each with one index repeated, by a copy
+        # of its cell or by a new one; every verdict both passes and fails
+        seen = set()
+        for seed in range(300):
+            rng = random.Random(seed)
+            _, cells = _stair_family(rng)
+            rng.shuffle(cells)
+            i, cell = rng.choice(cells)
+            cells.append((i, cell if rng.random() < 0.5 else _random_stair(rng)))
+            got = _corner_audits_agree(cells, rng.randint(1, 3))
+            seen.update((v.check, v.status) for v in got)
+        checks = ("corner_anchor_column", "anchor_count_lower", "anchor_count_upper",
+                  "stair_count_total")
+        assert seen == {(c, s) for c in checks for s in (PASS, FAIL)}
+
+
+def _counts_by_contains(cells, xs, ys):
+    """The number of cells containing each lower-left grid point."""
+    return [[sum(c.contains(Point(x, y)) for c in cells) for y in ys[:-1]] for x in xs[:-1]]
+
+
+class TestOneScale:
+    """The audits on a bignum scale (the 1/(2^61 - 1) grid) and on the
+    midpoint breaks of `shrink-cell` give their references' answers."""
+
+    @staticmethod
+    def families():
+        big = CoveringInstance(
+            1, Fraction(3, 2),
+            tuple(shifted_diagonal_covering(random.Random(5), 1, Fraction(3, 2), (1 << 61) - 1)),
+        )
+        lattice = lattice_instance(diag_lattice(2), "3/2", 2)
+        return [(big, decompose(big)), (big, _corrupt(decompose(big), "shrink-cell")),
+                (lattice, _corrupt(decompose(lattice), "shrink-cell"))]
+
+    def test_scales(self):
+        (big, result), _, (_, shrunk) = self.families()
+        scale, _, _ = verification._on_one_scale(result.stair_cells(), (big.window,))
+        assert scale == 2 * ((1 << 61) - 1)
+        assert all(v.denominator == 10 for v in shrunk.cells[0][1].x_breaks[1:])
+
+    @pytest.mark.parametrize("family", range(3))
+    def test_grid_and_audits_match_their_references(self, family):
+        inst, result = self.families()[family]
+        cells = result.stair_cells()
+        xs, ys, counts = multiplicity_grid(cells, inst.window)
+        assert xs == sorted({Fraction(0), inst.window}.union(*(c.x_breaks for c in cells)))
+        assert ys == sorted({Fraction(0), inst.window}.union(*(c.y_breaks for c in cells)))
+        assert counts.tolist() == _counts_by_contains(cells, xs, ys)
+        tiling = verify_exact_tiling(cells, inst.k, inst.window)
+        expected = exact_tiling_reference(cells, inst.k, inst.window)
+        w = tiling.witness
+        assert ((w["point"], w["multiplicity"]) if w else None) == expected
+        assert tiling.passed is (family == 0)
+        got = audit_boundary_cut(inst.corners, result.cells)
+        assert got == audit_boundary_cut_reference(inst.corners, result.cells)
+        _corner_audits_agree(result.cells, inst.k)
 
 
 class TestWitnessReproduction:

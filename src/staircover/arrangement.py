@@ -161,7 +161,7 @@ def _count_tables(frame: _Frame):
         np.add.at(counts, (ix + 1, iv + 1), 1)
         return uv, counts.cumsum(0, dtype=np.int32).cumsum(1, dtype=np.int32)
 
-    return ucx, np.unique(frame.cs - frame.cy), table(frame.cy), table(frame.cs)
+    return ucx, ucx + frame.scale, table(frame.cy), table(frame.cs)
 
 
 def min_depth(corners, window: Rect, *, certify=None):

@@ -88,9 +88,6 @@ class NonStairCell:
     columns: tuple[Rect, ...]
     diag_sum: Fraction
 
-    def contains(self, p: Point) -> bool:
-        return p.x + p.y <= self.diag_sum and any(c.contains(p) for c in self.columns)
-
     def area(self) -> Fraction:
         total = Fraction(0)
         for c in self.columns:

@@ -17,7 +17,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,16 +56,6 @@ class Rect:
     def __post_init__(self):
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError(f"degenerate rectangle {self}")
-
-    @classmethod
-    def of(cls, x0, x1, y0, y1) -> "Rect":
-        return cls(rat(x0), rat(x1), rat(y0), rat(y1))
-
-    def area(self) -> Fraction:
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
-
-    def contains(self, p: Point) -> bool:
-        return self.x0 <= p.x < self.x1 and self.y0 <= p.y < self.y1
 
     def __str__(self) -> str:
         return (
@@ -146,27 +135,6 @@ class StairPolygon:
             (self.x_breaks[i + 1] - self.x_breaks[i]) * (self.y_breaks[i] - bottom)
             for i in range(len(self.x_breaks) - 1)
         )
-
-    def contains(self, p: Point) -> bool:
-        i = bisect_right(self.x_breaks, p.x) - 1
-        if i < 0 or i > self.stair_count:
-            return False
-        return self.y_breaks[-1] <= p.y < self.y_breaks[i]
-
-    def interior_contains(self, p: Point) -> bool:
-        """Membership in the topological interior of the closure.
-
-        Strict on the outer boundary; at an internal break x = x_j the column
-        top is the smaller of the two adjacent tops.
-        """
-        if not (self.x_breaks[0] < p.x < self.x_breaks[-1]):
-            return False
-        if not (self.y_breaks[-1] < p.y):
-            return False
-        # at an internal break bisect lands on the right-hand column, whose
-        # top is the smaller of the two adjacent tops, as required
-        i = bisect_right(self.x_breaks, p.x) - 1
-        return p.y < self.y_breaks[i]
 
     def to_rects(self) -> tuple[Rect, ...]:
         """Column decomposition: r+1 pairwise-disjoint half-open rectangles."""

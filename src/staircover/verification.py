@@ -485,12 +485,6 @@ class AuditReport:
     def passed(self) -> bool:
         return all(v.status == PASS for v in self.verdicts)
 
-    def verdict(self, check: str) -> AuditVerdict:
-        for v in self.verdicts:
-            if v.check == check:
-                return v
-        raise KeyError(check)
-
 
 _TILING_GATED = ("corner_anchor_column", "anchor_count_lower", "anchor_count_upper", "stair_count_total")
 

@@ -1,7 +1,11 @@
 """Independent brute-force oracles used to gate the fast implementations.
 
 Everything here deliberately avoids the package's optimized code paths:
-triangle intersection goes through vertex containment, exact segment
+membership of a point in a half-open rectangle, stair cell or non-stair
+cell is decided pointwise in Fractions (`rect_contains`, `stair_contains`,
+`stair_interior_contains`, `non_stair_contains`), which the package itself
+never needs, as it decides every membership in integers; triangle
+intersection goes through vertex containment, exact segment
 crossings and rational grid sampling; cell regions are evaluated pointwise
 from the defining set formula (inside the triangle and the window, not
 inside at least k cutter triangles at once); the stair of the maximal area
@@ -22,7 +26,7 @@ anchor or inner corner against every cell, in Fractions.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -88,6 +92,45 @@ def cuts(a: Triangle, b: Triangle) -> bool:
     For any two distinct intersecting translates exactly one direction holds.
     """
     return a != b and tri_intersects(a, b) and precedes(b.corner, a.corner)
+
+
+# --- pointwise membership of rectangles and cells, in Fractions -------------
+
+def rect_contains(rect: Rect, p: Point) -> bool:
+    """Whether p lies in the half-open rectangle [x0, x1) x [y0, y1)."""
+    return rect.x0 <= p.x < rect.x1 and rect.y0 <= p.y < rect.y1
+
+
+def stair_contains(cell: StairPolygon, p: Point) -> bool:
+    """Whether p lies in the half-open stair polygon: in the column
+    [x_i, x_{i+1}) that holds p.x, from the bottom y_{r+1} up to its top
+    y_i, top excluded."""
+    i = bisect_right(cell.x_breaks, p.x) - 1
+    if i < 0 or i > cell.stair_count:
+        return False
+    return cell.y_breaks[-1] <= p.y < cell.y_breaks[i]
+
+
+def stair_interior_contains(cell: StairPolygon, p: Point) -> bool:
+    """Membership in the topological interior of the closure.
+
+    Strict on the outer boundary; at an internal break x = x_j the column
+    top is the smaller of the two adjacent tops.
+    """
+    if not (cell.x_breaks[0] < p.x < cell.x_breaks[-1]):
+        return False
+    if not (cell.y_breaks[-1] < p.y):
+        return False
+    # at an internal break bisect lands on the right-hand column, whose
+    # top is the smaller of the two adjacent tops, as required
+    i = bisect_right(cell.x_breaks, p.x) - 1
+    return p.y < cell.y_breaks[i]
+
+
+def non_stair_contains(cell: NonStairCell, p: Point) -> bool:
+    """Whether p lies in one of the cell's half-open columns and on or
+    under its closed hypotenuse."""
+    return p.x + p.y <= cell.diag_sum and any(rect_contains(c, p) for c in cell.columns)
 
 
 # --- exact convex-geometry primitives -------------------------------------
@@ -330,13 +373,13 @@ def exact_tiling_reference(cells, k: int, l: Fraction):
     """(point, multiplicity) at the first lower-left grid point, in (x, y)
     order, that lies in other than k of the stair cells, or None. The grid
     is spanned by 0, l and every break of the cells, which lie in [0, l]^2;
-    each point's multiplicity is counted with `StairPolygon.contains`."""
+    each point's multiplicity is counted with `stair_contains`."""
     xs = sorted({Fraction(0), l}.union(*(c.x_breaks for c in cells)))
     ys = sorted({Fraction(0), l}.union(*(c.y_breaks for c in cells)))
     for x in xs[:-1]:
         for y in ys[:-1]:
             p = Point(x, y)
-            m = sum(c.contains(p) for c in cells)
+            m = sum(stair_contains(c, p) for c in cells)
             if m != k:
                 return p, m
     return None
@@ -426,7 +469,7 @@ def inner_corners_reference(indexed_cells) -> AuditVerdict:
         for corner in cell.inner_corners():
             corners_checked += 1
             found = any(
-                j != i and other.contains(corner) and other.anchor.x == corner.x
+                j != i and stair_contains(other, corner) and other.anchor.x == corner.x
                 for j, other in indexed_cells
             )
             if not found:
@@ -450,7 +493,7 @@ def corner_counts_reference(indexed_cells, k: int):
             1
             for j, other in indexed_cells
             if j != i
-            and (cell.interior_contains(other.anchor) or other.anchor in corner_set)
+            and (stair_interior_contains(cell, other.anchor) or other.anchor in corner_set)
         )
     lower = AuditVerdict("anchor_count_lower", PASS, "n_i >= r_i - k + 1 for all cells")
     for i, cell in indexed_cells:

@@ -6,7 +6,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from staircover import CoveringInstance, Lattice, coverage_certificate, decompose, perturb_instance
+from staircover import (
+    CoveringInstance, Lattice, Rect, coverage_certificate, decompose, perturb_instance, rat,
+)
 from staircover.lattice import lattice_instance
 
 
@@ -23,6 +25,23 @@ def cells_by_index(inst: CoveringInstance) -> dict:
     index; `.get(i)` is None for an empty cell."""
     result = decompose(inst)
     return dict(result.cells + result.non_stair)
+
+
+def rect_of(x0, x1, y0, y1) -> Rect:
+    """A Rect from any exact rational representation, as `pt` is for points."""
+    return Rect(rat(x0), rat(x1), rat(y0), rat(y1))
+
+
+def rect_area(rect: Rect) -> Fraction:
+    return (rect.x1 - rect.x0) * (rect.y1 - rect.y0)
+
+
+def verdict_of(report, check: str):
+    """The first verdict named `check` in an `AuditReport`."""
+    for v in report.verdicts:
+        if v.check == check:
+            return v
+    raise KeyError(check)
 
 
 def diag_lattice(k: int) -> Lattice:

@@ -1,8 +1,9 @@
 """Every exported name resolves: each module's `__all__`, and every name
 that the package `__init__` imports from its modules. And every exported
-name has a caller in the package or is traced by the benchmark, and every
-defaulted parameter of a module-level function is passed by some call in
-the package."""
+name has a caller in the package or is traced by the benchmark, every
+public member of a public class (method, property or classmethod) is read
+as an attribute somewhere in the package, and every defaulted parameter of
+a module-level function is passed by some call in the package."""
 
 import ast
 import importlib
@@ -34,11 +35,16 @@ def test_package_imports_resolve():
             assert getattr(staircover, alias.name) is getattr(module, alias.name), alias.name
 
 
-def test_every_export_has_a_caller():
-    sources = {
+def _package_sources() -> dict:
+    """The parsed source of each package module, by module name."""
+    return {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in Path(staircover.__file__).parent.glob("*.py")
     }
+
+
+def test_every_export_has_a_caller():
+    sources = _package_sources()
     used = {
         node.id if isinstance(node, ast.Name) else node.attr
         for stem, tree in sources.items()
@@ -54,6 +60,41 @@ def test_every_export_has_a_caller():
         if name not in used and (stem, name) not in traced
     ]
     assert not uncalled, f"exported without a caller in staircover: {uncalled}"
+
+
+def test_every_public_member_has_a_caller():
+    """Every public method, property or classmethod of a public class in
+    the package is read as an attribute somewhere in the package, outside
+    the body of a member of the same name (which may delegate to it).
+
+    The match is by name alone, as for `__all__`: a member whose name is
+    read off some other class counts as called, so this cannot flag one of
+    two same-named members (an `area` or an `of`) when only the other has
+    callers."""
+    sources = _package_sources()
+    read = set()
+
+    def collect(node, inside=None):
+        if isinstance(node, ast.Attribute) and node.attr != inside:
+            read.add(node.attr)
+        if isinstance(node, ast.FunctionDef):
+            inside = node.name
+        for child in ast.iter_child_nodes(node):
+            collect(child, inside)
+
+    for tree in sources.values():
+        collect(tree)
+    uncalled = [
+        f"{cls.name}.{member.name}"
+        for stem in sorted(sources)
+        for cls in sources[stem].body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for member in cls.body
+        if isinstance(member, ast.FunctionDef)
+        and not member.name.startswith("_")
+        and member.name not in read
+    ]
+    assert not uncalled, f"public members without a caller in staircover: {uncalled}"
 
 
 def _defaulted_params(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
@@ -73,10 +114,7 @@ def _defaulted_params(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
 def test_every_default_is_overridden_by_some_caller():
     """A defaulted parameter that no call in the package passes, by
     position or by keyword, is an option nothing uses."""
-    sources = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"))
-        for path in Path(staircover.__file__).parent.glob("*.py")
-    }
+    sources = _package_sources()
     passed = {}  # function name -> (most positional arguments, keywords)
     for tree in sources.values():
         for call in ast.walk(tree):

@@ -12,8 +12,8 @@ from staircover import Rect, pt
 from staircover import arrangement
 from staircover.arrangement import min_depth
 from staircover.lattice import Lattice, _multiplicity_window, lattice_instance
-from conftest import diag_lattice, grid_lattice
-from _oracles import Triangle, depth_at, min_depth_reference
+from conftest import diag_lattice, grid_lattice, rect_of
+from _oracles import Triangle, depth_at, min_depth_reference, rect_contains
 
 DEN = 9973  # prime: generic coordinates share no structure with the lattices
 SHRINK = Fraction(1, 8)
@@ -101,7 +101,7 @@ class TestDepthKernelMatchesReference:
         assert got == min_depth_reference(corners, window)
         _every_floor(corners, window, got)
         depth, witness = got
-        assert window.contains(witness) and depth_at(corners, witness) == depth
+        assert rect_contains(window, witness) and depth_at(corners, witness) == depth
         assert depth < k if hole is not None else depth >= k
 
     @given(lattice_windows())
@@ -115,14 +115,14 @@ class TestDepthKernelMatchesReference:
     def test_right_vertex_on_window_edge(self):
         # the first slab passes through the right vertex (1, 0) of T(0, 0),
         # which the triangle covers at y = 0 alone
-        corners, window = [pt(0, 0)], Rect.of(1, 2, 0, 1)
+        corners, window = [pt(0, 0)], rect_of(1, 2, 0, 1)
         got = min_depth(corners, window)
         assert got == min_depth_reference(corners, window)
         assert got[0] == 0 and depth_at(corners, got[1]) == 0
 
     @pytest.mark.parametrize("window", [
-        Rect.of(0, 1, 0, 1),
-        Rect.of("1/3", "5/2", "-1/7", "2/9"),
+        rect_of(0, 1, 0, 1),
+        rect_of("1/3", "5/2", "-1/7", "2/9"),
     ])
     @pytest.mark.parametrize("floor", [None, 0])
     def test_no_corners(self, window, floor):
@@ -148,7 +148,7 @@ def _lattice_cases():
 def _sliver():
     eps = Fraction(1, 10**19)
     corners = [pt(0, 0), pt(0, Fraction(1, 2) + eps), pt("1/2", 0), pt("1/2", "1/2")]
-    return corners, Rect.of(0, 1, 0, 1)
+    return corners, rect_of(0, 1, 0, 1)
 
 
 def _dtype(corners, window):

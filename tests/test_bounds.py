@@ -13,7 +13,7 @@ from staircover import (
     stair_area_bound,
 )
 from _oracles import Triangle, grid_max_stair_area, grid_stair_max_bruteforce, max_stair_in_triangle
-from conftest import diag_lattice
+from conftest import diag_lattice, rect_area
 from staircover.lattice import lattice_instance
 
 
@@ -86,7 +86,7 @@ class TestExtremalStair:
             assert rect.x1 + rect.y1 <= 1
 
     def test_examples(self):
-        assert max_stair_in_triangle(0).to_rects()[0].area() == Fraction(1, 4)
+        assert rect_area(max_stair_in_triangle(0).to_rects()[0]) == Fraction(1, 4)
         s = max_stair_in_triangle(1)
         assert s.x_breaks == (0, Fraction(1, 3), Fraction(2, 3))
         assert s.y_breaks == (Fraction(2, 3), Fraction(1, 3), 0)

@@ -367,17 +367,20 @@ class TestCommands:
         assert capsys.readouterr().err == f"error: seed grid must be at least 1, got {grid}\n"
 
     def test_optimize_refuses_a_flat_stored_lattice_fast(self, tmp_path, capsys):
-        # the shape (1/3 + 1/70000, 1/10000) took 19 s to scan before the row cap
-        store = write_instance(tmp_path / "store.json", {"best": {"1": {
-            "u": ["1", "0"], "v": ["70003/210000", "1/10000"], "multiplicity": 1}}})
-        before = (tmp_path / "store.json").read_bytes()
-        start = time.process_time()
-        assert main(["optimize", "--k", "1", "--resume", store]) == 2
-        assert time.process_time() - start < 1
-        assert capsys.readouterr().err == (
-            "error: best.1: lattice too flat: its critical size needs more than 1000 rows\n"
-        )
-        assert (tmp_path / "store.json").read_bytes() == before
+        # the shape (1/3 + 1/70000, 1/10000) took 19 s to scan before the row
+        # cap; at k = 64 the shape (3001/10007, 1/5000) took 10-15 s before
+        # the scan for a bound stopped at its first cell above the bound
+        for k, v in ((1, ["70003/210000", "1/10000"]), (64, ["3001/10007", "1/5000"])):
+            store = write_instance(tmp_path / f"store{k}.json", {"best": {str(k): {
+                "u": ["1", "0"], "v": v, "multiplicity": k}}})
+            before = (tmp_path / f"store{k}.json").read_bytes()
+            start = time.process_time()
+            assert main(["optimize", "--k", str(k), "--resume", store]) == 2
+            assert time.process_time() - start < 1
+            assert capsys.readouterr().err == (
+                f"error: best.{k}: lattice too flat: its critical size needs more than 1000 rows\n"
+            )
+            assert (tmp_path / f"store{k}.json").read_bytes() == before
 
     def test_optimize_refuses_a_stored_lattice_that_does_not_cover(self, tmp_path, capsys):
         # (1,0),(0,1) has density 1/2, below Sriamorn's 3/2, so it covers

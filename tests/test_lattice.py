@@ -19,7 +19,7 @@ from staircover import (
 from staircover import lattice
 from staircover.lattice import _critical_size, _guard_density, _multiplicity_window
 from _oracles import translates_meeting_scan
-from conftest import diag_lattice, grid_lattice
+from conftest import diag_lattice, grid_lattice, rect_of
 
 
 class TestLatticeBasics:
@@ -93,7 +93,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("l", ["1/2", "3/2", "5/2"])
     def test_matches_box_scan_oracle(self, lat, l):
         inst = lattice_instance(lat, l, 1)
-        brute, ring = translates_meeting_scan(lat.u, lat.v, Rect.of(0, l, 0, l), SCAN_RADIUS)
+        brute, ring = translates_meeting_scan(lat.u, lat.v, rect_of(0, l, 0, l), SCAN_RADIUS)
         assert ring == 0
         assert list(inst.corners) == brute  # the order reaches instance files
 

@@ -12,7 +12,6 @@ from staircover import (
     CoveringInstance,
     Lattice,
     Point,
-    Rect,
     StairPolygon,
     coverage_certificate,
     decompose,
@@ -39,7 +38,7 @@ from staircover.verification import (
     _tiling_proves_depth,
     _within_triangle,
 )
-from conftest import diag_lattice, grid_lattice
+from conftest import diag_lattice, grid_lattice, rect_of, verdict_of
 from _oracles import (
     Triangle,
     audit_boundary_cut_reference,
@@ -49,6 +48,7 @@ from _oracles import (
     inner_corners_reference,
     min_depth_reference,
     removed_boundary_hit_reference,
+    stair_contains,
 )
 from staircover.cli import _corrupt
 from staircover.lattice import lattice_instance
@@ -115,8 +115,8 @@ class TestCoverageCertificate:
         shift = rat(3)
         shifted = [pt(c.x + shift, c.y) for c in quarters.corners]
         dropped = shifted[:-1]  # right-hand group has a hole
-        win_left = Rect.of(0, 1, 0, 1)
-        win_right = Rect.of(3, 4, 0, 1)
+        win_left = rect_of(0, 1, 0, 1)
+        win_right = rect_of(3, 4, 0, 1)
         union = list(quarters.corners) + dropped
         assert min_depth(union, win_left)[0] == min_depth(quarters.corners, win_left)[0] == 1
         assert min_depth(union, win_right)[0] == min_depth(dropped, win_right)[0] == 0
@@ -184,16 +184,16 @@ class TestAuditsOnRealInstances:
             total = sum(c.stair_count for _, c in report.result.cells)
             stats = report_audit(report.result.instance, report)["stats"]
             assert stats["sum_stair_counts"] == total
-            assert report.verdict("stair_count_total").detail.startswith(f"sum r_i = {total} <=")
+            assert verdict_of(report, "stair_count_total").detail.startswith(f"sum r_i = {total} <=")
 
     def test_non_covering_fails_and_skips(self):
         report = run_audits(CoveringInstance.of(1, 1, [(0, 0)]))
         assert not report.passed
-        assert report.verdict("cell_shape").status == FAIL
-        assert report.verdict("exact_tiling").status == FAIL
-        assert report.verdict("stair_count_total").status == SKIP
+        assert verdict_of(report, "cell_shape").status == FAIL
+        assert verdict_of(report, "exact_tiling").status == FAIL
+        assert verdict_of(report, "stair_count_total").status == SKIP
         # the tiling witness is a genuine uncovered point, re-checkable
-        w = report.verdict("exact_tiling").witness
+        w = verdict_of(report, "exact_tiling").witness
         p = w["point"]
         assert depth_at(report.result.instance.corners, p) == w["multiplicity"] == 0
 
@@ -240,7 +240,7 @@ class TestPlantedCounterexamples:
         assert directed.witness["cutter"] == 1 and directed.witness["cut"] == 0
         # witness point is on cell 1's removed boundary and inside cell 0
         p = directed.witness["point"]
-        assert fake_cells[0][1].contains(p) and not fake_cells[1][1].contains(p)
+        assert stair_contains(fake_cells[0][1], p) and not stair_contains(fake_cells[1][1], p)
 
     def test_boundary_one_sided_fails_when_both_directions_hit(self):
         corners = (pt(0, 0), pt("1/4", "-1/4"))
@@ -329,15 +329,15 @@ class TestExactTilingFromBounds:
         report = run_audits(inst, result)
         expected = exact_tiling_reference(result.stair_cells(), k, inst.window)
         for verdict in (
-            report.verdict("exact_tiling"),
+            verdict_of(report, "exact_tiling"),
             verify_exact_tiling(result.stair_cells(), k, inst.window),
         ):
             w = verdict.witness
             got = (w["point"], w["multiplicity"]) if w else None
             assert (verdict.status == PASS, got) == (expected is None, expected)
         if edit.startswith("copy"):
-            assert report.verdict("multiplicity_upper").status == FAIL
-            assert report.verdict("multiplicity_lower").status == FAIL
+            assert verdict_of(report, "multiplicity_upper").status == FAIL
+            assert verdict_of(report, "multiplicity_lower").status == FAIL
 
 
 @st.composite
@@ -732,7 +732,7 @@ class TestCornerAuditsMatchAllPairs:
 
 def _counts_by_contains(cells, xs, ys):
     """The number of cells containing each lower-left grid point."""
-    return [[sum(c.contains(Point(x, y)) for c in cells) for y in ys[:-1]] for x in xs[:-1]]
+    return [[sum(stair_contains(c, Point(x, y)) for c in cells) for y in ys[:-1]] for x in xs[:-1]]
 
 
 class TestOneScale:
@@ -778,17 +778,17 @@ class TestWitnessReproduction:
         cells = quarter_cells()[1:]
         verdict = verify_exact_tiling(cells, 1, rat(1))
         p = verdict.witness["point"]
-        assert sum(c.contains(p) for c in cells) == verdict.witness["multiplicity"]
+        assert sum(stair_contains(c, p) for c in cells) == verdict.witness["multiplicity"]
 
     def test_audit_report_witnesses_recompute(self):
         inst = CoveringInstance.of(2, 1, [(0, 0), (0, "1/2"), ("1/2", 0), ("1/2", "1/2")])
         report = run_audits(inst)  # 1-fold family audited as k=2: must fail
         assert not report.passed
-        v = report.verdict("exact_tiling")
+        v = verdict_of(report, "exact_tiling")
         assert v.status == FAIL
         # witness carries the coverage depth at an under-covered point; the
         # cells through that point can only be fewer still
         p = v.witness["point"]
         assert depth_at(inst.corners, p) == v.witness["multiplicity"] < 2
         cells = [c for _, c in report.result.cells]
-        assert sum(c.contains(p) for c in cells) <= v.witness["multiplicity"]
+        assert sum(stair_contains(c, p) for c in cells) <= v.witness["multiplicity"]

@@ -14,15 +14,20 @@ arrangement line plus every midpoint between consecutive crossings. Each
 vertex, each edge and each 2-cell of the window-restricted arrangement
 receives at least one sample point this way.
 
-All arithmetic is integer, in one frame per query that `_frame` builds: it
-alone picks the scale, four times the lcm of every corner and window
-denominator (which keeps both levels of midpoints exact), scales each corner
-once, and picks numpy int64 when magnitudes allow or object (bignum) arrays
-otherwise; the rest of the module runs the same code on either. The
-`decomposition` module builds its cells on the same frame. The depth
-at a sample (t, y) comes from two cumulative count tables over the distinct
-corner values, one of cx against cy, one of cx against the hypotenuse
-offset cs = cx + cy + 1. A triangle meets the line x = t only if
+All arithmetic is integer, on a `Frame`: the corners and the window
+scaled once by four times the lcm of every corner and window denominator
+(which keeps both levels of midpoints exact), in numpy int64 arrays when
+magnitudes allow or object (bignum) arrays otherwise; the rest of the
+module runs the same code on either. `Frame.of_int_pairs` alone picks the
+scale and the dtype, from (numerator, denominator) pairs: `Frame.of` hands
+it those of `Point`s, and the parser those of the literals of an instance
+file, which `CoveringInstance` keeps and `decomposition` builds its cells
+on. `min_depth` scans a frame of its own; `Frame.min_depth` scans the frame
+it is called on.
+
+The depth at a sample (t, y) comes from two cumulative count tables over
+the distinct corner values, one of cx against cy, one of cx against the
+hypotenuse offset cs = cx + cy + 1. A triangle meets the line x = t only if
 cx <= t <= cx + 1, and there it covers [cy, cs - t]; so the depth is the
 number of those triangles with cy <= y minus those with cs - t < y (which
 have cy <= y too), and each count is a difference of table entries found by
@@ -39,7 +44,7 @@ and if the minimum is above d the scan never stops early and is the
 exhaustive scan. d = 0 holds everywhere, so every scan stops at its first
 depth-0 sample; the scan has no other stop rule. A larger d comes from a
 `certify` callable (in the package, the stair tiling of `verification`),
-which `min_depth` calls only when the scan has more than
+which the scan calls only when it has more than
 _CERTIFY_SLOTS_PER_TRANSLATE sample slots per translate, a count read from
 the sweep before any sample is evaluated.
 """
@@ -54,11 +59,18 @@ import numpy as np
 
 from .geom import Point, Rect
 
-__all__ = ["min_depth"]
+__all__ = ["Frame", "min_depth"]
 
 _INT64_LIMIT = 1 << 60
 _NO_SAMPLE = np.iinfo(np.int32).max  # above any depth; masks invalid samples
-_CHUNK = 256  # sweep lines per sample block
+_CHUNK = 64
+"""Sweep lines per sample block. A block's arrays hold _CHUNK times the
+samples per line, and a scan that stops early still evaluates its whole
+block. At 64 rather than 256 lines, a certified scan of a generic covering,
+which stops within its first 30 lines, evaluates at most a quarter of the
+samples, and a block takes at most a quarter of the memory. A full scan
+costs the same (`gen1`: 0.0573 s at 256 lines, 0.0575 s at 64); at 32 lines
+the per-block overhead made full scans 5% to 10% slower."""
 
 _CERTIFY_SLOTS_PER_TRANSLATE = 1000
 """Sample slots per translate above which `min_depth` asks for a proof.
@@ -75,8 +87,12 @@ lattices and perturbed lattices have 8 to 360.
 """
 
 
-class _Frame(NamedTuple):
-    """A depth query in integers: every value is the exact value times scale."""
+class Frame(NamedTuple):
+    """Corners and a window in integers: every value is the exact value
+    times `scale`, which is four times the lcm of their denominators (so
+    both levels of the scan's midpoints stay exact). The arrays are int64
+    when every value stays below _INT64_LIMIT and object (bignum)
+    otherwise."""
 
     scale: int
     cx: np.ndarray  # corner x's
@@ -84,28 +100,75 @@ class _Frame(NamedTuple):
     cs: np.ndarray  # hypotenuse offsets cx + cy + scale
     bounds: np.ndarray  # window x0, x1, y0, y1
 
+    @classmethod
+    def of(cls, corners, window: Rect) -> "Frame":
+        """The frame of `Point` corners over the window."""
+        return cls.of_int_pairs(
+            [(c.x.numerator, c.x.denominator) for c in corners],
+            [(c.y.numerator, c.y.denominator) for c in corners],
+            window,
+        )
 
-def _frame(corners, window: Rect) -> _Frame:
-    """Scale the corners and the window once, by four times the lcm of their
-    denominators, into int64 arrays when every value stays below
-    _INT64_LIMIT and object (bignum) arrays otherwise."""
-    edges = (window.x0, window.x1, window.y0, window.y1)
-    scale = 4 * lcm(
-        *(v.denominator for v in edges),
-        *(v.denominator for c in corners for v in (c.x, c.y)),
-    )
-    # scale is a multiple of every denominator, so these are exact
-    to_int = lambda v: v.numerator * (scale // v.denominator)
-    cx = [to_int(c.x) for c in corners]
-    cy = [to_int(c.y) for c in corners]
-    cs = [x + y + scale for x, y in zip(cx, cy)]
-    bounds = [to_int(v) for v in edges]
-    biggest = max(abs(v) for v in (*cx, *cy, *cs, *bounds))
-    dtype = np.int64 if biggest < _INT64_LIMIT else object
-    return _Frame(scale, *(np.asarray(v, dtype=dtype) for v in (cx, cy, cs, bounds)))
+    @classmethod
+    def of_int_pairs(cls, xs, ys, window: Rect) -> "Frame":
+        """The frame of the corners whose x's are `xs` and y's are `ys`,
+        each a (numerator, denominator) pair of ints in lowest terms with a
+        positive denominator, over the window."""
+        edges = [(v.numerator, v.denominator)
+                 for v in (window.x0, window.x1, window.y0, window.y1)]
+        scale = 4 * lcm(*(d for _, d in edges), *(d for _, d in xs), *(d for _, d in ys))
+        # scale is a multiple of every denominator, so these are exact
+        cx = [n * (scale // d) for n, d in xs]
+        cy = [n * (scale // d) for n, d in ys]
+        cs = [x + y + scale for x, y in zip(cx, cy)]
+        bounds = [n * (scale // d) for n, d in edges]
+        biggest = max(abs(v) for v in (*cx, *cy, *cs, *bounds))
+        dtype = np.int64 if biggest < _INT64_LIMIT else object
+        return cls(scale, *(np.asarray(v, dtype=dtype) for v in (cx, cy, cs, bounds)))
+
+    def point(self, x: int, y: int) -> Point:
+        """The point whose scaled coordinates are (x, y)."""
+        return Point(Fraction(x, self.scale), Fraction(y, self.scale))
+
+    def corners(self) -> tuple[Point, ...]:
+        return tuple(self.point(x, y) for x, y in zip(self.cx.tolist(), self.cy.tolist()))
+
+    def min_depth(self, *, certify=None):
+        """`min_depth` of the frame's corners over its window."""
+        sweep = y_base, s_base, slabs = _sweep(self)
+        slots = len(slabs) * (2 * (len(y_base) + len(s_base)) - 1)
+        floor = 0
+        if certify is not None and slots > _CERTIFY_SLOTS_PER_TRANSLATE * len(self.cx):
+            floor = certify()
+        ucx, uxe, (ucy, Cy), (ucs, Cs) = _count_tables(self)
+        best = None
+        witness = None
+        for ts, ys, valid in _iter_chunks(self, sweep):
+            # triangles whose x-range [cx, cx + scale] holds t have ranks
+            # lo..hi-1; on the line x = t each covers [cy, cs - t], so the
+            # depth at y counts cy <= y minus cs - t < y (which implies cy <= y)
+            hi = np.searchsorted(ucx, ts, "right")
+            lo = np.searchsorted(uxe, ts, "left")
+            r1 = np.searchsorted(ucy, ys, "right")
+            r2 = np.searchsorted(ucs, ys + ts[:, None], "left")
+            rows = np.arange(len(ts))[:, None]
+            depth = (Cy[hi] - Cy[lo])[rows, r1] - (Cs[hi] - Cs[lo])[rows, r2]
+            depth = np.where(valid, depth, _NO_SAMPLE)
+            flat = int(np.argmin(depth))
+            row, col = divmod(flat, depth.shape[1])
+            if valid[row, col]:
+                d = int(depth[row, col])
+                if best is None or d < best:
+                    best = d
+                    witness = self.point(int(ts[row]), int(ys[row, col]))
+                    if best <= floor:
+                        return best, witness
+        if best is None:
+            raise ValueError("window produced no sample points")
+        return best, witness
 
 
-def _slab_positions(frame: _Frame, y_base, s_base):
+def _slab_positions(frame: Frame, y_base, s_base):
     """Sorted sweep-line x positions: all vertex x's plus their midpoints.
 
     The window's own edges are vertex x's, so at least two survive the clip.
@@ -118,7 +181,7 @@ def _slab_positions(frame: _Frame, y_base, s_base):
     return vx[vx < wx1]
 
 
-def _sweep(frame: _Frame):
+def _sweep(frame: Frame):
     """(y_base, s_base, slabs): the y-lines, the hypotenuse offsets and the
     sweep-line x positions that `_iter_chunks` samples. Each sweep line
     holds 2 * (len(y_base) + len(s_base)) - 1 sample slots."""
@@ -127,7 +190,7 @@ def _sweep(frame: _Frame):
     return y_base, s_base, _slab_positions(frame, y_base, s_base)
 
 
-def _iter_chunks(frame: _Frame, sweep):
+def _iter_chunks(frame: Frame, sweep):
     """Yield (ts, ys, valid) integer sample blocks covering all faces."""
     wy0, wy1 = frame.bounds[2:]
     y_base, s_base, slabs = sweep
@@ -144,7 +207,7 @@ def _iter_chunks(frame: _Frame, sweep):
         yield ts, ys, valid
 
 
-def _count_tables(frame: _Frame):
+def _count_tables(frame: Frame):
     """Distinct corner values and cumulative count tables over them.
 
     Returns (ucx, uxe, (ucy, Cy), (ucs, Cs)). ucx holds the distinct cx and
@@ -177,38 +240,4 @@ def min_depth(corners, window: Rect, *, certify=None):
     at the first sample of depth <= d (d = 0 without a proof), which leaves
     the result unchanged (see the module docstring).
     """
-    frame = _frame(list(corners), window)
-    sweep = y_base, s_base, slabs = _sweep(frame)
-    slots = len(slabs) * (2 * (len(y_base) + len(s_base)) - 1)
-    floor = 0
-    if certify is not None and slots > _CERTIFY_SLOTS_PER_TRANSLATE * len(frame.cx):
-        floor = certify()
-    ucx, uxe, (ucy, Cy), (ucs, Cs) = _count_tables(frame)
-    best = None
-    witness = None
-    for ts, ys, valid in _iter_chunks(frame, sweep):
-        # triangles whose x-range [cx, cx + scale] holds t have ranks lo..hi-1;
-        # on the line x = t each covers [cy, cs - t], so the depth at y counts
-        # cy <= y minus cs - t < y (which implies cy <= y)
-        hi = np.searchsorted(ucx, ts, "right")
-        lo = np.searchsorted(uxe, ts, "left")
-        r1 = np.searchsorted(ucy, ys, "right")
-        r2 = np.searchsorted(ucs, ys + ts[:, None], "left")
-        rows = np.arange(len(ts))[:, None]
-        depth = (Cy[hi] - Cy[lo])[rows, r1] - (Cs[hi] - Cs[lo])[rows, r2]
-        depth = np.where(valid, depth, _NO_SAMPLE)
-        flat = int(np.argmin(depth))
-        row, col = divmod(flat, depth.shape[1])
-        if valid[row, col]:
-            d = int(depth[row, col])
-            if best is None or d < best:
-                best = d
-                witness = Point(
-                    Fraction(int(ts[row]), frame.scale),
-                    Fraction(int(ys[row, col]), frame.scale),
-                )
-                if best <= floor:
-                    return best, witness
-    if best is None:
-        raise ValueError("window produced no sample points")
-    return best, witness
+    return Frame.of(list(corners), window).min_depth(certify=certify)

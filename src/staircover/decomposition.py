@@ -14,12 +14,13 @@ staircase may stick out over the hypotenuse; the cell is then returned as a
 x + y <= hyp_sum) and flagged, rather than raising, so that candidate
 non-coverings can still flow through the pipeline.
 
-All of this runs in integers, on the frame that `arrangement._frame` builds
-once per `decompose`: corners, hypotenuse offsets and the window scaled to
-int64 (or bignum `object`) arrays. Fractions are made only for the breaks of
-the output cells. Per triangle, one numpy row over the N corners finds the
-cutters and their apexes, and the staircase is a sweep over the sorted
-apexes that keeps the k lowest y's seen; one `decompose` costs
+All of this runs in integers, on the `arrangement.Frame` that the instance
+carries (built once, when the instance is made or parsed): corners,
+hypotenuse offsets and the window scaled to int64 (or bignum `object`)
+arrays. Fractions are made only for the breaks of the output cells. Per
+triangle, one numpy row over the N corners finds the cutters and their
+apexes, and the staircase is a sweep over the sorted apexes that keeps the
+k lowest y's seen; one `decompose` costs
 O(N^2 + sum of m_i (log m_i + k)) time, m_i being the number of cutters of
 T_i, and O(N) memory beyond its output.
 """
@@ -33,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arrangement import _frame
+from .arrangement import Frame
 from .geom import Point, Rect, StairPolygon, pt
 from .rational import int_at_least, rat
 
@@ -42,35 +43,71 @@ __all__ = [
     "DecompositionResult",
     "NonStairCell",
     "decompose",
+    "stair_decomposition",
 ]
 
 
 @dataclass(frozen=True)
 class CoveringInstance:
-    """A fold k, a half-open square window [0, l)^2 and N distinct corners."""
+    """A fold k, a half-open square window [0, l)^2 and N distinct corners.
+
+    The instance carries its `frame`, the corners and the window on the
+    integer frame of `arrangement`, which the depth scan and `decompose`
+    read. An instance made by `of_int_pairs` (the parser's way) makes its
+    `Point`s from the frame on the first read of `corners`.
+    """
 
     k: int
     window: Fraction
     corners: tuple[Point, ...]
+    frame: Frame = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        int_at_least(self.k, 1, "fold must be a positive integer")
-        if self.window <= 0:
-            raise ValueError("window side must be positive")
-        if not self.corners:
-            raise ValueError("instance needs at least one translate")
-        counts = Counter(self.corners)  # one hash per corner
-        if len(counts) < len(self.corners):
-            smallest = min(str(c) for c, n in counts.items() if n > 1)
-            raise ValueError(f"corners must be pairwise distinct; repeated {smallest}")
+        self._set_frame(lambda: Frame.of(self.corners, self.window_rect()))
 
     @classmethod
     def of(cls, k: int, window, corners) -> "CoveringInstance":
         return cls(k, rat(window), tuple(pt(x, y) for x, y in corners))
 
+    @classmethod
+    def of_int_pairs(cls, k: int, window: Fraction, xs, ys) -> "CoveringInstance":
+        """The instance whose corner x's are `xs` and y's are `ys`, each a
+        (numerator, denominator) pair as `Frame.of_int_pairs` takes them."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "k", k)
+        object.__setattr__(inst, "window", window)
+        inst._set_frame(lambda: Frame.of_int_pairs(xs, ys, inst.window_rect()))
+        return inst
+
+    def _set_frame(self, make_frame) -> None:
+        """Check the fold and the window, build the frame, and refuse an
+        empty or repeated corner list: the one check of distinct corners,
+        on the frame's int pairs."""
+        int_at_least(self.k, 1, "fold must be a positive integer")
+        if self.window <= 0:
+            raise ValueError("window side must be positive")
+        frame = make_frame()
+        if not len(frame.cx):
+            raise ValueError("instance needs at least one translate")
+        pairs = list(zip(frame.cx.tolist(), frame.cy.tolist()))
+        if len(set(pairs)) < len(pairs):
+            counts = Counter(pairs)
+            smallest = min(str(frame.point(*p)) for p, n in counts.items() if n > 1)
+            raise ValueError(f"corners must be pairwise distinct; repeated {smallest}")
+        object.__setattr__(self, "frame", frame)
+
+    def __getattr__(self, name):
+        # reached only for a missing attribute: the corners of an instance
+        # made by `of_int_pairs`, on their first read
+        if name != "corners":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        corners = self.frame.corners()
+        object.__setattr__(self, "corners", corners)
+        return corners
+
     @property
     def size(self) -> int:
-        return len(self.corners)
+        return len(self.frame.cx)
 
     def window_rect(self) -> Rect:
         zero = Fraction(0)
@@ -218,7 +255,18 @@ def decompose(inst: CoveringInstance) -> DecompositionResult:
     inputs `non_stair` may be populated and downstream checks will fail with
     witnesses instead of this function raising.
     """
-    frame = _frame(inst.corners, inst.window_rect())
+    return _decomposition(inst, stop_at_non_stair=False)
+
+
+def stair_decomposition(inst: CoveringInstance) -> DecompositionResult | None:
+    """`decompose(inst)` if every nonempty cell is a stair polygon, else
+    None, found at the first cell that is not: what a proof of coverage by
+    the stair tiling needs, and no more."""
+    return _decomposition(inst, stop_at_non_stair=True)
+
+
+def _decomposition(inst: CoveringInstance, stop_at_non_stair: bool):
+    frame = inst.frame
     cells = []
     non_stair = []
     empty = []
@@ -228,6 +276,8 @@ def decompose(inst: CoveringInstance) -> DecompositionResult:
             empty.append(i)
         elif isinstance(cell, StairPolygon):
             cells.append((i, cell))
+        elif stop_at_non_stair:
+            return None
         else:
             non_stair.append((i, cell))
     return DecompositionResult(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 
 from .bounds import BoundReport
 from .decomposition import CoveringInstance, DecompositionResult
@@ -95,20 +96,66 @@ def parse_instance(data: dict) -> tuple[CoveringInstance, dict]:
     raw_translates = data.get("translates")
     if not isinstance(raw_translates, list) or not raw_translates:
         raise InstanceFormatError("translates: nonempty list required")
-    corners = [
-        _point_field(raw, f"translates[{i}]") for i, raw in enumerate(raw_translates)
-    ]
     meta = {
         key: data[key] for key in ("name", "seed", "provenance") if key in data
     }
-    if "triangle" in data:
-        corners, transform = _normalize_triangle(data["triangle"], corners)
-        meta["transform"] = transform
+    pairs = None if "triangle" in data else _plain_corners(raw_translates)
+    if pairs is None:
+        corners = [
+            _point_field(raw, f"translates[{i}]") for i, raw in enumerate(raw_translates)
+        ]
+        if "triangle" in data:
+            corners, transform = _normalize_triangle(data["triangle"], corners)
+            meta["transform"] = transform
     try:
-        inst = CoveringInstance(k=k, window=l, corners=tuple(corners))
+        if pairs is None:
+            inst = CoveringInstance(k=k, window=l, corners=tuple(corners))
+        else:
+            inst = CoveringInstance.of_int_pairs(k, l, *pairs)
     except ValueError as exc:  # k, l and emptiness are checked above: repeats
         raise InstanceFormatError(f"translates: {exc}") from exc
     return inst, meta
+
+
+def _plain_literal(raw):
+    """The (numerator, denominator) pair in lowest terms of a plain ASCII
+    literal "n" or "p/q" (an optional minus sign, decimal digits, q > 0),
+    or None for any other value, which `rat` then decides."""
+    if type(raw) is not str:
+        return None
+    num, slash, den = raw.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    if slash and not (den.isascii() and den.isdigit()):
+        return None
+    try:  # int() refuses more than sys.get_int_max_str_digits() digits
+        n, d = int(num), int(den) if slash else 1
+    except ValueError:
+        return None
+    if d == 0:
+        return None
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _plain_corners(raw_translates):
+    """(xs, ys) as `CoveringInstance.of_int_pairs` takes them, when every
+    translate is a pair of plain literals; otherwise None, and the caller
+    parses the file by `rat`, which names the first bad field."""
+    values = {}  # literal -> (numerator, denominator)
+    for raw in raw_translates:
+        if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
+            return None
+        for literal in raw:
+            if type(literal) is not str:
+                return None
+            if literal not in values:
+                value = _plain_literal(literal)
+                if value is None:
+                    return None
+                values[literal] = value
+    return [values[x] for x, _ in raw_translates], [values[y] for _, y in raw_translates]
 
 
 def _normalize_triangle(raw, corners):

@@ -13,10 +13,11 @@ The stair tiling is also a proof of coverage, as in the paper: if every
 cell is a stair polygon lying in its own closed triangle, no two cells share
 an index, and the cells tile the window exactly k-fold, then every window
 point lies in k cells of k distinct triangles, so its depth is >= k.
-`coverage_certificate` offers that proof to `arrangement.min_depth`, which
-asks for it only on a scan of more than 1,000 sample slots per translate
-(the cost rule, `arrangement._CERTIFY_SLOTS_PER_TRANSLATE`) and then stops
-at its first sample of depth k: the exhaustive scan's (depth, witness).
+`coverage_certificate` offers that proof to the depth scan of the
+instance's frame (`arrangement.Frame.min_depth`), which asks for it only
+on a scan of more than 1,000 sample slots per translate (the cost rule,
+`arrangement._CERTIFY_SLOTS_PER_TRANSLATE`) and then stops at its first
+sample of depth k: the exhaustive scan's (depth, witness).
 Containment is checked here, exactly, not taken from `decompose`.
 
 The tiling grid and the pair audits each put their values on one integer
@@ -39,8 +40,7 @@ from math import lcm
 
 import numpy as np
 
-from . import arrangement
-from .decomposition import CoveringInstance, DecompositionResult, decompose
+from .decomposition import CoveringInstance, DecompositionResult, decompose, stair_decomposition
 from .geom import Point, StairPolygon
 
 __all__ = [
@@ -85,21 +85,24 @@ def coverage_certificate(
 ) -> CoverageCertificate:
     """Exact minimum depth and its witness, by the arrangement scan.
 
-    On a large scan the stair tiling of `result` (decomposed here when not
-    given) is asked to prove depth >= k first; the answer is the same
-    either way.
+    On a large scan the stair tiling of `result` is asked to prove depth
+    >= k first; when `result` is not given, the decomposition made for the
+    proof stops at its first non-stair cell, which refutes it. The answer
+    is the same either way.
     """
-    return _certificate(
-        inst, lambda: _tiling_proves_depth(inst, decompose(inst) if result is None else result)
-    )
+
+    def proves():
+        stairs = stair_decomposition(inst) if result is None else result
+        return stairs is not None and _tiling_proves_depth(inst, stairs)
+
+    return _certificate(inst, proves)
 
 
 def _certificate(inst: CoveringInstance, proves) -> CoverageCertificate:
-    """The scan of `coverage_certificate`, offered depth k when the
-    zero-argument `proves` (called only on a large scan) holds."""
-    depth, witness = arrangement.min_depth(
-        inst.corners, inst.window_rect(), certify=lambda: inst.k if proves() else 0
-    )
+    """The scan of `coverage_certificate` on the instance's frame, offered
+    depth k when the zero-argument `proves` (called only on a large scan)
+    holds."""
+    depth, witness = inst.frame.min_depth(certify=lambda: inst.k if proves() else 0)
     return CoverageCertificate(k=inst.k, min_depth=depth, witness=witness)
 
 

@@ -33,7 +33,7 @@ from itertools import combinations
 
 import numpy as np
 
-from staircover.arrangement import _frame, _iter_chunks, _sweep
+from staircover.arrangement import Frame, _iter_chunks, _sweep
 from staircover.bounds import max_stair_area
 from staircover.decomposition import CoveringInstance, DecompositionResult, NonStairCell
 from staircover.geom import Point, Rect, StairPolygon, pt
@@ -246,7 +246,7 @@ def cell_matches_set_formula(inst: CoveringInstance, i: int, cell) -> bool:
     members = [i, *_cutters_by_first_principles(inst, i)]
     pts = [inst.corners[j] for j in members]
     checked = 0
-    frame = _frame(pts, bbox)
+    frame = Frame.of(pts, bbox)
     scale = frame.scale
     for ts, ys, valid in _iter_chunks(frame, _sweep(frame)):
         cx = _scaled_breaks([p.x for p in pts], scale)
@@ -547,7 +547,7 @@ def min_depth_reference(corners, window: Rect):
     corners = list(corners)
     best = None
     witness = None
-    frame = _frame(corners, window)
+    frame = Frame.of(corners, window)
     scale = frame.scale
     for ts, ys, valid in _iter_chunks(frame, _sweep(frame)):
         if corners:

@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from staircover import (
     CoveringInstance, Lattice, Rect, coverage_certificate, decompose, perturb_instance, rat,
 )
+from staircover import arrangement, decomposition
 from staircover.lattice import lattice_instance
 
 
@@ -25,6 +26,22 @@ def cells_by_index(inst: CoveringInstance) -> dict:
     index; `.get(i)` is None for an empty cell."""
     result = decompose(inst)
     return dict(result.cells + result.non_stair)
+
+
+def frame_dtypes(inst: CoveringInstance) -> tuple[set, set]:
+    """The dtypes of the frames that `decompose(inst)` and
+    `coverage_certificate(inst)` scan, seen from inside: `decompose`'s
+    cutter rows and the depth scan."""
+    cutters, scan = decomposition._cutters, arrangement.Frame.min_depth
+    seen = set(), set()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(decomposition, "_cutters",
+                  lambda frame, i: seen[0].add(frame.cx.dtype) or cutters(frame, i))
+        m.setattr(arrangement.Frame, "min_depth",
+                  lambda frame, **kw: seen[1].add(frame.cx.dtype) or scan(frame, **kw))
+        decompose(inst)
+        coverage_certificate(inst)
+    return seen
 
 
 def rect_of(x0, x1, y0, y1) -> Rect:

@@ -144,9 +144,8 @@ def test_every_default_is_overridden_by_some_caller():
 
 def test_no_module_uses_a_private_name_of_another():
     """No package module imports an underscore name from another, or reads
-    one off a package module it imported, except the shared integer frame
-    (`decomposition` builds its cells on `arrangement._frame`)."""
-    allowed = {("decomposition", "arrangement", "_frame")}
+    one off a package module it imported."""
+    allowed = set()
     used = set()
     for path in Path(staircover.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -152,7 +152,7 @@ def _sliver():
 
 
 def _dtype(corners, window):
-    frame = arrangement._frame(corners, window)
+    frame = arrangement.Frame.of(corners, window)
     ts, _, _ = next(arrangement._iter_chunks(frame, arrangement._sweep(frame)))
     return ts.dtype
 
@@ -188,3 +188,30 @@ class TestBignumPath:
         got = min_depth(corners, window)
         assert got == min_depth_reference(corners, window)
         assert got[0] == 0
+
+
+class TestChunkSizes:
+    """Blocks of sweep lines only batch the scan: the scan order, and so
+    (depth, witness), do not depend on their size, with or without a floor,
+    on int64 and bignum frames."""
+
+    @pytest.mark.parametrize("corners, window", list(_lattice_cases()))
+    @pytest.mark.parametrize("bignum", [False, True])
+    def test_lattices(self, monkeypatch, corners, window, bignum):
+        expected = min_depth_reference(corners, window)
+        if bignum:
+            monkeypatch.setattr(arrangement, "_INT64_LIMIT", 1)
+        for chunk in (1, 5, 64, 4096):
+            monkeypatch.setattr(arrangement, "_CHUNK", chunk)
+            assert min_depth(corners, window) == expected
+            assert _floored(corners, window, expected[0]) == expected
+
+    @given(generic_families(), st.sampled_from([1, 5, 64, 4096]))
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_generic_coverings_and_holes(self, family, chunk):
+        _, corners, window, _ = family
+        expected = min_depth(corners, window)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(arrangement, "_CHUNK", chunk)
+            assert min_depth(corners, window) == expected
+            _every_floor(corners, window, expected)

@@ -1,16 +1,21 @@
 """`verify` and `decompose` reports on the benchmark's own seed-1 corpora
 (built by `perfbench/corpus.py`, imported as it is) are byte-identical with
-the certificate-first depth scan on and forced off; and `verify` decomposes
-only where the scan is large, never on the N ~ 1,000 bulk lattices."""
+the certificate-first depth scan on and forced off; `verify` decomposes
+only where the scan is large, never on the N ~ 1,000 bulk lattices; and
+there it makes no `Fraction` per translate."""
 
+import cProfile
+import fractions
 import importlib
 import math
+import pstats
 from pathlib import Path
 
 import pytest
 
 from staircover import arrangement, verification
 from staircover.cli import main
+from staircover.fileio import load_instance
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -30,10 +35,10 @@ def test_reports_do_not_depend_on_the_certificate_path(
         op for op in bench_corpus.build(workload, 1, str(tmp_path))["ops"]
         if op["command"] in ("verify", "decompose")
     ]
-    real = verification.decompose
+    real = verification.stair_decomposition
     decomposed = []  # instances that a certificate decomposed
     monkeypatch.setattr(
-        verification, "decompose", lambda inst: decomposed.append(inst) or real(inst)
+        verification, "stair_decomposition", lambda inst: decomposed.append(inst) or real(inst)
     )
 
     def run():
@@ -52,3 +57,26 @@ def test_reports_do_not_depend_on_the_certificate_path(
         assert on_decomposed == 0
     else:  # the generic instances' scans are large enough to ask for it
         assert on_decomposed > 0
+
+
+def test_bulk_verify_makes_no_fraction_per_translate(bench_corpus, tmp_path):
+    # the parser puts the plain literals straight onto the integer frame and
+    # the scan reads it: Fractions are made for l, the window and the witness
+    files = {
+        op["argv"][1] for op in bench_corpus.build("bulk-verify", 1, str(tmp_path))["ops"]
+        if op["command"] == "verify"
+    }
+    assert files
+    for path in sorted(files):
+        profile = cProfile.Profile()
+        profile.enable()
+        inst, _ = load_instance(path)
+        verification.coverage_certificate(inst)
+        profile.disable()
+        made = sum(
+            calls
+            for (file, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+            if file == fractions.__file__ and name == "__new__"
+        )
+        assert inst.size > 900 and made <= 8, (path, inst.size, made)
+        assert "corners" not in vars(inst)  # no Points were made either

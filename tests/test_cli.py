@@ -1,15 +1,17 @@
 import json
+import re
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from staircover import CoveringInstance, Lattice, pt
+from staircover import CoveringInstance, Lattice, pt, rat
 from staircover.cli import main
 from staircover.fileio import (
     InstanceFormatError,
+    _plain_literal,
     instance_to_json,
     load_results_store,
     parse_instance,
@@ -92,6 +94,82 @@ class TestInstanceFiles:
         data = dict(QUARTERS, triangle=[["0", "0"], ["1", "1"], ["2", "2"]])
         with pytest.raises(InstanceFormatError, match="collinear"):
             parse_instance(data)
+
+
+PLAIN = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# digit strings, with the int() limit of 4,300 digits on both sides
+DIGITS = st.text("0123456789", min_size=1, max_size=30) | st.sampled_from(
+    [4299, 4300, 4301, 5000]
+).map(lambda n: "7" * n)
+PLAIN_LITERALS = st.builds(
+    lambda sign, zeros, num, den: sign + "0" * zeros + num + ("" if den is None else "/" + den),
+    st.sampled_from(["", "-"]), st.integers(0, 3), DIGITS, st.none() | DIGITS,
+)
+# forms that only `rat` accepts, and forms that it refuses
+OTHER_LITERALS = st.sampled_from([
+    "1.5", "+3", "1_000", " 3 ", "3\n", "\u0663", "-\u0663/2", "\u00b2", "1/0", "0/0",
+    "-0/0", "1e9", "1E9", "", "-", "/2", "1/", "1/2/3", "--1", "1/-2", " 1/2", "0x10",
+    "1" * 5000, "-" + "1" * 4301,
+]) | st.floats() | st.booleans() | st.integers() | st.none() | st.lists(st.just("1"))
+
+
+class TestPlainLiteralPath:
+    """The parser reads plain literals -?[0-9]+(/[0-9]+)? straight into
+    ints and sends every other file through `rat`."""
+
+    @given(PLAIN_LITERALS | OTHER_LITERALS)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_fast_path_agrees_with_rat(self, literal):
+        fast = _plain_literal(literal)
+        try:
+            exact = rat(literal)
+        except (TypeError, ValueError):
+            assert fast is None  # refused here too, so `rat` names the field
+            return
+        if isinstance(literal, str) and PLAIN.fullmatch(literal):
+            assert fast == (exact.numerator, exact.denominator)
+        else:
+            assert fast is None
+
+    @pytest.mark.parametrize("bad", [
+        "zzz", "1/0", "1e9", "1" * 5000, 0.5, True, None, ["1"], "1.5", "+3", " 3 ",
+    ])
+    @pytest.mark.parametrize("i, j", [(0, 0), (3, 1), (7, 0)])
+    def test_one_bad_literal_among_plain_ones(self, bad, i, j):
+        # the file's message is the one `rat` gives for that field, and
+        # the forms `rat` accepts parse to the same values
+        translates = [[f"{n}/3", f"-{n}"] for n in range(8)]
+        translates[i][j] = bad
+        data = {"k": 1, "l": "1", "translates": translates}
+        try:
+            value = rat(bad)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(InstanceFormatError) as err:
+                parse_instance(data)
+            assert str(err.value) == f"translates[{i}][{j}]: {exc}"
+            return
+        translates[i][j] = str(value)
+        assert parse_instance(data)[0] == parse_instance(dict(data, translates=translates))[0]
+
+    def test_a_pair_that_is_not_a_pair(self):
+        data = dict(QUARTERS, translates=[["0", "0"], ["0", "1", "2"]])
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(data)
+        assert str(err.value) == "translates[1]: expected a pair [x, y], got ['0', '1', '2']"
+
+    def test_equal_values_in_other_terms_are_a_repeat(self):
+        data = dict(QUARTERS, translates=[["0", "0"], ["1/2", "0"], ["2/4", "-0"]])
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(data)
+        assert str(err.value) == (
+            "translates: corners must be pairwise distinct; repeated (1/2, 0)"
+        )
+
+    def test_parsed_corners_are_made_on_first_read(self):
+        inst, _ = parse_instance(QUARTERS)
+        assert "corners" not in vars(inst)
+        assert inst.corners == (pt(0, 0), pt(0, "1/2"), pt("1/2", 0), pt("1/2", "1/2"))
+        assert inst.corners is inst.corners
 
 
 class TestCommands:

@@ -11,13 +11,14 @@ from staircover import (
     CoveringInstance,
     NonStairCell,
     StairPolygon,
+    coverage_certificate,
     decompose,
     pt,
 )
-from staircover import arrangement
-from staircover.decomposition import _cutters
+from staircover import arrangement, decomposition
+from staircover.decomposition import _cutters, stair_decomposition
 from _oracles import Triangle, cell_matches_set_formula, cuts, decompose_reference, non_stair_contains
-from conftest import cells_by_index, diag_lattice, grid_lattice
+from conftest import cells_by_index, diag_lattice, frame_dtypes, grid_lattice
 from test_arrangement import DEN, SHRINK, _generic, generic_families
 from staircover.lattice import lattice_instance
 
@@ -48,7 +49,7 @@ class TestInstanceValidation:
 
 def cutter_set(inst, i) -> tuple[int, ...]:
     """Indices j whose triangle cuts triangle i, from `decompose`'s row."""
-    cut, _, _ = _cutters(arrangement._frame(inst.corners, inst.window_rect()), i)
+    cut, _, _ = _cutters(inst.frame, i)
     return tuple(np.flatnonzero(cut).tolist())
 
 
@@ -283,13 +284,34 @@ class TestBignumPath:
 
     @pytest.mark.parametrize("inst", list(_bignum_cases()))
     def test_object_dtype_matches_int64(self, monkeypatch, inst):
-        frame = arrangement._frame(inst.corners, inst.window_rect())
-        assert frame.cx.dtype == "int64"
-        expected = decompose(inst)
+        assert frame_dtypes(inst) == ({np.dtype(np.int64)}, {np.dtype(np.int64)})
+        expected = decompose(inst), coverage_certificate(inst)
         monkeypatch.setattr(arrangement, "_INT64_LIMIT", 1)
-        frame = arrangement._frame(inst.corners, inst.window_rect())
-        assert frame.cx.dtype == object and frame.cs.dtype == object
-        assert decompose(inst) == expected
+        # the instance builds its frame once, so it is built again here
+        big = CoveringInstance(inst.k, inst.window, inst.corners)
+        assert big.frame.cx.dtype == object and big.frame.cs.dtype == object
+        assert frame_dtypes(big) == ({np.dtype(object)}, {np.dtype(object)})
+        assert (decompose(big), coverage_certificate(big)) == expected
+
+
+class TestStairDecomposition:
+    """The decomposition a coverage proof asks for stops at the first
+    non-stair cell, and is `decompose` when there is none."""
+
+    def test_stops_at_the_first_non_stair_cell(self, monkeypatch):
+        inst = _holed_generic()
+        first = decompose(inst).non_stair[0][0]
+        real = decomposition._cell
+        made = []
+        monkeypatch.setattr(
+            decomposition, "_cell", lambda frame, k, i: made.append(i) or real(frame, k, i)
+        )
+        assert stair_decomposition(inst) is None
+        assert made == list(range(first + 1))
+
+    def test_equals_decompose_on_coverings(self, corpus):
+        for inst in corpus:
+            assert stair_decomposition(inst) == decompose(inst)
 
 
 class TestCuttingTransitivity:

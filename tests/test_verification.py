@@ -4,6 +4,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from staircover import (
     StairPolygon,
     coverage_certificate,
     decompose,
+    density_chain,
     multiplicity_grid,
     pt,
     rat,
@@ -23,7 +25,7 @@ from staircover import (
 )
 from staircover import arrangement, verification
 from staircover.arrangement import min_depth
-from staircover.fileio import InstanceFormatError, parse_instance, report_audit
+from staircover.fileio import InstanceFormatError, instance_to_json, parse_instance, report_audit
 from staircover.verification import (
     FAIL,
     PASS,
@@ -38,7 +40,7 @@ from staircover.verification import (
     _tiling_proves_depth,
     _within_triangle,
 )
-from conftest import diag_lattice, grid_lattice, rect_of, verdict_of
+from conftest import diag_lattice, frame_dtypes, grid_lattice, rect_of, verdict_of
 from _oracles import (
     Triangle,
     audit_boundary_cut_reference,
@@ -425,6 +427,33 @@ def _swap_indices(result, a, b):
     return dataclasses.replace(result, cells=tuple(cells))
 
 
+class TestCrossCommand:
+    """`verify`, `audit` and `bounds` agree on parsed random instances."""
+
+    @staticmethod
+    def agree(inst):
+        inst, _ = parse_instance(instance_to_json(inst))  # on the parser's frame
+        cert = coverage_certificate(inst)
+        result = decompose(inst)
+        assert cert.covers == run_audits(inst, result).passed == density_chain(result).holds
+        assert depth_at(inst.corners, cert.witness) == cert.min_depth
+        # one way only: some non-coverings decompose into stair cells too
+        if cert.covers:
+            assert result.is_stair_decomposition
+        return cert
+
+    @given(small_instances())
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    def test_small_instances(self, inst):
+        self.agree(inst)
+
+    @given(generic_families())
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_generic_coverings_and_holes(self, drawn):
+        inst, holed = drawn
+        assert self.agree(inst).covers is not holed
+
+
 class TestCertificatePath:
     """The certificate-first scan gives the exhaustive (depth, witness)."""
 
@@ -443,6 +472,9 @@ class TestCertificatePath:
         inst, holed = drawn
         with pytest.MonkeyPatch.context() as m:
             m.setattr(arrangement, "_INT64_LIMIT", 1)
+            # the drawn instance built its frame on int64; build it again
+            inst = CoveringInstance(inst.k, inst.window, inst.corners)
+            assert frame_dtypes(inst) == ({np.dtype(object)}, {np.dtype(object)})
             assert _paths_agree(inst).covers is not holed
             assert _tiling_proves_depth(inst, decompose(inst)) is not holed
 
@@ -455,6 +487,8 @@ class TestCertificatePath:
         if bignum:
             monkeypatch.setattr(arrangement, "_INT64_LIMIT", 1)
         inst = lattice_instance(lattice, l, k)
+        dtype = np.dtype(object if bignum else np.int64)
+        assert frame_dtypes(inst) == ({dtype}, {dtype})
         result = decompose(inst)
         assert _tiling_proves_depth(inst, result)
         assert _paths_agree(inst).min_depth == _paths_agree(inst, result).min_depth == depth

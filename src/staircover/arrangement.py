@@ -25,26 +25,36 @@ file, which `CoveringInstance` keeps and `decomposition` builds its cells
 on. `min_depth` scans a frame of its own; `Frame.min_depth` scans the frame
 it is called on.
 
-The depth at a sample (t, y) comes from two cumulative count tables over
+The depth at a point (t, y) comes from two cumulative count tables over
 the distinct corner values, one of cx against cy, one of cx against the
 hypotenuse offset cs = cx + cy + 1. A triangle meets the line x = t only if
 cx <= t <= cx + 1, and there it covers [cy, cs - t]; so the depth is the
 number of those triangles with cy <= y minus those with cs - t < y (which
-have cy <= y too), and each count is a difference of table entries found by
-binary search. One call costs O(samples * log N + D_x * D_y) time and holds
-two (D_x + 1) x (D_y + 1) int32 tables, D_x and D_y being the numbers of
-distinct cx and of distinct cy (or cs): 8 MB at D_x = D_y = 1000.
+have cy <= y too), each count a difference of table entries.
 
-Certificate-first scan: the scan keeps its `best` sample and moves it only
-on a strict decrease, so the exhaustive answer is the first sample, in scan
-order, at the global minimum. If every window point is known to have depth
->= d, a scan that stops at the first sample of depth <= d therefore returns
-that same (depth, witness): such a sample has depth exactly d, the minimum;
-and if the minimum is above d the scan never stops early and is the
-exhaustive scan. d = 0 holds everywhere, so every scan stops at its first
-depth-0 sample; the scan has no other stop rule. A larger d comes from a
-`certify` callable (in the package, the stair tiling of `verification`),
-which the scan calls only when it has more than
+Line minima: the triangles are closed, so on a sweep line the depth is an
+upper-semicontinuous step function of y, least on some open gap between
+consecutive crossings in [wy0, wy1). Going down across a crossing that no
+hypotenuse passes through never raises it, so it is least on the gap just
+above wy0 or above a hypotenuse crossing s - t; and above the crossing of the
+j-th distinct cs, exactly j + 1 of them are at most y + t, so only the cy
+count is searched. A line thus costs |s_base| + 1 gap samples, not its
+2 * (|y_base| + |s_base|) - 1 sample slots. The scan keeps the first line
+at the least minimum and evaluates all the slots of that line alone; their
+first at the minimum, in scan order (sorted crossings, then midpoints), is
+the first sample at the global minimum, the witness of a scan of every
+sample. One call costs O(slabs * |s_base| * log D_y + D_x * D_y) time and
+holds two (D_x + 1) x (D_y + 1) int32 tables, D_x and D_y being the numbers
+of distinct cx and of distinct cy (or cs): 8 MB at D_x = D_y = 1000.
+
+Certificate-first scan: the scan keeps its `best` line and moves it only
+on a strict decrease, so it ends on the first line at the global minimum.
+If every window point is known to have depth >= d, a scan that stops at
+the first line whose minimum is <= d therefore ends on that same line: its
+minimum is exactly d, the global one. d = 0 holds everywhere, so every scan
+stops at its first line that reaches depth 0; the scan has no other stop
+rule. A larger d comes from a `certify` callable (in the package, the stair
+tiling of `verification`), which the scan calls only when it has more than
 _CERTIFY_SLOTS_PER_TRANSLATE sample slots per translate, a count read from
 the sweep before any sample is evaluated.
 """
@@ -64,26 +74,27 @@ __all__ = ["Frame", "min_depth"]
 _INT64_LIMIT = 1 << 60
 _NO_SAMPLE = np.iinfo(np.int32).max  # above any depth; masks invalid samples
 _CHUNK = 64
-"""Sweep lines per sample block. A block's arrays hold _CHUNK times the
-samples per line, and a scan that stops early still evaluates its whole
-block. At 64 rather than 256 lines, a certified scan of a generic covering,
-which stops within its first 30 lines, evaluates at most a quarter of the
-samples, and a block takes at most a quarter of the memory. A full scan
-costs the same (`gen1`: 0.0573 s at 256 lines, 0.0575 s at 64); at 32 lines
-the per-block overhead made full scans 5% to 10% slower."""
+"""Sweep lines per block; a scan that stops early still takes the minima of
+its whole block. With line minima on the seed-1 `generic-verify` instances
+(2 vCPUs, Python 3.11.7, numpy 2.4.6, process CPU, best of 7), full scans
+take 10-15% less at 128 lines (`gen1` 5.2 ms, 6.2 ms at 64) and 15-30% more
+at 32, but certified scans of coverings up to 10% more at 128 (`big1` 2.1
+ms against 1.9 ms): the workload's eight scans sum to 19.9 ms at both."""
 
 _CERTIFY_SLOTS_PER_TRANSLATE = 1000
 """Sample slots per translate above which `min_depth` asks for a proof.
 
-Measured on the seed-1 benchmark corpora (2 vCPUs, Python 3.11.7, numpy
-2.4.6, process CPU time, best of 5): on the generic-coordinate coverings
-(2,357 to 16,697 slots per translate) the proof (decompose, containment
-and tiling grid, 0.003-0.008 s) and the early scan together took 1.8 to
-3.9 times less than the full scan (0.013-0.052 s). On the bignum covering
-`big0` (924 per translate) they took 0.009 s against a 0.008 s full scan.
+Measured with line minima on the seed-1 benchmark corpora (2 vCPUs, Python
+3.11.7, numpy 2.4.6, process CPU time, best of 7): on the
+generic-coordinate coverings (2,357 to 16,697 slots per translate) the
+proof (decompose, containment and tiling grid) and the early scan together
+took 1.8-3.2 ms, against 2.0-6.2 ms for the full scan: 1.9 times less on
+`gen1` (16,697 per translate), 1.6 on `big1` (2,357), 1.35 on `gen2`
+(12,023) and about the same on `gen0` (6,678). On the bignum covering
+`big0` (924 per translate) they took 1.0 ms against a 0.9 ms full scan.
 The lattices of N about 1,000 have 11 to 33 per translate, and there the
-proof costs 0.04-0.09 s against a 0.002-0.005 s scan; the audited
-lattices and perturbed lattices have 8 to 360.
+proof costs 35-47 ms against a 0.5-1.1 ms scan; the audited lattices and
+perturbed lattices have 8 to 360 (`pert1`, 227: 1.4 ms against 0.25 ms).
 """
 
 
@@ -134,38 +145,58 @@ class Frame(NamedTuple):
         return tuple(self.point(x, y) for x, y in zip(self.cx.tolist(), self.cy.tolist()))
 
     def min_depth(self, *, certify=None):
-        """`min_depth` of the frame's corners over its window."""
+        """Exact minimum coverage depth of the corners over the window.
+
+        Returns (depth, witness): the true minimum and the first sample, in
+        scan order, that attains it.
+
+        `certify`, if given, is a zero-argument callable returning a depth d
+        that every window point provably reaches (0 when it proves nothing).
+        It is called at most once, and only on a scan of more than
+        _CERTIFY_SLOTS_PER_TRANSLATE sample slots per translate. The scan
+        stops at the first sweep line whose minimum is <= d (d = 0 without a
+        proof), which leaves the result unchanged (see the module
+        docstring).
+        """
         sweep = y_base, s_base, slabs = _sweep(self)
         slots = len(slabs) * (2 * (len(y_base) + len(s_base)) - 1)
         floor = 0
         if certify is not None and slots > _CERTIFY_SLOTS_PER_TRANSLATE * len(self.cx):
             floor = certify()
         ucx, uxe, (ucy, Cy), (ucs, Cs) = _count_tables(self)
-        best = None
-        witness = None
-        for ts, ys, valid in _iter_chunks(self, sweep):
+        wy0, wy1 = self.bounds[2:]
+        at_wy0 = np.searchsorted(ucy, wy0, "right")
+        best = _NO_SAMPLE
+        for start in range(0, len(slabs), _CHUNK):
+            ts = slabs[start : start + _CHUNK]
             # triangles whose x-range [cx, cx + scale] holds t have ranks
-            # lo..hi-1; on the line x = t each covers [cy, cs - t], so the
-            # depth at y counts cy <= y minus cs - t < y (which implies cy <= y)
+            # lo..hi-1; on the line x = t each covers [cy, cs - t], so on
+            # the gap just above y the depth counts cy <= y minus cs - t <= y.
+            # Above the crossing y = s_base[j] - t the second count is the
+            # first j + 1 values of ucs (= s_base); above wy0 it is searched.
             hi = np.searchsorted(ucx, ts, "right")
             lo = np.searchsorted(uxe, ts, "left")
-            r1 = np.searchsorted(ucy, ys, "right")
-            r2 = np.searchsorted(ucs, ys + ts[:, None], "left")
-            rows = np.arange(len(ts))[:, None]
-            depth = (Cy[hi] - Cy[lo])[rows, r1] - (Cs[hi] - Cs[lo])[rows, r2]
-            depth = np.where(valid, depth, _NO_SAMPLE)
-            flat = int(np.argmin(depth))
-            row, col = divmod(flat, depth.shape[1])
-            if valid[row, col]:
-                d = int(depth[row, col])
-                if best is None or d < best:
-                    best = d
-                    witness = self.point(int(ts[row]), int(ys[row, col]))
-                    if best <= floor:
-                        return best, witness
-        if best is None:
-            raise ValueError("window produced no sample points")
-        return best, witness
+            cy_rows, cs_rows = Cy[hi] - Cy[lo], Cs[hi] - Cs[lo]
+            rows = np.arange(len(ts))
+            ys = s_base - ts[:, None]
+            r1 = np.searchsorted(ucy, ys, "right") + rows[:, None] * cy_rows.shape[1]
+            depth = np.where((ys >= wy0) & (ys < wy1), cy_rows.ravel()[r1] - cs_rows[:, 1:],
+                             _NO_SAMPLE).min(1, initial=_NO_SAMPLE)
+            r2 = np.searchsorted(ucs, wy0 + ts, "right")
+            depth = np.minimum(depth, cy_rows[:, at_wy0] - cs_rows[rows, r2])
+            row = int(np.argmin(depth))
+            if depth[row] < best:
+                best = int(depth[row])
+                line = ts[row : row + 1], cy_rows[row], cs_rows[row]
+                if best <= floor:
+                    break
+        # the witness: the first sample at the minimum on the line, in scan order
+        ts, cy_row, cs_row = line
+        ys, valid = _samples(self, sweep, ts)
+        r1 = np.searchsorted(ucy, ys, "right")
+        r2 = np.searchsorted(ucs, ys + ts, "left")
+        col = int(np.argmin(np.where(valid, cy_row[r1] - cs_row[r2], _NO_SAMPLE)))
+        return best, self.point(int(ts[0]), int(ys[0, col]))
 
 
 def _slab_positions(frame: Frame, y_base, s_base):
@@ -190,21 +221,20 @@ def _sweep(frame: Frame):
     return y_base, s_base, _slab_positions(frame, y_base, s_base)
 
 
-def _iter_chunks(frame: Frame, sweep):
-    """Yield (ts, ys, valid) integer sample blocks covering all faces."""
+def _samples(frame: Frame, sweep, ts):
+    """(ys, valid): the face samples of the sweep lines x = ts, one row per
+    line holding its sorted crossings and then the midpoints between
+    consecutive ones, and which of them lie in the window."""
     wy0, wy1 = frame.bounds[2:]
-    y_base, s_base, slabs = sweep
-    for start in range(0, len(slabs), _CHUNK):
-        ts = slabs[start : start + _CHUNK]
-        cand = np.concatenate(
-            [np.broadcast_to(y_base, (len(ts), len(y_base))), s_base[None, :] - ts[:, None]],
-            axis=1,
-        )
-        cand = np.sort(cand, axis=1)
-        mids = (cand[:, :-1] + cand[:, 1:]) // 2
-        ys = np.concatenate([cand, mids], axis=1)
-        valid = (ys >= wy0) & (ys < wy1)
-        yield ts, ys, valid
+    y_base, s_base, _ = sweep
+    cand = np.concatenate(
+        [np.broadcast_to(y_base, (len(ts), len(y_base))), s_base[None, :] - ts[:, None]],
+        axis=1,
+    )
+    cand = np.sort(cand, axis=1)
+    mids = (cand[:, :-1] + cand[:, 1:]) // 2
+    ys = np.concatenate([cand, mids], axis=1)
+    return ys, (ys >= wy0) & (ys < wy1)
 
 
 def _count_tables(frame: Frame):
@@ -227,17 +257,7 @@ def _count_tables(frame: Frame):
     return ucx, ucx + frame.scale, table(frame.cy), table(frame.cs)
 
 
-def min_depth(corners, window: Rect, *, certify=None):
-    """Exact minimum coverage depth of the triangle family over the window.
-
-    Returns (depth, witness): the true minimum and the first sample, in scan
-    order, that attains it.
-
-    `certify`, if given, is a zero-argument callable returning a depth d
-    that every window point provably reaches (0 when it proves nothing).
-    It is called at most once, and only on a scan of more than
-    _CERTIFY_SLOTS_PER_TRANSLATE sample slots per translate. The scan stops
-    at the first sample of depth <= d (d = 0 without a proof), which leaves
-    the result unchanged (see the module docstring).
-    """
-    return Frame.of(list(corners), window).min_depth(certify=certify)
+def min_depth(corners, window: Rect):
+    """`Frame.min_depth` of the corners over the window, on a frame of
+    their own."""
+    return Frame.of(list(corners), window).min_depth()

@@ -17,7 +17,7 @@ point lies in k cells of k distinct triangles, so its depth is >= k.
 instance's frame (`arrangement.Frame.min_depth`), which asks for it only
 on a scan of more than 1,000 sample slots per translate (the cost rule,
 `arrangement._CERTIFY_SLOTS_PER_TRANSLATE`) and then stops at its first
-sample of depth k: the exhaustive scan's (depth, witness).
+sweep line that reaches depth k: the exhaustive scan's (depth, witness).
 Containment is checked here, exactly, not taken from `decompose`.
 
 The tiling grid and the pair audits each put their values on one integer

@@ -33,7 +33,8 @@ from itertools import combinations
 
 import numpy as np
 
-from staircover.arrangement import Frame, _iter_chunks, _sweep
+from staircover import arrangement
+from staircover.arrangement import Frame, _samples, _sweep
 from staircover.bounds import max_stair_area
 from staircover.decomposition import CoveringInstance, DecompositionResult, NonStairCell
 from staircover.geom import Point, Rect, StairPolygon, pt
@@ -535,9 +536,31 @@ def corner_counts_reference(indexed_cells, k: int):
 
 # --- coverage depth -------------------------------------------------------
 
+def _iter_chunks(frame: Frame, sweep):
+    """Yield (ts, ys, valid): every face sample of the sweep, in blocks of
+    `arrangement._CHUNK` sweep lines and in the depth scan's order."""
+    slabs = sweep[2]
+    for start in range(0, len(slabs), arrangement._CHUNK):
+        ts = slabs[start : start + arrangement._CHUNK]
+        yield ts, *_samples(frame, sweep, ts)
+
+
 def depth_at(corners, p: Point) -> int:
     """Number of triangle translates (anchored at *corners*) containing p."""
     return sum(1 for c in corners if Triangle(c).contains(p))
+
+
+def sample_depths(corners, scale, ts, ys) -> np.ndarray:
+    """Depth at each sample (ts[i], ys[i, j]) of a frame of this scale, by
+    testing it against every translate."""
+    if not corners:
+        return np.zeros(ys.shape, dtype=np.int64)
+    dtype = ts.dtype
+    cx = np.asarray([int(c.x * scale) for c in corners], dtype=dtype)
+    cy = np.asarray([int(c.y * scale) for c in corners], dtype=dtype)
+    cs = np.asarray([int((c.x + c.y + 1) * scale) for c in corners], dtype=dtype)
+    t3, y3 = ts[:, None, None], ys[:, :, None]
+    return ((t3 >= cx) & (y3 >= cy) & ((t3 + y3) <= cs)).sum(axis=2)
 
 
 def min_depth_reference(corners, window: Rect):
@@ -550,17 +573,7 @@ def min_depth_reference(corners, window: Rect):
     frame = Frame.of(corners, window)
     scale = frame.scale
     for ts, ys, valid in _iter_chunks(frame, _sweep(frame)):
-        if corners:
-            dtype = ts.dtype
-            cx = np.asarray([int(c.x * scale) for c in corners], dtype=dtype)
-            cy = np.asarray([int(c.y * scale) for c in corners], dtype=dtype)
-            cs = np.asarray(
-                [int((c.x + c.y + 1) * scale) for c in corners], dtype=dtype
-            )
-            t3, y3 = ts[:, None, None], ys[:, :, None]
-            depth = ((t3 >= cx) & (y3 >= cy) & ((t3 + y3) <= cs)).sum(axis=2)
-        else:
-            depth = np.zeros(ys.shape, dtype=np.int64)
+        depth = sample_depths(corners, scale, ts, ys)
         depth = np.where(valid, depth, np.iinfo(np.int64).max)
         flat = int(np.argmin(depth))
         row, col = divmod(flat, depth.shape[1])

@@ -111,35 +111,83 @@ def _defaulted_params(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
     return out
 
 
-def test_every_default_is_overridden_by_some_caller():
-    """A defaulted parameter that no call in the package passes, by
-    position or by keyword, is an option nothing uses."""
-    sources = _package_sources()
-    passed = {}  # function name -> (most positional arguments, keywords)
-    for tree in sources.values():
+def _unused_defaults(sources: dict) -> list[str]:
+    """`stem.function.param` of each defaulted parameter of a module-level
+    function that no call in `sources` passes, by position or by keyword.
+
+    A call counts for the function `name` of module `stem` only when it is
+    a bare call to `name` in `stem` itself or in a module that imported
+    `name` from `stem`, or a call of `<module>.name` on a `from . import
+    stem` binding. Any other `x.name(...)` is a method call and counts for
+    no module function, so a method cannot stand in for a function of the
+    same name."""
+    passed = {}  # (stem, function name) -> (most positional arguments, keywords)
+    for here, tree in sources.items():
+        names, modules = {}, {}  # local name -> (stem, name), local name -> stem
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module is None:
+                        modules[local] = alias.name
+                    else:
+                        names[local] = (node.module, alias.name)
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
                 continue
             func = call.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            most, keywords = passed.get(name, (0, set()))
+            if isinstance(func, ast.Name):
+                target = names.get(func.id, (here, func.id))
+            elif isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in modules:
+                target = (modules[func.value.id], func.attr)
+            else:
+                continue
+            most, keywords = passed.get(target, (0, set()))
             keywords = keywords | {kw.arg for kw in call.keywords}
-            passed[name] = (max(most, len(call.args)), keywords)
+            passed[target] = (max(most, len(call.args)), keywords)
 
-    def overridden(name, position, param) -> bool:
-        most, keywords = passed.get(name, (0, set()))
+    def overridden(stem, name, position, param) -> bool:
+        most, keywords = passed.get((stem, name), (0, set()))
         return param in keywords or (position is not None and position < most)
 
-    unused = [
+    return [
         f"{stem}.{fn.name}.{param}"
         for stem, tree in sorted(sources.items())
         for fn in tree.body
         if isinstance(fn, ast.FunctionDef)
         for position, param in _defaulted_params(fn)
         if (stem, fn.name, param) != ("cli", "main", "argv")
-        and not overridden(fn.name, position, param)
+        and not overridden(stem, fn.name, position, param)
     ]
+
+
+def test_every_default_is_overridden_by_some_caller():
+    """A defaulted parameter that no call in the package passes is an
+    option nothing uses."""
+    unused = _unused_defaults(_package_sources())
     assert not unused, f"defaulted parameters that no call in staircover passes: {unused}"
+
+
+def test_default_census_tells_a_method_from_a_function():
+    """A method call passes nothing to the module function of the same
+    name; a call through an imported name or module binding does."""
+    scan = """
+def min_depth(corners, *, certify=None):
+    return Frame().min_depth(certify=certify)
+
+class Frame:
+    def min_depth(self, *, certify=None):
+        return 0
+"""
+    sources = {
+        "scan": ast.parse(scan),
+        "user": ast.parse("from . import scan\nscan.Frame().min_depth(certify=1)\n"),
+    }
+    assert _unused_defaults(sources) == ["scan.min_depth.certify"]
+    for caller in ("from .scan import min_depth\nmin_depth([], certify=1)\n",
+                   "from .scan import min_depth as md\nmd([], certify=1)\n",
+                   "from . import scan\nscan.min_depth([], certify=1)\n"):
+        assert _unused_defaults({**sources, "user": ast.parse(caller)}) == [], caller
 
 
 def test_no_module_uses_a_private_name_of_another():

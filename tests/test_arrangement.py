@@ -1,11 +1,13 @@
-"""The prefix-count depth kernel against the N-wide broadcast reference, and
-the bignum (object-dtype) path against the int64 one."""
+"""The line-minimum depth kernel against the N-wide broadcast reference, the
+bignum (object-dtype) path against the int64 one, and the gap lemma the
+kernel rests on against the oracle."""
 
 from fractions import Fraction
 from math import floor
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from staircover import Rect, pt
@@ -13,7 +15,7 @@ from staircover import arrangement
 from staircover.arrangement import min_depth
 from staircover.lattice import Lattice, _multiplicity_window, lattice_instance
 from conftest import diag_lattice, grid_lattice, rect_of
-from _oracles import Triangle, depth_at, min_depth_reference, rect_contains
+from _oracles import Triangle, depth_at, min_depth_reference, rect_contains, sample_depths
 
 DEN = 9973  # prime: generic coordinates share no structure with the lattices
 SHRINK = Fraction(1, 8)
@@ -24,7 +26,8 @@ def _floored(corners, window, d):
     asked = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arrangement, "_CERTIFY_SLOTS_PER_TRANSLATE", -1)
-        got = min_depth(corners, window, certify=lambda: asked.append(d) or d)
+        frame = arrangement.Frame.of(corners, window)
+        got = frame.min_depth(certify=lambda: asked.append(d) or d)
     assert asked == [d]
     return got
 
@@ -91,6 +94,47 @@ def lattice_windows(draw):
     return corners, window
 
 
+@st.composite
+def coarse_families(draw):
+    """(corners, window) with every value on one grid of step 1/d, d <= 6,
+    and up to 7 corners, most made to tie with the window or another corner:
+    a corner on a window edge, a hypotenuse through y = wy0 or y = wy1 at a
+    grid x of the window (a sweep line meets it exactly there), a repeated
+    cy or a repeated cs; or a triangle holding the whole window, so that
+    some depths are positive."""
+    rng = draw(st.randoms(use_true_random=False))
+    d = rng.randint(1, 6)
+
+    def grid(lo, hi):  # a value of the grid in [lo, hi]
+        return Fraction(rng.randint(int(lo * d), int(hi * d)), d)
+
+    x0, y0 = grid(-1, 1), grid(-1, 1)
+    step = Fraction(1, d)
+    side = max(step, Fraction(d // 2, d))  # small windows, so triangles can hold them
+    x1, y1 = x0 + grid(step, side), y0 + grid(step, side)
+    slack = 1 - (x1 - x0) - (y1 - y0)  # room left when a triangle holds the window
+    corners = []
+    for _ in range(rng.randint(0, 7)):
+        cx, cy = grid(x0 - 1, x1), grid(y0 - 1, y1)
+        kind = rng.choice(["free", "edge", "wy0", "wy1", "cy", "cs", "holds", "holds"])
+        if kind == "edge":
+            cx, cy = rng.choice([(rng.choice([x0, x1]), cy), (cx, rng.choice([y0, y1]))])
+        elif kind in ("wy0", "wy1"):
+            at = grid(x0, x1)
+            cx = at - grid(0, 1)
+            cy = at + (y0 if kind == "wy0" else y1) - 1 - cx
+        elif corners and kind == "cy":
+            cy = rng.choice(corners).y
+        elif corners and kind == "cs":
+            other = rng.choice(corners)
+            cy = other.x + other.y - cx
+        elif kind == "holds" and slack >= 0:
+            a = grid(0, slack)
+            cx, cy = x0 - a, y0 - grid(0, slack - a)
+        corners.append(pt(cx, cy))
+    return list(dict.fromkeys(corners)), Rect(x0, x1, y0, y1)
+
+
 class TestDepthKernelMatchesReference:
     @given(generic_families())
     @settings(max_examples=120, deadline=None, derandomize=True)
@@ -153,8 +197,7 @@ def _sliver():
 
 def _dtype(corners, window):
     frame = arrangement.Frame.of(corners, window)
-    ts, _, _ = next(arrangement._iter_chunks(frame, arrangement._sweep(frame)))
-    return ts.dtype
+    return arrangement._sweep(frame)[2].dtype
 
 
 class TestBignumPath:
@@ -215,3 +258,52 @@ class TestChunkSizes:
             m.setattr(arrangement, "_CHUNK", chunk)
             assert min_depth(corners, window) == expected
             _every_floor(corners, window, expected)
+
+
+class TestLineMinima:
+    """The scan takes each sweep line's minimum from the gaps just above
+    wy0 and above its hypotenuse crossings, then reads the witness off the
+    first line at the least minimum."""
+
+    @given(coarse_families())
+    @example(([], rect_of(0, 1, 0, 1)))
+    @example(([pt(0, 0)], rect_of(0, 1, 0, 1)))
+    @example(([pt("-1/2", 0), pt(0, "-1/2")], rect_of(0, 1, 0, "1/2")))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_coarse_ties(self, case):
+        corners, window = case
+        expected = min_depth_reference(corners, window)
+        with pytest.MonkeyPatch.context() as m:
+            for limit in (arrangement._INT64_LIMIT, 1):
+                m.setattr(arrangement, "_INT64_LIMIT", limit)
+                for chunk in (1, 5, 64, 4096):
+                    m.setattr(arrangement, "_CHUNK", chunk)
+                    assert min_depth(corners, window) == expected
+                    _every_floor(corners, window, expected)
+
+    @staticmethod
+    def check_gap_minima(corners, window):
+        # on every line, by the N-wide oracle: the least depth at the midpoints
+        # of the gaps just above wy0 and above the hypotenuse crossings in
+        # [wy0, wy1) is the least depth at any of the line's samples
+        frame = arrangement.Frame.of(corners, window)
+        sweep = y_base, s_base, ts = arrangement._sweep(frame)
+        wy0, wy1 = frame.bounds[2:].tolist()
+        ys, valid = arrangement._samples(frame, sweep, ts)
+        every = np.where(valid, sample_depths(corners, frame.scale, ts, ys), np.inf).min(1)
+        for t, least in zip(ts.tolist(), every.tolist()):
+            crossings = sorted({*y_base.tolist(), *(s - t for s in s_base.tolist())})
+            starts = [wy0, *(s - t for s in s_base.tolist() if wy0 <= s - t < wy1)]
+            mids = [(a + min(c for c in crossings if c > a)) // 2 for a in starts]
+            gaps = sample_depths(corners, frame.scale, np.array([t], dtype=ts.dtype),
+                                 np.array([mids], dtype=ts.dtype))
+            assert gaps.min() == least
+
+    @pytest.mark.parametrize("corners, window", list(_lattice_cases()))
+    def test_gap_minima_on_lattices(self, corners, window):
+        self.check_gap_minima(corners, window)
+
+    @given(coarse_families())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_gap_minima_on_coarse_ties(self, case):
+        self.check_gap_minima(*case)

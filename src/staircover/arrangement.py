@@ -199,6 +199,15 @@ class Frame(NamedTuple):
         return best, self.point(int(ts[0]), int(ys[0, col]))
 
 
+def _distinct(values):
+    """`np.unique(values)`, on int64 and `object` arrays alike, by a sort
+    and a mask of the neighbours that differ; no hashing."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def _slab_positions(frame: Frame, y_base, s_base):
     """Sorted sweep-line x positions: all vertex x's plus their midpoints.
 
@@ -206,9 +215,9 @@ def _slab_positions(frame: Frame, y_base, s_base):
     """
     wx0, wx1 = frame.bounds[:2]
     crossings = (s_base[:, None] - y_base[None, :]).ravel()
-    vx = np.unique(np.concatenate([frame.cx, frame.bounds[:2], crossings]))
+    vx = _distinct(np.concatenate([frame.cx, frame.bounds[:2], crossings]))
     vx = vx[(vx >= wx0) & (vx <= wx1)]
-    vx = np.unique(np.concatenate([vx, (vx[:-1] + vx[1:]) // 2]))
+    vx = _distinct(np.concatenate([vx, (vx[:-1] + vx[1:]) // 2]))
     return vx[vx < wx1]
 
 
@@ -216,8 +225,8 @@ def _sweep(frame: Frame):
     """(y_base, s_base, slabs): the y-lines, the hypotenuse offsets and the
     sweep-line x positions that `_iter_chunks` samples. Each sweep line
     holds 2 * (len(y_base) + len(s_base)) - 1 sample slots."""
-    y_base = np.unique(np.concatenate([frame.cy, frame.bounds[2:]]))
-    s_base = np.unique(frame.cs)
+    y_base = _distinct(np.concatenate([frame.cy, frame.bounds[2:]]))
+    s_base = _distinct(frame.cs)
     return y_base, s_base, _slab_positions(frame, y_base, s_base)
 
 
@@ -246,12 +255,13 @@ def _count_tables(frame: Frame):
     among the first a values of ucx and whose cy is among the first r values
     of ucy; Cs is the same with cs in place of cy.
     """
-    ucx, ix = np.unique(frame.cx, return_inverse=True)
+    ucx = _distinct(frame.cx)
+    ix = np.searchsorted(ucx, frame.cx)
 
     def table(v):
-        uv, iv = np.unique(v, return_inverse=True)
+        uv = _distinct(v)
         counts = np.zeros((len(ucx) + 1, len(uv) + 1), dtype=np.int32)
-        np.add.at(counts, (ix + 1, iv + 1), 1)
+        np.add.at(counts, (ix + 1, np.searchsorted(uv, v) + 1), 1)
         return uv, counts.cumsum(0, dtype=np.int32).cumsum(1, dtype=np.int32)
 
     return ucx, ucx + frame.scale, table(frame.cy), table(frame.cs)

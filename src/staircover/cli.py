@@ -79,10 +79,12 @@ def _corrupt(result, mode: str):
     elif mode == "drop-cell":
         cells.pop(0)
     else:  # shrink-cell; argparse's choices reject any other mode
+        # a decomposed cell's breaks are multiples of 4 on its frame's
+        # scale, so the midpoints are ints on that scale too
         i, cell = cells[0]
-        half_x = (cell.x_breaks[0] + cell.x_breaks[1]) / 2
-        mid_y = (cell.y_breaks[-1] + cell.y_breaks[-2]) / 2
-        cells[0] = (i, StairPolygon.rect(cell.x_breaks[0], half_x, cell.y_breaks[-1], mid_y))
+        xs, ys = cell.xs, cell.ys
+        half_x, mid_y = (xs[0] + xs[1]) // 2, (ys[-1] + ys[-2]) // 2
+        cells[0] = (i, StairPolygon((xs[0], half_x), (mid_y, ys[-1]), cell.scale))
     return dataclasses.replace(result, cells=tuple(cells))
 
 

@@ -17,12 +17,12 @@ non-coverings can still flow through the pipeline.
 All of this runs in integers, on the `arrangement.Frame` that the instance
 carries (built once, when the instance is made or parsed): corners,
 hypotenuse offsets and the window scaled to int64 (or bignum `object`)
-arrays. Fractions are made only for the breaks of the output cells. Per
-triangle, one numpy row over the N corners finds the cutters and their
-apexes, and the staircase is a sweep over the sorted apexes that keeps the
-k lowest y's seen; one `decompose` costs
-O(N^2 + sum of m_i (log m_i + k)) time, m_i being the number of cutters of
-T_i, and O(N) memory beyond its output.
+arrays. Stair cells keep those ints as their breaks, on the frame's scale.
+Numpy blocks of cutter rows find the cutters and their apexes, and the
+staircase is a sweep over the sorted apexes that keeps the k lowest y's
+seen; one `decompose` costs O(N^2 + sum of m_i (log m_i + k)) time, m_i
+being the number of cutters of T_i, and O(N + _BLOCK_PAIRS) memory beyond
+its output.
 """
 
 from __future__ import annotations
@@ -167,19 +167,32 @@ class DecompositionResult:
         return tuple(cell for _, cell in self.cells)
 
 
-def _cutters(frame, i: int):
-    """Mask of the corners whose triangle cuts triangle i, with the
-    componentwise maxima (mx, my) of corner i and every corner.
+_BLOCK_PAIRS = 1 << 15  # most (row, corner) pairs per block; ~1.5 MB of int64 temporaries fit L2
 
-    j cuts i when j comes later in the sum-then-x order (cs orders the sums)
-    and the two closed triangles meet: the lowest point (mx, my) of the two
-    quadrants' intersection lies under both hypotenuses. One row, O(N).
+
+def _apex_blocks(frame):
+    """Per block of rows i: the first i, and per row the sorted apexes
+    (componentwise maxima of corners i and j) of the triangles j cutting i.
+
+    j cuts i when j comes later in the sum-then-x order (a strict order, by
+    rank, as the corners are distinct) and the two closed triangles meet:
+    the lowest point (mx, my) of the two quadrants' intersection lies under
+    both hypotenuses, so under i's, as a later j has cs_j >= cs_i.
     """
     cx, cy, cs = frame.cx, frame.cy, frame.cs
-    mx = np.maximum(cx, cx[i])
-    my = np.maximum(cy, cy[i])
-    later = (cs > cs[i]) | ((cs == cs[i]) & (cx > cx[i]))
-    return later & (mx + my <= np.minimum(cs, cs[i])), mx, my
+    n = len(cx)
+    rank = np.lexsort((cx, cs)).argsort()
+    step = max(1, _BLOCK_PAIRS // n)
+    for start in range(0, n, step):
+        bx, by, bs, br = (v[start : start + step, None] for v in (cx, cy, cs, rank))
+        mx, my = np.maximum(cx, bx), np.maximum(cy, by)
+        hit = np.flatnonzero((rank > br) & (mx + my <= bs))  # row-major
+        rows = hit // n
+        ax, ay = mx.ravel()[hit], my.ravel()[hit]
+        order = np.lexsort((ay, ax, rows))
+        apexes = list(zip(ax[order].tolist(), ay[order].tolist()))
+        ends = np.bincount(rows, minlength=len(bx)).cumsum().tolist()
+        yield start, [apexes[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def _dominance_columns(apexes, k, x0, y0, hi, h):
@@ -211,17 +224,15 @@ def _dominance_columns(apexes, k, x0, y0, hi, h):
     return columns
 
 
-def _cell(frame, k: int, i: int):
-    """Cell of triangle i on the integer frame: a StairPolygon, a
-    NonStairCell, or None if empty."""
+def _cell(frame, k: int, i: int, apexes):
+    """Cell of triangle i, from the sorted apexes of its cutters: a
+    StairPolygon on the frame's scale, a NonStairCell, or None if empty."""
     scale = frame.scale
     hi = int(frame.bounds[1])  # the window is [0, hi)^2
     cx, cy, h = int(frame.cx[i]), int(frame.cy[i]), int(frame.cs[i])
     x0, y0 = max(cx, 0), max(cy, 0)
     if x0 >= hi or y0 >= hi or x0 + y0 > h:
         return None
-    cut, mx, my = _cutters(frame, i)
-    apexes = sorted(zip(mx[cut].tolist(), my[cut].tolist()))
     columns = _dominance_columns(apexes, k, x0, y0, hi, h)
     if not columns:
         return None
@@ -234,9 +245,7 @@ def _cell(frame, k: int, i: int):
                 xs.append(b)
                 ys.append(top)
         ys.append(y0)
-        return StairPolygon(
-            [Fraction(v, scale) for v in xs], [Fraction(v, scale) for v in ys]
-        )
+        return StairPolygon(xs, ys, scale)
     bottom = Fraction(y0, scale)
     return NonStairCell(
         columns=tuple(
@@ -260,8 +269,8 @@ def decompose(inst: CoveringInstance) -> DecompositionResult:
 
 def stair_decomposition(inst: CoveringInstance) -> DecompositionResult | None:
     """`decompose(inst)` if every nonempty cell is a stair polygon, else
-    None, found at the first cell that is not: what a proof of coverage by
-    the stair tiling needs, and no more."""
+    None, found at the first cell that is not (in the last block of cutter
+    rows built): what a proof of coverage by the stair tiling needs."""
     return _decomposition(inst, stop_at_non_stair=True)
 
 
@@ -270,16 +279,17 @@ def _decomposition(inst: CoveringInstance, stop_at_non_stair: bool):
     cells = []
     non_stair = []
     empty = []
-    for i in range(inst.size):
-        cell = _cell(frame, inst.k, i)
-        if cell is None:
-            empty.append(i)
-        elif isinstance(cell, StairPolygon):
-            cells.append((i, cell))
-        elif stop_at_non_stair:
-            return None
-        else:
-            non_stair.append((i, cell))
+    for start, block in _apex_blocks(frame):
+        for i, apexes in enumerate(block, start):
+            cell = _cell(frame, inst.k, i, apexes)
+            if cell is None:
+                empty.append(i)
+            elif isinstance(cell, StairPolygon):
+                cells.append((i, cell))
+            elif stop_at_non_stair:
+                return None
+            else:
+                non_stair.append((i, cell))
     return DecompositionResult(
         instance=inst,
         cells=tuple(cells),

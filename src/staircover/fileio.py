@@ -55,6 +55,12 @@ def _point_json(p: Point):
     return [rat_str(p.x), rat_str(p.y)]
 
 
+def _ratio_str(n: int, d: int) -> str:
+    """`rat_str` of n/d, for a positive d."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def _cell_row(i: int, stairs: int, area: Fraction) -> dict:
     return {"index": i, "stairs": stairs, "area": rat_str(area)}
 
@@ -230,8 +236,8 @@ def _cells_json(result: DecompositionResult):
     cells = [
         {
             **_cell_row(i, cell.stair_count, cell.area()),
-            "x_breaks": [rat_str(v) for v in cell.x_breaks],
-            "y_breaks": [rat_str(v) for v in cell.y_breaks],
+            "x_breaks": [_ratio_str(v, cell.scale) for v in cell.xs],
+            "y_breaks": [_ratio_str(v, cell.scale) for v in cell.ys],
         }
         for i, cell in result.cells
     ]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .rational import rat, rat_str
 
@@ -65,44 +66,40 @@ class Rect:
 
 
 class StairPolygon:
-    """Half-open r-stair polygon.
+    """Half-open r-stair polygon, its breaks ints on an integer `scale`.
 
-    Defined by strictly ascending x-breaks (x_0 < ... < x_{r+1}) and strictly
-    descending y-breaks (y_0 > ... > y_{r+1}); the point set is the union of
-    the half-open columns [x_i, x_{i+1}) x [y_{r+1}, y_i). The representation
-    is canonical: adjacent columns never share the same top, so two stair
-    polygons describe the same point set iff their breaks are equal.
+    Strictly ascending `xs` (x_0 < ... < x_{r+1}) and strictly descending
+    `ys` (y_0 > ... > y_{r+1}) are the breaks times `scale`; the point set
+    is the union of the half-open columns [x_i, x_{i+1}) x [y_{r+1}, y_i).
+    Adjacent columns never share a top, so the breaks on one scale are
+    canonical. Equality and hashing are by point set, across scales too.
     """
 
-    __slots__ = ("x_breaks", "y_breaks")
+    __slots__ = ("xs", "ys", "scale")
 
-    def __init__(self, x_breaks, y_breaks):
-        xs = tuple(x_breaks)
-        ys = tuple(y_breaks)
+    def __init__(self, xs, ys, scale: int):
+        xs, ys = tuple(xs), tuple(ys)
         if len(xs) != len(ys) or len(xs) < 2:
             raise ValueError("need r+2 x-breaks and r+2 y-breaks with r >= 0")
         if any(a >= b for a, b in zip(xs, xs[1:])):
             raise ValueError("x-breaks must be strictly ascending")
         if any(a <= b for a, b in zip(ys, ys[1:])):
             raise ValueError("y-breaks must be strictly descending")
-        self.x_breaks = xs
-        self.y_breaks = ys
+        self.xs, self.ys, self.scale = xs, ys, scale
 
     @classmethod
     def of(cls, x_breaks, y_breaks) -> "StairPolygon":
-        return cls(tuple(rat(v) for v in x_breaks), tuple(rat(v) for v in y_breaks))
-
-    @classmethod
-    def rect(cls, x0, x1, y0, y1) -> "StairPolygon":
-        """Single-column (r = 0) stair polygon [x0,x1) x [y0,y1)."""
-        return cls.of((x0, x1), (y1, y0))
+        """The polygon of exact rational breaks, on the lcm of their denominators."""
+        xs, ys = [rat(v) for v in x_breaks], [rat(v) for v in y_breaks]
+        scale = lcm(*(v.denominator for v in xs + ys))
+        up = [[v.numerator * (scale // v.denominator) for v in vs] for vs in (xs, ys)]
+        return cls(*up, scale)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, StairPolygon)
-            and self.x_breaks == other.x_breaks
-            and self.y_breaks == other.y_breaks
-        )
+        if not isinstance(other, StairPolygon) or len(self.xs) != len(other.xs):
+            return False
+        a, b = other.scale, self.scale
+        return all(u * a == v * b for u, v in zip(self.xs + self.ys, other.xs + other.ys))
 
     def __hash__(self):
         return hash((self.x_breaks, self.y_breaks))
@@ -113,33 +110,24 @@ class StairPolygon:
         return f"StairPolygon(x=[{xs}], y=[{ys}])"
 
     @property
-    def stair_count(self) -> int:
-        """The number r of inner (reflex) corners."""
-        return len(self.x_breaks) - 2
+    def x_breaks(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.scale) for v in self.xs)
 
     @property
-    def anchor(self) -> Point:
-        """Lower-left vertex (x_0, y_{r+1})."""
-        return Point(self.x_breaks[0], self.y_breaks[-1])
+    def y_breaks(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.scale) for v in self.ys)
 
-    def inner_corners(self) -> tuple[Point, ...]:
-        """The reflex corners (x_j, y_j) for j = 1..r; empty when r = 0."""
-        return tuple(
-            Point(self.x_breaks[j], self.y_breaks[j])
-            for j in range(1, len(self.x_breaks) - 1)
-        )
+    @property
+    def stair_count(self) -> int:
+        """The number r of inner (reflex) corners."""
+        return len(self.xs) - 2
 
     def area(self) -> Fraction:
-        bottom = self.y_breaks[-1]
-        return sum(
-            (self.x_breaks[i + 1] - self.x_breaks[i]) * (self.y_breaks[i] - bottom)
-            for i in range(len(self.x_breaks) - 1)
-        )
+        xs, ys = self.xs, self.ys
+        scaled = sum((xs[i + 1] - xs[i]) * (ys[i] - ys[-1]) for i in range(len(xs) - 1))
+        return Fraction(scaled, self.scale * self.scale)
 
     def to_rects(self) -> tuple[Rect, ...]:
         """Column decomposition: r+1 pairwise-disjoint half-open rectangles."""
-        bottom = self.y_breaks[-1]
-        return tuple(
-            Rect(self.x_breaks[i], self.x_breaks[i + 1], bottom, self.y_breaks[i])
-            for i in range(len(self.x_breaks) - 1)
-        )
+        xs, ys = self.x_breaks, self.y_breaks
+        return tuple(Rect(xs[i], xs[i + 1], ys[-1], ys[i]) for i in range(len(xs) - 1))

@@ -1,9 +1,10 @@
 """Exact rational parsing and formatting, and the check on integer counts.
 
 Every coordinate in this package is exact: a `fractions.Fraction` in the
-public types, or an int on one common scale in the integer kernels and in
-the frame that a parsed instance carries (`arrangement.Frame`), whose plain
-"p/q" and "n" literals `fileio` reads without `rat`. Floats are rejected
+public types, or an int on one common scale in the integer kernels, in the
+frame that a parsed instance carries (`arrangement.Frame`), whose plain
+"p/q" and "n" literals `fileio` reads without `rat`, and in the breaks of
+the stair cells decomposed on that frame. Floats are rejected
 outright rather than converted: half-open membership tests and the
 sum-then-x point order both hinge on exact ties, which binary floats cannot
 be trusted to preserve.

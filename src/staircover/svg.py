@@ -47,8 +47,7 @@ def _fill_color(i: int) -> str:
     return f"hsl({(i * 137) % 360},60%,74%)"
 
 
-def _stair_outline(cell, m: _Mapper):
-    xs, ys = cell.x_breaks, cell.y_breaks
+def _stair_outline(xs, ys, m: _Mapper):
     bottom = ys[-1]
     closed = [m.pair(xs[0], ys[0]), m.pair(xs[0], bottom), m.pair(xs[-1], bottom)]
     open_path = [m.pair(xs[-1], bottom)]
@@ -66,8 +65,11 @@ def render_decomposition(result: DecompositionResult) -> str:
         f'viewBox="0 0 {_SIZE} {_SIZE}">',
         f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
-    for i, cell in result.cells:
-        closed, open_path = _stair_outline(cell, m)
+    # int true division rounds correctly: each is float(Fraction(v, scale))
+    breaks = [([v / c.scale for v in c.xs], [v / c.scale for v in c.ys])
+              for _, c in result.cells]
+    for (i, _), (xs, ys) in zip(result.cells, breaks):
+        closed, open_path = _stair_outline(xs, ys, m)
         polygon = " ".join(closed + open_path[1:])
         color = _fill_color(i)
         parts.append(f'<polygon points="{polygon}" fill="{color}" stroke="none"/>')
@@ -89,14 +91,13 @@ def render_decomposition(result: DecompositionResult) -> str:
                 f'stroke="#b22" stroke-width="1" stroke-dasharray="3,3"/>'
             )
     # markers drawn after fills so they stay visible
-    for i, cell in result.cells:
-        a = cell.anchor
+    for xs, ys in breaks:
         parts.append(
-            f'<circle cx="{m.x(a.x)}" cy="{m.y(a.y)}" r="3.2" fill="#111"/>'
+            f'<circle cx="{m.x(xs[0])}" cy="{m.y(ys[-1])}" r="3.2" fill="#111"/>'
         )
-        for corner in cell.inner_corners():
+        for x, y in zip(xs[1:-1], ys[1:-1]):  # the inner corners
             parts.append(
-                f'<circle cx="{m.x(corner.x)}" cy="{m.y(corner.y)}" r="2.6" '
+                f'<circle cx="{m.x(x)}" cy="{m.y(y)}" r="2.6" '
                 f'fill="white" stroke="#111" stroke-width="1.2"/>'
             )
     parts.append(

@@ -20,15 +20,16 @@ on a scan of more than 1,000 sample slots per translate (the cost rule,
 sweep line that reaches depth k: the exhaustive scan's (depth, witness).
 Containment is checked here, exactly, not taken from `decompose`.
 
-The tiling grid and the pair audits each put their values on one integer
-scale per call (`_on_one_scale`): the lcm of the denominators of the cells'
-breaks, which covers the midpoint breaks of a shrunk cell, plus the
-window's for the grid and the corners' for the cut test. They compare
-Python ints, and make `Fraction`s only for witnesses and for the grid's
-lines. Each visits only what can touch: the boundary audit sweeps the
-cells' closed boxes by x0 and searches just the pairs that meet; the
-anchor counts bisect the x-sorted anchors to each cell's x-range; the
-inner-corner audit tests each corner against the cells anchored at its x.
+The grid, the audits and the containment test compare ints: the cells'
+breaks and the frame's corners and window, all on the frame's scale for
+`decompose`'s cells (and a shrunk cell's, whose breaks are multiples of
+4). Cells made otherwise, as by `StairPolygon.of`, go onto the lcm of the
+scales in play (`_common_scale`). `Fraction`s are made only for witnesses
+and for the grid's lines. Each audit visits only what can touch: the
+boundary audit sweeps the cells' closed boxes by x0 and searches just the
+pairs that meet; the anchor counts bisect the x-sorted anchors to each
+cell's x-range; the inner-corner audit tests each corner against the
+cells anchored at its x.
 """
 
 from __future__ import annotations
@@ -106,16 +107,24 @@ def _certificate(inst: CoveringInstance, proves) -> CoverageCertificate:
     return CoverageCertificate(k=inst.k, min_depth=depth, witness=witness)
 
 
-def _within_triangle(cell: StairPolygon, corner: Point) -> bool:
-    """Whether the closed cell lies in the closed triangle at `corner`: its
-    anchor dominates the corner, and the top-right corner (x_{j+1}, y_j) of
-    every column lies under the hypotenuse."""
-    h = corner.x + corner.y + 1
-    return (
-        cell.anchor.x >= corner.x
-        and cell.anchor.y >= corner.y
-        and all(x + y <= h for x, y in zip(cell.x_breaks[1:], cell.y_breaks))
-    )
+def _common_scale(cells, *scales):
+    """(scale, [(xs, ys) per cell]): the lcm of the cells' scales and
+    `scales`, and each cell's breaks on it (its own, when on it already)."""
+    scale = lcm(*scales, *{cell.scale for cell in cells})
+    return scale, [
+        (c.xs, c.ys) if c.scale == scale
+        else tuple(tuple(v * (scale // c.scale) for v in vs) for vs in (c.xs, c.ys))
+        for c in cells
+    ]
+
+
+def _within_triangle(cell: StairPolygon, frame, i: int) -> bool:
+    """Whether the closed cell lies in the closed triangle i of `frame`:
+    its anchor dominates the corner, and the top-right corner (x_{j+1},
+    y_j) of every column lies under the hypotenuse."""
+    scale, ((xs, ys),) = _common_scale((cell,), frame.scale)
+    x, y, h = (int(v[i]) * (scale // frame.scale) for v in (frame.cx, frame.cy, frame.cs))
+    return xs[0] >= x and ys[-1] >= y and all(a + b <= h for a, b in zip(xs[1:], ys))
 
 
 def _tiling_proves_depth(
@@ -129,29 +138,10 @@ def _tiling_proves_depth(
         return False
     seen = set()
     for i, cell in result.cells:
-        if i in seen or not 0 <= i < inst.size or not _within_triangle(cell, inst.corners[i]):
+        if i in seen or not 0 <= i < inst.size or not _within_triangle(cell, inst.frame, i):
             return False
         seen.add(i)
     return (tiling or verify_exact_tiling(result.stair_cells(), inst.k, inst.window)).passed
-
-
-def _on_one_scale(cells, extra):
-    """The breaks of the stair `cells` and the values `extra` as ints on one
-    scale: (scale, [(x_breaks, y_breaks) per cell], extra). The scale is the
-    lcm of every denominator among them, so each int is its value times the
-    scale and keeps its order and ties."""
-    extra = tuple(extra)
-    dens = {v.denominator for v in extra}
-    for cell in cells:
-        dens.update(v.denominator for v in cell.x_breaks)
-        dens.update(v.denominator for v in cell.y_breaks)
-    scale = lcm(*dens)
-    factor = {d: scale // d for d in dens}
-
-    def up(values):
-        return tuple(v.numerator * factor[v.denominator] for v in values)
-
-    return scale, [(up(c.x_breaks), up(c.y_breaks)) for c in cells], up(extra)
 
 
 def _point(x: int, y: int, scale: int) -> Point:
@@ -165,7 +155,8 @@ def multiplicity_grid(cells, l: Fraction):
     covering the half-open grid cell [xs[i], xs[i+1]) x [ys[j], ys[j+1]).
     Cells must lie inside [0, l]^2.
     """
-    scale, breaks, (top,) = _on_one_scale(cells, (l,))
+    scale, breaks = _common_scale(cells, l.denominator)
+    top = l.numerator * (scale // l.denominator)
     for cell, (bx, by) in zip(cells, breaks):
         if bx[0] < 0 or by[-1] < 0 or by[0] > top or bx[-1] > top:
             r = next(r for r in cell.to_rects() if r.x0 < 0 or r.x1 > l or r.y0 < 0 or r.y1 > l)
@@ -222,20 +213,22 @@ def audit_cell_shape(result: DecompositionResult) -> AuditVerdict:
             cell=i,
             point=p,
         )
-    inst = result.instance
+    frame = result.instance.frame
+    x0, x1, y0, y1 = frame.bounds.tolist()
     by_index = dict(result.cells)
-    for i, corner in enumerate(inst.corners):
-        if 0 <= corner.x < inst.window and 0 <= corner.y < inst.window:
+    for i, (x, y) in enumerate(zip(frame.cx.tolist(), frame.cy.tolist())):
+        if x0 <= x < x1 and y0 <= y < y1:
             cell = by_index.get(i)
             if cell is None:
                 return _fail(check, f"cell {i} is empty but its corner is in the window", cell=i)
-            if cell.anchor != corner:
+            s = cell.scale
+            if cell.xs[0] * frame.scale != x * s or cell.ys[-1] * frame.scale != y * s:
                 return _fail(
                     check,
                     f"cell {i} is not anchored at its corner",
                     cell=i,
-                    anchor=cell.anchor,
-                    corner=corner,
+                    anchor=_point(cell.xs[0], cell.ys[-1], s),
+                    corner=frame.point(x, y),
                 )
     return AuditVerdict(check, PASS, f"{len(result.cells)} stair cells")
 
@@ -322,8 +315,10 @@ def _cuts(a, b, scale: int) -> bool:
     ) + scale
 
 
-def audit_boundary_cut(corners, indexed_cells):
-    """Boundary/cell disjointness: (boundary_vs_cutter, boundary_one_sided).
+def audit_boundary_cut(frame, indexed_cells):
+    """Boundary/cell disjointness: (boundary_vs_cutter, boundary_one_sided),
+    the cells' triangles having their corners in `frame` (an
+    `arrangement.Frame`, the instance's).
 
     Directed: if T_i cuts T_j then the removed boundary of cell i misses
     cell j; it fails on the least (i, j) in index order. One-sided: for
@@ -339,10 +334,9 @@ def audit_boundary_cut(corners, indexed_cells):
     pairwise_check = "boundary_one_sided"
     cells = dict(indexed_cells)
     order = list(cells)  # position -> index
-    scale, breaks, flat = _on_one_scale(
-        cells.values(), (v for i in order for v in (corners[i].x, corners[i].y))
-    )
-    corner = list(zip(flat[::2], flat[1::2]))  # by position
+    scale, breaks = _common_scale(cells.values(), frame.scale)
+    f = scale // frame.scale
+    corner = [(int(frame.cx[i]) * f, int(frame.cy[i]) * f) for i in order]  # by position
     boxes = sorted(
         (bx[0], bx[-1], by[-1], by[0], p) for p, (bx, by) in enumerate(breaks)
     )
@@ -393,7 +387,7 @@ def audit_inner_corners(indexed_cells) -> AuditVerdict:
     lies in its first column.
     """
     check = "corner_anchor_column"
-    scale, breaks, _ = _on_one_scale([cell for _, cell in indexed_cells], ())
+    scale, breaks = _common_scale([cell for _, cell in indexed_cells])
     by_anchor_x: dict[int, list] = {}
     for (j, _), (bx, by) in zip(indexed_cells, breaks):
         by_anchor_x.setdefault(bx[0], []).append((j, by[-1], by[0]))
@@ -413,6 +407,14 @@ def audit_inner_corners(indexed_cells) -> AuditVerdict:
     return AuditVerdict(check, PASS, f"{corners_checked} inner corners checked")
 
 
+def _sum_verdict(check: str, name: str, total: int, limit: int, limit_name: str):
+    """Passes when the sum of the `name`s, `total`, is at most `limit`."""
+    if total <= limit:
+        return AuditVerdict(check, PASS, f"sum {name} = {total} <= {limit}")
+    return _fail(check, f"sum {name} = {total} exceeds {limit_name} = {limit}",
+                 total=total, limit=limit)
+
+
 def audit_corner_counts(indexed_cells, k: int):
     """Anchor-count inequalities over the nonempty cells.
 
@@ -423,7 +425,7 @@ def audit_corner_counts(indexed_cells, k: int):
     bisects the x-sorted anchors to that range and tests only those.
     """
     n_prime = len(indexed_cells)
-    _, breaks, _ = _on_one_scale([cell for _, cell in indexed_cells], ())
+    _, breaks = _common_scale([cell for _, cell in indexed_cells])
     anchors = sorted((bx[0], by[-1], j) for (j, _), (bx, by) in zip(indexed_cells, breaks))
     anchor_xs = [x for x, _, _ in anchors]
     anchor_counts = {}
@@ -449,30 +451,10 @@ def audit_corner_counts(indexed_cells, k: int):
             )
             break
     total_anchors = sum(anchor_counts.values())
-    if total_anchors <= k * n_prime:
-        upper = AuditVerdict(
-            "anchor_count_upper", PASS, f"sum n_i = {total_anchors} <= {k * n_prime}"
-        )
-    else:
-        upper = _fail(
-            "anchor_count_upper",
-            f"sum n_i = {total_anchors} exceeds k*N' = {k * n_prime}",
-            total=total_anchors,
-            limit=k * n_prime,
-        )
+    upper = _sum_verdict("anchor_count_upper", "n_i", total_anchors, k * n_prime, "k*N'")
     total_stairs = sum(cell.stair_count for _, cell in indexed_cells)
-    budget = (2 * k - 1) * n_prime
-    if total_stairs <= budget:
-        total = AuditVerdict(
-            "stair_count_total", PASS, f"sum r_i = {total_stairs} <= {budget}"
-        )
-    else:
-        total = _fail(
-            "stair_count_total",
-            f"sum r_i = {total_stairs} exceeds (2k-1)*N' = {budget}",
-            total=total_stairs,
-            limit=budget,
-        )
+    total = _sum_verdict("stair_count_total", "r_i", total_stairs, (2 * k - 1) * n_prime,
+                         "(2k-1)*N'")
     stats = {"anchor_counts": anchor_counts, "sum_anchor_counts": total_anchors}
     return lower, upper, total, stats
 
@@ -511,7 +493,7 @@ def run_audits(inst: CoveringInstance, result: DecompositionResult | None = None
     if grid is not None:
         upper, lower, tiling = grid
         verdicts += [upper, lower, tiling]
-        verdicts += list(audit_boundary_cut(inst.corners, result.cells))
+        verdicts += list(audit_boundary_cut(inst.frame, result.cells))
         if tiling.passed:
             corner_verdict = audit_inner_corners(result.cells)
             c_lower, c_upper, c_total, stats = audit_corner_counts(result.cells, inst.k)

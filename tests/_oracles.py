@@ -16,12 +16,16 @@ triangle, and the minimum depth over a window by testing every face sample
 against every translate; the lattice translates meeting a window are found
 by testing every coefficient pair of a box, in the basis as given. The
 decomposition is rebuilt in Fractions, one `Triangle` pair test per cutter
-candidate; the exact tiling is judged by counting, at the lower-left
-corner of every cell of the grid of breaks, the stair cells that contain
-it; the boundary audit compares every ordered pair of cells by its own
-search of boundary segments against column rectangles, with the cutting
-relation of `Triangle`s in Fractions; and the two corner audits test every
-anchor or inner corner against every cell, in Fractions.
+candidate, and its cutter rule is kept as one numpy row per triangle
+(`cutters_reference`), against which `decompose`'s blocks of rows are
+tested; a single-column stair cell (`stair_rect`), a cell's anchor and its
+inner corners are made from `Fraction` breaks; the exact tiling is judged
+by counting, at the lower-left corner of every cell of the grid of
+breaks, the stair cells that contain it; the boundary audit compares every
+ordered pair of cells by its own search of boundary segments against
+column rectangles, with the cutting relation of `Triangle`s in Fractions;
+and the two corner audits test every anchor or inner corner against every
+cell, in Fractions.
 """
 
 from __future__ import annotations
@@ -126,6 +130,23 @@ def stair_interior_contains(cell: StairPolygon, p: Point) -> bool:
     # top is the smaller of the two adjacent tops, as required
     i = bisect_right(cell.x_breaks, p.x) - 1
     return p.y < cell.y_breaks[i]
+
+
+def stair_rect(x0, x1, y0, y1) -> StairPolygon:
+    """Single-column (r = 0) stair polygon [x0,x1) x [y0,y1), from any
+    exact rational representation."""
+    return StairPolygon.of((x0, x1), (y1, y0))
+
+
+def anchor(cell: StairPolygon) -> Point:
+    """The lower-left vertex (x_0, y_{r+1})."""
+    return Point(cell.x_breaks[0], cell.y_breaks[-1])
+
+
+def inner_corners(cell: StairPolygon) -> tuple[Point, ...]:
+    """The reflex corners (x_j, y_j) for j = 1..r; empty when r = 0."""
+    xs, ys = cell.x_breaks, cell.y_breaks
+    return tuple(Point(xs[j], ys[j]) for j in range(1, len(xs) - 1))
 
 
 def non_stair_contains(cell: NonStairCell, p: Point) -> bool:
@@ -283,6 +304,22 @@ def cell_matches_set_formula(inst: CoveringInstance, i: int, cell) -> bool:
 
 # --- decomposition in Fractions --------------------------------------------
 
+def cutters_reference(frame, i: int):
+    """Mask of the corners whose triangle cuts triangle i, with the
+    componentwise maxima (mx, my) of corner i and every corner: one numpy
+    row over the frame, the rule that `decomposition` applies a block of
+    rows at a time.
+
+    j cuts i when j comes later in the sum-then-x order (cs orders the sums)
+    and the two closed triangles meet: the lowest point (mx, my) of the two
+    quadrants' intersection lies under both hypotenuses."""
+    cx, cy, cs = frame.cx, frame.cy, frame.cs
+    mx = np.maximum(cx, cx[i])
+    my = np.maximum(cy, cy[i])
+    later = (cs > cs[i]) | ((cs == cs[i]) & (cx > cx[i]))
+    return later & (mx + my <= np.minimum(cs, cs[i])), mx, my
+
+
 def _reference_cutters(inst: CoveringInstance, i: int) -> list[int]:
     tris = [Triangle(c) for c in inst.corners]
     target = tris[i]
@@ -326,7 +363,7 @@ def _columns_to_stair(columns, bottom) -> StairPolygon:
             merged.append((x0, x1, top))
     x_breaks = [merged[0][0]] + [c[1] for c in merged]
     y_breaks = [c[2] for c in merged] + [bottom]
-    return StairPolygon(x_breaks, y_breaks)
+    return StairPolygon.of(x_breaks, y_breaks)
 
 
 def _reference_cell(inst: CoveringInstance, i: int):
@@ -467,10 +504,10 @@ def inner_corners_reference(indexed_cells) -> AuditVerdict:
     check = "corner_anchor_column"
     corners_checked = 0
     for i, cell in indexed_cells:
-        for corner in cell.inner_corners():
+        for corner in inner_corners(cell):
             corners_checked += 1
             found = any(
-                j != i and stair_contains(other, corner) and other.anchor.x == corner.x
+                j != i and stair_contains(other, corner) and anchor(other).x == corner.x
                 for j, other in indexed_cells
             )
             if not found:
@@ -489,12 +526,12 @@ def corner_counts_reference(indexed_cells, k: int):
     n_prime = len(indexed_cells)
     anchor_counts = {}
     for i, cell in indexed_cells:
-        corner_set = set(cell.inner_corners())
+        corner_set = set(inner_corners(cell))
         anchor_counts[i] = sum(
             1
             for j, other in indexed_cells
             if j != i
-            and (stair_interior_contains(cell, other.anchor) or other.anchor in corner_set)
+            and (stair_interior_contains(cell, anchor(other)) or anchor(other) in corner_set)
         )
     lower = AuditVerdict("anchor_count_lower", PASS, "n_i >= r_i - k + 1 for all cells")
     for i, cell in indexed_cells:
@@ -627,7 +664,7 @@ def max_stair_in_triangle(r: int) -> StairPolygon:
     d = r + 2
     xs = [Fraction(i, d) for i in range(r + 2)]
     ys = [Fraction(r + 1 - j, d) for j in range(r + 2)]
-    stair = StairPolygon(xs, ys)
+    stair = StairPolygon.of(xs, ys)
     if stair.area() != area:
         raise AssertionError("extremal construction has wrong area; bug")
     return stair

@@ -31,12 +31,12 @@ def cells_by_index(inst: CoveringInstance) -> dict:
 def frame_dtypes(inst: CoveringInstance) -> tuple[set, set]:
     """The dtypes of the frames that `decompose(inst)` and
     `coverage_certificate(inst)` scan, seen from inside: `decompose`'s
-    cutter rows and the depth scan."""
-    cutters, scan = decomposition._cutters, arrangement.Frame.min_depth
+    blocks of cutter rows and the depth scan."""
+    blocks, scan = decomposition._apex_blocks, arrangement.Frame.min_depth
     seen = set(), set()
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(decomposition, "_cutters",
-                  lambda frame, i: seen[0].add(frame.cx.dtype) or cutters(frame, i))
+        m.setattr(decomposition, "_apex_blocks",
+                  lambda frame: seen[0].add(frame.cx.dtype) or blocks(frame))
         m.setattr(arrangement.Frame, "min_depth",
                   lambda frame, **kw: seen[1].add(frame.cx.dtype) or scan(frame, **kw))
         decompose(inst)
@@ -47,6 +47,12 @@ def frame_dtypes(inst: CoveringInstance) -> tuple[set, set]:
 def rect_of(x0, x1, y0, y1) -> Rect:
     """A Rect from any exact rational representation, as `pt` is for points."""
     return Rect(rat(x0), rat(x1), rat(y0), rat(y1))
+
+
+def corner_frame(corners) -> arrangement.Frame:
+    """The integer frame of `Point` corners over the unit window, from
+    which `audit_boundary_cut` reads them."""
+    return arrangement.Frame.of(corners, rect_of(0, 1, 0, 1))
 
 
 def rect_area(rect: Rect) -> Fraction:

@@ -37,7 +37,9 @@ from _oracles import (
     cell_matches_set_formula,
     grid_max_stair_area,
     max_stair_in_triangle,
+    stair_rect,
 )
+from conftest import corner_frame
 
 
 def _report(criterion: str, detail: str):
@@ -84,7 +86,7 @@ def test_criterion_4_audits_pass_and_counterexamples_fail(corpus):
         assert report.passed, [v for v in report.verdicts if v.status != PASS]
 
     # planted counterexamples: every audit must detect its own violation
-    sq = StairPolygon.rect
+    sq = stair_rect
     one = Fraction(1)
     # repeated corners, the one violation of the minimal-corner cut, never
     # reach an audit: the constructor and the parser refuse them
@@ -100,12 +102,12 @@ def test_criterion_4_audits_pass_and_counterexamples_fail(corpus):
     assert lower.status == tiling.status == FAIL
 
     directed, _ = audit_boundary_cut(
-        (pt(0, 0), pt("1/2", "1/2")),
+        corner_frame((pt(0, 0), pt("1/2", "1/2"))),
         ((0, sq(0, 1, 0, 1)), (1, sq("1/2", "3/4", "1/2", "3/4"))),
     )
     assert directed.status == FAIL
     _, pairwise = audit_boundary_cut(
-        (pt(0, 0), pt("1/4", "-1/4")),
+        corner_frame((pt(0, 0), pt("1/4", "-1/4"))),
         ((0, sq(0, 1, 0, 1)), (1, sq("1/2", "3/2", "-1/2", "1/2"))),
     )
     assert pairwise.status == FAIL

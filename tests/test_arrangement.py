@@ -307,3 +307,37 @@ class TestLineMinima:
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_gap_minima_on_coarse_ties(self, case):
         self.check_gap_minima(*case)
+
+
+class TestDistinct:
+    """`_distinct`, a sort and a neighbour mask, gives `np.unique`'s arrays,
+    and the sweep setup built on it is the same on int64 and bignum frames."""
+
+    @given(st.lists(st.integers(-40, 40), max_size=50), st.booleans())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_matches_np_unique(self, values, bignum):
+        a = np.asarray(values, dtype=object if bignum else np.int64)
+        got = arrangement._distinct(a)
+        want, inverse = np.unique(a, return_inverse=True)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert np.searchsorted(got, a).tolist() == inverse.tolist()
+
+    @pytest.mark.parametrize("lat, l", [(diag_lattice(2), "3/2"), (grid_lattice(3), 1)])
+    def test_sweep_and_tables_agree_across_dtypes(self, monkeypatch, lat, l):
+        inst = lattice_instance(lat, l, 1)
+        window = inst.window_rect()
+        frames = [arrangement.Frame.of(inst.corners, window)]
+        monkeypatch.setattr(arrangement, "_INT64_LIMIT", 1)
+        frames.append(arrangement.Frame.of(inst.corners, window))
+        assert [f.cx.dtype for f in frames] == [np.dtype(np.int64), np.dtype(object)]
+
+        def flat(frame):
+            ucx, uxe, (ucy, cy_table), (ucs, cs_table) = arrangement._count_tables(frame)
+            return ([a.tolist() for a in arrangement._sweep(frame)],
+                    [a.tolist() for a in (ucx, uxe, ucy, cy_table, ucs, cs_table)])
+
+        int64, bignum = map(flat, frames)
+        assert int64 == bignum
+        (y_base, s_base, _), _ = int64
+        assert y_base == np.unique(np.concatenate([frames[0].cy, frames[0].bounds[2:]])).tolist()
+        assert s_base == np.unique(frames[0].cs).tolist()

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -16,8 +17,11 @@ from staircover import (
     pt,
 )
 from staircover import arrangement, decomposition
-from staircover.decomposition import _cutters, stair_decomposition
-from _oracles import Triangle, cell_matches_set_formula, cuts, decompose_reference, non_stair_contains
+from staircover.decomposition import stair_decomposition
+from _oracles import (
+    Triangle, anchor, cell_matches_set_formula, cuts, cutters_reference, decompose_reference,
+    non_stair_contains,
+)
 from conftest import cells_by_index, diag_lattice, frame_dtypes, grid_lattice
 from test_arrangement import DEN, SHRINK, _generic, generic_families
 from staircover.lattice import lattice_instance
@@ -48,8 +52,8 @@ class TestInstanceValidation:
 
 
 def cutter_set(inst, i) -> tuple[int, ...]:
-    """Indices j whose triangle cuts triangle i, from `decompose`'s row."""
-    cut, _, _ = _cutters(inst.frame, i)
+    """Indices j whose triangle cuts triangle i, by the per-row rule."""
+    cut, _, _ = cutters_reference(inst.frame, i)
     return tuple(np.flatnonzero(cut).tolist())
 
 
@@ -148,7 +152,7 @@ class TestDecompose:
         for i, cell in result.cells:
             corner = inst.corners[i]
             if 0 <= corner.x < 1 and 0 <= corner.y < 1:
-                assert cell.anchor == corner
+                assert anchor(cell) == corner
 
     def test_cells_stay_inside_triangle_and_window(self):
         inst = lattice_instance(grid_lattice(3), 1, 2)
@@ -220,6 +224,72 @@ def small_denominator_instances(draw):
 
 def _parts(result):
     return result.cells, result.non_stair, result.empty_indices
+
+
+def _tied_instance(rng, n: int, k: int) -> CoveringInstance:
+    """n distinct corners on the 1/8 grid over [-1, l]^2, l being 1 or 2:
+    coarse enough that the sums (cs), the x's (cx) and the window edges 0
+    and l tie often."""
+    l = rng.choice((1, 2))
+    grid = [Fraction(v, 8) for v in range(-8, 8 * l + 1)]
+    return CoveringInstance.of(k, l, rng.sample([(x, y) for x in grid for y in grid], n))
+
+
+def _apexes_by_rule(frame) -> list:
+    """The sorted apexes of the cutters of each triangle, one row each."""
+    rows = []
+    for i in range(len(frame.cx)):
+        cut, mx, my = cutters_reference(frame, i)
+        rows.append(sorted(zip(mx[cut].tolist(), my[cut].tolist())))
+    return rows
+
+
+def _apexes_by_blocks(frame, rows_per_block: int) -> list:
+    """The same from `decompose`'s blocks, checking where each starts."""
+    blocks = list(decomposition._apex_blocks(frame))
+    assert [start for start, _ in blocks] == list(range(0, len(frame.cx), rows_per_block))
+    return [apexes for _, block in blocks for apexes in block]
+
+
+class TestBlocksMatchThePerRowRule:
+    """`decompose` finds cutters a block of rows at a time; each row must
+    be the per-row rule's, on int64 and bignum frames, with N on both sides
+    of a block's edge."""
+
+    @given(st.randoms(use_true_random=False), st.integers(-6, 6), st.booleans())
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_one_and_two_blocks_at_the_real_size(self, rng, offset, bignum):
+        # max(1, _BLOCK_PAIRS // n) rows per block: one block up to the
+        # square root of _BLOCK_PAIRS, two just above it
+        edge = isqrt(decomposition._BLOCK_PAIRS)
+        n = edge + offset
+        with pytest.MonkeyPatch.context() as m:
+            if bignum:
+                m.setattr(arrangement, "_INT64_LIMIT", 1)
+            frame = _tied_instance(rng, n, 1).frame
+        assert frame.cx.dtype == np.dtype(object if bignum else np.int64)
+        rows = max(1, decomposition._BLOCK_PAIRS // n)
+        assert -(-n // rows) == (1 if n <= edge else 2)
+        assert _apexes_by_blocks(frame, rows) == _apexes_by_rule(frame)
+
+    @given(st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_small_blocks_match_the_fraction_reference(self, rng, bignum):
+        n = rng.randint(1, 16)
+        rows = rng.randint(1, n + 1)  # one block when rows >= n
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(decomposition, "_BLOCK_PAIRS", rows * n)
+            if bignum:
+                m.setattr(arrangement, "_INT64_LIMIT", 1)
+            inst = _tied_instance(rng, n, rng.randint(1, 3))
+            assert _apexes_by_blocks(inst.frame, rows) == _apexes_by_rule(inst.frame)
+            assert _parts(decompose(inst)) == _parts(decompose_reference(inst))
+
+    def test_a_block_holds_at_least_one_row(self, monkeypatch):
+        monkeypatch.setattr(decomposition, "_BLOCK_PAIRS", 1)
+        inst = lattice_instance(diag_lattice(2), 1, 2)
+        assert _apexes_by_blocks(inst.frame, 1) == _apexes_by_rule(inst.frame)
+        assert _parts(decompose(inst)) == _parts(decompose_reference(inst))
 
 
 class TestMatchesFractionReference:
@@ -304,7 +374,8 @@ class TestStairDecomposition:
         real = decomposition._cell
         made = []
         monkeypatch.setattr(
-            decomposition, "_cell", lambda frame, k, i: made.append(i) or real(frame, k, i)
+            decomposition, "_cell",
+            lambda frame, k, i, apexes: made.append(i) or real(frame, k, i, apexes),
         )
         assert stair_decomposition(inst) is None
         assert made == list(range(first + 1))

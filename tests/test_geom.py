@@ -9,7 +9,9 @@ from staircover import Point, StairPolygon, pt, rat
 from staircover.verification import _cuts
 from _oracles import (
     Triangle,
+    anchor,
     cuts,
+    inner_corners,
     precedes,
     rect_contains,
     stair_contains,
@@ -174,9 +176,11 @@ class TestStairPolygon:
 
     def test_accessors(self):
         s = l_stair()
+        assert (s.xs, s.ys, s.scale) == ((0, 1, 2), (2, 1, 0), 3)  # the lcm scale
+        assert s.x_breaks == (0, Fraction(1, 3), Fraction(2, 3))
         assert s.stair_count == 1
-        assert s.anchor == pt(0, 0)
-        assert s.inner_corners() == (pt("1/3", "1/3"),)
+        assert anchor(s) == pt(0, 0)
+        assert inner_corners(s) == (pt("1/3", "1/3"),)
 
     def test_half_open_membership(self):
         s = StairPolygon.of((0, "1/2"), ("1/2", 0))

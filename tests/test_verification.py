@@ -25,7 +25,9 @@ from staircover import (
 )
 from staircover import arrangement, verification
 from staircover.arrangement import min_depth
-from staircover.fileio import InstanceFormatError, instance_to_json, parse_instance, report_audit
+from staircover.fileio import (
+    InstanceFormatError, dump_report, instance_to_json, parse_instance, report_audit,
+)
 from staircover.verification import (
     FAIL,
     PASS,
@@ -40,7 +42,7 @@ from staircover.verification import (
     _tiling_proves_depth,
     _within_triangle,
 )
-from conftest import diag_lattice, frame_dtypes, grid_lattice, rect_of, verdict_of
+from conftest import corner_frame, diag_lattice, frame_dtypes, grid_lattice, rect_of, verdict_of
 from _oracles import (
     Triangle,
     audit_boundary_cut_reference,
@@ -51,13 +53,14 @@ from _oracles import (
     min_depth_reference,
     removed_boundary_hit_reference,
     stair_contains,
+    stair_rect,
 )
 from staircover.cli import _corrupt
 from staircover.lattice import lattice_instance
 
 
 def sq(x0, x1, y0, y1) -> StairPolygon:
-    return StairPolygon.rect(x0, x1, y0, y1)
+    return stair_rect(x0, x1, y0, y1)
 
 
 def quarter_cells():
@@ -237,7 +240,7 @@ class TestPlantedCounterexamples:
     def test_boundary_vs_cutter_fails_on_overlapping_fakes(self):
         corners = (pt(0, 0), pt("1/2", "1/2"))
         fake_cells = ((0, sq(0, 1, 0, 1)), (1, sq("1/2", "3/4", "1/2", "3/4")))
-        directed, _ = audit_boundary_cut(corners, fake_cells)
+        directed, _ = audit_boundary_cut(corner_frame(corners), fake_cells)
         assert directed.status == FAIL
         assert directed.witness["cutter"] == 1 and directed.witness["cut"] == 0
         # witness point is on cell 1's removed boundary and inside cell 0
@@ -247,12 +250,12 @@ class TestPlantedCounterexamples:
     def test_boundary_one_sided_fails_when_both_directions_hit(self):
         corners = (pt(0, 0), pt("1/4", "-1/4"))
         cells = ((0, sq(0, 1, 0, 1)), (1, sq("1/2", "3/2", "-1/2", "1/2")))
-        _, pairwise = audit_boundary_cut(corners, cells)
+        _, pairwise = audit_boundary_cut(corner_frame(corners), cells)
         assert pairwise.status == FAIL
 
     def test_boundary_passes_on_quarters(self, quarters):
         result = decompose(quarters)
-        directed, pairwise = audit_boundary_cut(quarters.corners, result.cells)
+        directed, pairwise = audit_boundary_cut(quarters.frame, result.cells)
         assert directed.status == PASS and pairwise.status == PASS
 
     def test_corner_anchor_column_fails_on_shifted_cover(self):
@@ -525,7 +528,7 @@ class TestCertificatePath:
         swapped = _swap_indices(result, 0, 1)
         # the tiling and the distinct indices survive; only containment fails
         assert verify_exact_tiling(swapped.stair_cells(), 1, inst.window).passed
-        assert not all(_within_triangle(c, inst.corners[i]) for i, c in swapped.cells)
+        assert not all(_within_triangle(c, inst.frame, i) for i, c in swapped.cells)
         assert _tiling_proves_depth(inst, result)
         assert not _tiling_proves_depth(inst, swapped)
         assert _paths_agree(inst, swapped) == _paths_agree(inst, result)
@@ -559,7 +562,8 @@ class TestCertificatePath:
         ],
     )
     def test_within_triangle(self, cell, inside):
-        assert _within_triangle(cell, pt(0, 0)) is inside
+        assert _within_triangle(cell, corner_frame([pt(0, 0)]), 0) is inside  # scale 4
+        assert _within_triangle(cell, corner_frame([pt(0, 0), pt("1/3", 1)]), 0) is inside
 
 
 def _random_stair(rng) -> StairPolygon:
@@ -647,7 +651,7 @@ class TestBoundaryCutMatchesAllPairs:
             result = decompose(inst)
             if edit != "none":
                 result = _corrupt(result, edit)
-            got = audit_boundary_cut(inst.corners, result.cells)
+            got = audit_boundary_cut(inst.frame, result.cells)
             assert got == audit_boundary_cut_reference(inst.corners, result.cells)
 
     @given(small_instances(), st.sampled_from(EDITS + ("copy-1-over-0",)))
@@ -660,7 +664,7 @@ class TestBoundaryCutMatchesAllPairs:
             result = _copy_cell(result, 1, 0)
         elif edit != "none":
             result = _corrupt(result, edit)
-        got = audit_boundary_cut(inst.corners, result.cells)
+        got = audit_boundary_cut(inst.frame, result.cells)
         assert got == audit_boundary_cut_reference(inst.corners, result.cells)
 
     @pytest.mark.parametrize("small_last, status", [(True, PASS), (False, FAIL)])
@@ -672,7 +676,7 @@ class TestBoundaryCutMatchesAllPairs:
         cells = [big, (1, sq("1/2", "3/4", "1/2", "3/4")), small]
         if not small_last:
             cells = [small, cells[1], big]
-        got = audit_boundary_cut(corners, cells)
+        got = audit_boundary_cut(corner_frame(corners), cells)
         assert got == audit_boundary_cut_reference(corners, cells)
         assert got[0].status == status
 
@@ -686,7 +690,7 @@ class TestBoundaryCutMatchesAllPairs:
             rng.shuffle(cells)
             if rng.random() < 0.3:
                 cells.append((rng.choice(cells)[0], _random_stair(rng)))
-            got = audit_boundary_cut(corners, cells)
+            got = audit_boundary_cut(corner_frame(corners), cells)
             assert got == audit_boundary_cut_reference(corners, cells), seed
             in_index_order = audit_boundary_cut_reference(corners, sorted(dict(cells).items()))
             reordered += got[1] != in_index_order[1]
@@ -696,7 +700,7 @@ class TestBoundaryCutMatchesAllPairs:
         failed = set()
         for seed in range(300):
             corners, cells = _stair_family(random.Random(seed))
-            got = audit_boundary_cut(corners, cells)
+            got = audit_boundary_cut(corner_frame(corners), cells)
             assert got == audit_boundary_cut_reference(corners, cells), seed
             failed.update(v.check for v in got if v.status == FAIL)
         assert failed == {"boundary_vs_cutter", "boundary_one_sided"}
@@ -770,8 +774,9 @@ def _counts_by_contains(cells, xs, ys):
 
 
 class TestOneScale:
-    """The audits on a bignum scale (the 1/(2^61 - 1) grid) and on the
-    midpoint breaks of `shrink-cell` give their references' answers."""
+    """`decompose`'s cells carry their frame's scale, on which the audits
+    run; on a bignum scale (the 1/(2^61 - 1) grid) and on the midpoint
+    breaks of `shrink-cell` they give their references' answers."""
 
     @staticmethod
     def families():
@@ -783,11 +788,39 @@ class TestOneScale:
         return [(big, decompose(big)), (big, _corrupt(decompose(big), "shrink-cell")),
                 (lattice, _corrupt(decompose(lattice), "shrink-cell"))]
 
-    def test_scales(self):
-        (big, result), _, (_, shrunk) = self.families()
-        scale, _, _ = verification._on_one_scale(result.stair_cells(), (big.window,))
-        assert scale == 2 * ((1 << 61) - 1)
+    def test_cells_carry_the_frame_scale(self):
+        (big, result), (_, big_shrunk), (lattice, shrunk) = self.families()
+        assert big.frame.scale == 8 * ((1 << 61) - 1)
+        for inst, res in ((big, result), (big, big_shrunk), (lattice, shrunk)):
+            assert {cell.scale for _, cell in res.cells} == {inst.frame.scale}
         assert all(v.denominator == 10 for v in shrunk.cells[0][1].x_breaks[1:])
+
+    @pytest.mark.parametrize("family", range(3))
+    def test_fraction_built_cells_equal_and_hash_like_frame_cells(self, family):
+        inst, result = self.families()[family]
+        for _, cell in result.cells:
+            rebuilt = StairPolygon.of(cell.x_breaks, cell.y_breaks)
+            assert rebuilt.scale < cell.scale and inst.frame.scale % rebuilt.scale == 0
+            assert rebuilt == cell and cell == rebuilt and hash(rebuilt) == hash(cell)
+            assert rebuilt.area() == cell.area() and repr(rebuilt) == repr(cell)
+            wider = StairPolygon(cell.xs, cell.ys[:-1] + (cell.ys[-1] - 1,), cell.scale)
+            assert rebuilt != wider and wider != rebuilt
+
+    def test_shrink_cell_report_matches_fraction_midpoints(self):
+        # `_corrupt` halves the first cell on the frame's ints; the same cell
+        # made from Fraction midpoints gives the same report, byte for byte
+        for inst in (self.families()[0][0], lattice_instance(diag_lattice(2), "3/2", 2)):
+            result = decompose(inst)
+            i, cell = result.cells[0]
+            xs, ys = cell.x_breaks, cell.y_breaks
+            by_fractions = stair_rect(xs[0], (xs[0] + xs[1]) / 2, ys[-1], (ys[-1] + ys[-2]) / 2)
+            shrunk = _corrupt(result, "shrink-cell")
+            assert shrunk.cells[0] == (i, by_fractions)
+            assert shrunk.cells[0][1].scale == inst.frame.scale != by_fractions.scale
+            expected = dataclasses.replace(result, cells=((i, by_fractions),) + result.cells[1:])
+            assert dump_report(report_audit(inst, run_audits(inst, shrunk))) == dump_report(
+                report_audit(inst, run_audits(inst, expected))
+            )
 
     @pytest.mark.parametrize("family", range(3))
     def test_grid_and_audits_match_their_references(self, family):
@@ -802,7 +835,7 @@ class TestOneScale:
         w = tiling.witness
         assert ((w["point"], w["multiplicity"]) if w else None) == expected
         assert tiling.passed is (family == 0)
-        got = audit_boundary_cut(inst.corners, result.cells)
+        got = audit_boundary_cut(inst.frame, result.cells)
         assert got == audit_boundary_cut_reference(inst.corners, result.cells)
         _corner_audits_agree(result.cells, inst.k)
 

@@ -20,10 +20,10 @@ scaled once by four times the lcm of every corner and window denominator
 magnitudes allow or object (bignum) arrays otherwise; the rest of the
 module runs the same code on either. `Frame.of_int_pairs` alone picks the
 scale and the dtype, from (numerator, denominator) pairs: `Frame.of` hands
-it those of `Point`s, and the parser those of the literals of an instance
-file, which `CoveringInstance` keeps and `decomposition` builds its cells
-on. `min_depth` scans a frame of its own; `Frame.min_depth` scans the frame
-it is called on.
+it those of `Point`s, and `CoveringInstance` the pairs it holds (which the
+parser reads straight from the literals of an instance file); `decomposition`
+builds its cells on the instance's frame. `min_depth` scans a frame of its
+own; `Frame.min_depth` scans the frame it is called on.
 
 The depth at a point (t, y) comes from two cumulative count tables over
 the distinct corner values, one of cx against cy, one of cx against the
@@ -82,7 +82,7 @@ at 32, but certified scans of coverings up to 10% more at 128 (`big1` 2.1
 ms against 1.9 ms): the workload's eight scans sum to 19.9 ms at both."""
 
 _CERTIFY_SLOTS_PER_TRANSLATE = 1000
-"""Sample slots per translate above which `min_depth` asks for a proof.
+"""Sample slots per translate above which `Frame.min_depth` asks for a proof.
 
 Measured with line minima on the seed-1 benchmark corpora (2 vCPUs, Python
 3.11.7, numpy 2.4.6, process CPU time, best of 7): on the
@@ -114,23 +114,20 @@ class Frame(NamedTuple):
     @classmethod
     def of(cls, corners, window: Rect) -> "Frame":
         """The frame of `Point` corners over the window."""
-        return cls.of_int_pairs(
-            [(c.x.numerator, c.x.denominator) for c in corners],
-            [(c.y.numerator, c.y.denominator) for c in corners],
-            window,
-        )
+        pairs = [(c.x.as_integer_ratio(), c.y.as_integer_ratio()) for c in corners]
+        return cls.of_int_pairs(pairs, window)
 
     @classmethod
-    def of_int_pairs(cls, xs, ys, window: Rect) -> "Frame":
-        """The frame of the corners whose x's are `xs` and y's are `ys`,
-        each a (numerator, denominator) pair of ints in lowest terms with a
-        positive denominator, over the window."""
-        edges = [(v.numerator, v.denominator)
-                 for v in (window.x0, window.x1, window.y0, window.y1)]
-        scale = 4 * lcm(*(d for _, d in edges), *(d for _, d in xs), *(d for _, d in ys))
+    def of_int_pairs(cls, corners, window: Rect) -> "Frame":
+        """The frame of the corners over the window, each corner given as
+        the (numerator, denominator) pairs of its x and its y: ints in
+        lowest terms, with a positive denominator."""
+        edges = [v.as_integer_ratio() for v in (window.x0, window.x1, window.y0, window.y1)]
+        scale = 4 * lcm(*(d for _, d in edges), *(x[1] for x, _ in corners),
+                        *(y[1] for _, y in corners))
         # scale is a multiple of every denominator, so these are exact
-        cx = [n * (scale // d) for n, d in xs]
-        cy = [n * (scale // d) for n, d in ys]
+        cx = [n * (scale // d) for (n, d), _ in corners]
+        cy = [n * (scale // d) for _, (n, d) in corners]
         cs = [x + y + scale for x, y in zip(cx, cy)]
         bounds = [n * (scale // d) for n, d in edges]
         biggest = max(abs(v) for v in (*cx, *cy, *cs, *bounds))
@@ -140,9 +137,6 @@ class Frame(NamedTuple):
     def point(self, x: int, y: int) -> Point:
         """The point whose scaled coordinates are (x, y)."""
         return Point(Fraction(x, self.scale), Fraction(y, self.scale))
-
-    def corners(self) -> tuple[Point, ...]:
-        return tuple(self.point(x, y) for x, y in zip(self.cx.tolist(), self.cy.tolist()))
 
     def min_depth(self, *, certify=None):
         """Exact minimum coverage depth of the corners over the window.
@@ -223,8 +217,8 @@ def _slab_positions(frame: Frame, y_base, s_base):
 
 def _sweep(frame: Frame):
     """(y_base, s_base, slabs): the y-lines, the hypotenuse offsets and the
-    sweep-line x positions that `_iter_chunks` samples. Each sweep line
-    holds 2 * (len(y_base) + len(s_base)) - 1 sample slots."""
+    sweep-line x positions of `Frame.min_depth`. Each sweep line holds
+    2 * (len(y_base) + len(s_base)) - 1 sample slots."""
     y_base = _distinct(np.concatenate([frame.cy, frame.bounds[2:]]))
     s_base = _distinct(frame.cs)
     return y_base, s_base, _slab_positions(frame, y_base, s_base)

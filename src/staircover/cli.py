@@ -148,15 +148,28 @@ def cmd_optimize(args) -> int:
     return 1
 
 
+def _option(name: str, parse, raw):
+    """parse(raw), its refusal named by the option: "--name <reason>"."""
+    try:
+        return parse(raw)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{name} {exc}") from exc
+
+
+def _basis(text: str) -> Lattice:
+    parts = [rat(v) for half in text.split(";") for v in half.split(",")]
+    if len(parts) != 4:
+        raise ValueError("expected ux,uy;vx,vy")
+    return Lattice.of(*parts)
+
+
 def cmd_gen_lattice(args) -> int:
+    side = _option("--l", rat, args.l)
+    if side <= 0:
+        raise ValueError(f"--l window side must be positive, got {rat_str(side)}")
+    magnitude = _option("--perturb", rat, args.perturb) if args.perturb else None
     if args.basis:
-        try:
-            parts = [rat(v) for half in args.basis.split(";") for v in half.split(",")]
-            if len(parts) != 4:
-                raise ValueError("expected ux,uy;vx,vy")
-            lat = Lattice.of(*parts)
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"--basis {exc}") from exc
+        lat = _option("--basis", _basis, args.basis)
     elif args.results:
         try:
             store = fileio.load_results_store(args.results)
@@ -167,13 +180,13 @@ def cmd_gen_lattice(args) -> int:
         lat = _stored_covering(store, args.k)
     else:
         raise ValueError("need --basis or --results")
-    inst = lattice_instance(lat, rat(args.l), args.k)
+    inst = lattice_instance(lat, side, args.k)
     provenance = (
         f"lattice u={rat_str(lat.u.x)},{rat_str(lat.u.y)} "
         f"v={rat_str(lat.v.x)},{rat_str(lat.v.y)}"
     )
     if args.perturb:
-        inst = perturb_instance(inst, rat(args.perturb), seed=args.seed)
+        inst = perturb_instance(inst, magnitude, seed=args.seed)
         provenance += f" perturbed by {args.perturb} (seed {args.seed})"
     meta = {
         "name": args.name or f"lattice-k{args.k}-l{rat_str(inst.window)}",

@@ -15,7 +15,7 @@ x + y <= hyp_sum) and flagged, rather than raising, so that candidate
 non-coverings can still flow through the pipeline.
 
 All of this runs in integers, on the `arrangement.Frame` that the instance
-carries (built once, when the instance is made or parsed): corners,
+derives from its exact corners (built once, when it is made): corners,
 hypotenuse offsets and the window scaled to int64 (or bignum `object`)
 arrays. Stair cells keep those ints as their breaks, on the frame's scale.
 Numpy blocks of cutter rows find the cutters and their apexes, and the
@@ -31,6 +31,7 @@ from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -51,63 +52,52 @@ __all__ = [
 class CoveringInstance:
     """A fold k, a half-open square window [0, l)^2 and N distinct corners.
 
-    The instance carries its `frame`, the corners and the window on the
+    The corners are exact: `pairs` holds, per corner, the (numerator,
+    denominator) pairs of its x and its y, in lowest terms with positive
+    denominators, as `of` makes them from rationals and the parser from
+    plain literals. Equality and hashing are by fold, window and pairs.
+    The instance derives its `frame`, the corners and the window on the
     integer frame of `arrangement`, which the depth scan and `decompose`
-    read. An instance made by `of_int_pairs` (the parser's way) makes its
-    `Point`s from the frame on the first read of `corners`.
+    read, and its `Point`s on the first read of `corners`.
     """
 
     k: int
     window: Fraction
-    corners: tuple[Point, ...]
+    pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     frame: Frame = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._set_frame(lambda: Frame.of(self.corners, self.window_rect()))
-
-    @classmethod
-    def of(cls, k: int, window, corners) -> "CoveringInstance":
-        return cls(k, rat(window), tuple(pt(x, y) for x, y in corners))
-
-    @classmethod
-    def of_int_pairs(cls, k: int, window: Fraction, xs, ys) -> "CoveringInstance":
-        """The instance whose corner x's are `xs` and y's are `ys`, each a
-        (numerator, denominator) pair as `Frame.of_int_pairs` takes them."""
-        inst = object.__new__(cls)
-        object.__setattr__(inst, "k", k)
-        object.__setattr__(inst, "window", window)
-        inst._set_frame(lambda: Frame.of_int_pairs(xs, ys, inst.window_rect()))
-        return inst
-
-    def _set_frame(self, make_frame) -> None:
         """Check the fold and the window, build the frame, and refuse an
         empty or repeated corner list: the one check of distinct corners,
-        on the frame's int pairs."""
+        on the frame's ints."""
         int_at_least(self.k, 1, "fold must be a positive integer")
         if self.window <= 0:
             raise ValueError("window side must be positive")
-        frame = make_frame()
-        if not len(frame.cx):
+        if not self.pairs:
             raise ValueError("instance needs at least one translate")
-        pairs = list(zip(frame.cx.tolist(), frame.cy.tolist()))
-        if len(set(pairs)) < len(pairs):
-            counts = Counter(pairs)
+        frame = Frame.of_int_pairs(self.pairs, self.window_rect())
+        scaled = list(zip(frame.cx.tolist(), frame.cy.tolist()))
+        if len(set(scaled)) < len(scaled):
+            counts = Counter(scaled)
             smallest = min(str(frame.point(*p)) for p, n in counts.items() if n > 1)
             raise ValueError(f"corners must be pairwise distinct; repeated {smallest}")
         object.__setattr__(self, "frame", frame)
 
-    def __getattr__(self, name):
-        # reached only for a missing attribute: the corners of an instance
-        # made by `of_int_pairs`, on their first read
-        if name != "corners":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        corners = self.frame.corners()
-        object.__setattr__(self, "corners", corners)
-        return corners
+    @classmethod
+    def of(cls, k: int, window, corners) -> "CoveringInstance":
+        """The instance of corners given as `Point`s or as (x, y) pairs of
+        exact rationals in any form that `rat` reads."""
+        points = (c if isinstance(c, Point) else pt(*c) for c in corners)
+        return cls(k, rat(window), tuple(
+            (p.x.as_integer_ratio(), p.y.as_integer_ratio()) for p in points))
+
+    @cached_property
+    def corners(self) -> tuple[Point, ...]:
+        return tuple(Point(Fraction(*x), Fraction(*y)) for x, y in self.pairs)
 
     @property
     def size(self) -> int:
-        return len(self.frame.cx)
+        return len(self.pairs)
 
     def window_rect(self) -> Rect:
         zero = Fraction(0)

@@ -114,10 +114,8 @@ def parse_instance(data: dict) -> tuple[CoveringInstance, dict]:
             corners, transform = _normalize_triangle(data["triangle"], corners)
             meta["transform"] = transform
     try:
-        if pairs is None:
-            inst = CoveringInstance(k=k, window=l, corners=tuple(corners))
-        else:
-            inst = CoveringInstance.of_int_pairs(k, l, *pairs)
+        inst = (CoveringInstance.of(k, l, corners) if pairs is None
+                else CoveringInstance(k, l, pairs))
     except ValueError as exc:  # k, l and emptiness are checked above: repeats
         raise InstanceFormatError(f"translates: {exc}") from exc
     return inst, meta
@@ -146,7 +144,7 @@ def _plain_literal(raw):
 
 
 def _plain_corners(raw_translates):
-    """(xs, ys) as `CoveringInstance.of_int_pairs` takes them, when every
+    """The corners' exact pairs as `CoveringInstance` holds them, when every
     translate is a pair of plain literals; otherwise None, and the caller
     parses the file by `rat`, which names the first bad field."""
     values = {}  # literal -> (numerator, denominator)
@@ -161,7 +159,7 @@ def _plain_corners(raw_translates):
                 if value is None:
                     return None
                 values[literal] = value
-    return [values[x] for x, _ in raw_translates], [values[y] for _, y in raw_translates]
+    return tuple((values[x], values[y]) for x, y in raw_translates)
 
 
 def _normalize_triangle(raw, corners):
@@ -352,9 +350,11 @@ def load_results_store(path) -> dict:
         raise InstanceFormatError("best: expected an object keyed by fold")
     out = {}
     for key, entry in best.items():
-        where = f"best.{key}"
+        # a key too long to echo whole is no fold (int() refuses 4,301 digits)
+        short = brief_repr(key) == repr(key)
+        where = f"best.{key if short else brief_repr(key)}"
         # plain decimal only: "01" next to "1" would silently replace it
-        if not (key.isascii() and key.isdigit() and key == str(int(key)) and int(key) >= 1):
+        if not (short and key.isascii() and key.isdigit() and key[0] != "0"):
             raise InstanceFormatError(f"{where}: the key must be a fold k >= 1")
         if not isinstance(entry, dict):
             raise InstanceFormatError(f"{where}: expected an object with u, v and multiplicity")

@@ -45,7 +45,7 @@ from math import ceil, gcd, isqrt, lcm
 from . import arrangement
 from .decomposition import CoveringInstance
 from .geom import Point, Rect, pt
-from .rational import int_at_least, rat
+from .rational import int_at_least, rat, rat_str
 from .verification import coverage_certificate
 
 _MAX_ROWS = 1000
@@ -146,7 +146,7 @@ def lattice_instance(lat: Lattice, l, k: int) -> CoveringInstance:
     """Materialize the finite sub-family relevant to the window [0, l)^2."""
     side = rat(l)
     if side <= 0:
-        raise ValueError("window side must be positive")
+        raise ValueError(f"l: window side must be positive, got {rat_str(side)}")
     window = Rect(Fraction(0), side, Fraction(0), side)
     a, b, c = hermite_basis(lat)
     # rows times the most points a row's x-range [-1 - min(y, 0), l) holds
@@ -156,7 +156,7 @@ def lattice_instance(lat: Lattice, l, k: int) -> CoveringInstance:
                          f"lattice, more than {_MAX_TRANSLATES}")
     corners = _translates_meeting(a, b, c, window)
     corners.sort(key=lambda p: (p.x, p.y))  # the order reaches instance files
-    return CoveringInstance(k=k, window=side, corners=tuple(corners))
+    return CoveringInstance.of(k, side, corners)
 
 
 def _multiplicity_window(lat: Lattice) -> tuple[Rect, list[Point]]:
@@ -478,7 +478,7 @@ def perturb_instance(inst: CoveringInstance, magnitude, seed: int) -> CoveringIn
                 break
         if len(corners) < inst.size:  # some corner found no free spot
             continue
-        candidate = CoveringInstance(inst.k, inst.window, tuple(corners))
+        candidate = CoveringInstance.of(inst.k, inst.window, corners)
         if coverage_certificate(candidate).covers:
             return candidate
     raise ValueError(

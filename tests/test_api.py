@@ -7,7 +7,10 @@ a module-level function is passed by some call in the package."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -210,3 +213,38 @@ def test_no_module_uses_a_private_name_of_another():
                     and isinstance(node.value, ast.Name) and node.value.id in modules):
                 used.add((path.stem, modules[node.value.id], node.attr))
     assert not used - allowed, f"private names used across modules: {sorted(used - allowed)}"
+
+
+def _loaded_modules(code: str) -> set:
+    """The names in `sys.modules` after a fresh interpreter runs *code*,
+    with this process's environment and this `staircover` first on its
+    path."""
+    path = [str(Path(staircover.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    out = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint('\\n'.join(sys.modules))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    ).stdout
+    return set(out.split())
+
+
+def test_import_loads_nothing_beyond_the_named_imports():
+    """Importing the CLI loads no module beyond the stdlib and numpy
+    modules that the package's own top-level `import` lines name, and
+    those are a known set: an import-time dependency is a cost that every
+    command pays."""
+    named = set()
+    for tree in _package_sources().values():
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                named.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                named.add(node.module)
+    # a new name here is a new import-time dependency: measure its cost first
+    assert named <= {"__future__", "argparse", "bisect", "collections", "dataclasses",
+                     "fractions", "functools", "heapq", "json", "math", "numpy", "random",
+                     "sys", "typing"}, sorted(named)
+    baseline = _loaded_modules("".join(f"import {name}\n" for name in sorted(named)))
+    package = _loaded_modules("import staircover.cli")
+    extra = sorted(m for m in package - baseline if m.split(".")[0] != "staircover")
+    assert not extra, f"import staircover.cli loads modules that no import line names: {extra}"

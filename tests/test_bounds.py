@@ -144,7 +144,7 @@ class TestDensityChain:
     def test_undersized_family_is_invalid(self, quarters):
         from staircover import CoveringInstance
 
-        broken = CoveringInstance(1, quarters.window, quarters.corners[:-1])
+        broken = CoveringInstance.of(1, quarters.window, quarters.corners[:-1])
         report = density_chain(decompose(broken))
         assert not report.valid and not report.holds
         assert report.links == ()

@@ -52,7 +52,18 @@ class TestInstanceFiles:
     )
     def test_round_trip_gives_back_any_instance(self, k, l, corners):
         inst = CoveringInstance.of(k, l, corners)
-        assert parse_instance(instance_to_json(inst)) == (inst, {})
+        parsed = parse_instance(instance_to_json(inst))
+        assert parsed == (inst, {})
+        assert hash(parsed[0]) == hash(inst)
+
+    def test_triangle_header_path_equals_the_plain_path(self):
+        # the canonical triangle sends the corners through `rat` and
+        # `Point`s; the same literals without it take the plain path
+        plain, _ = parse_instance(QUARTERS)
+        canonical = [["0", "0"], ["1", "0"], ["0", "1"]]
+        via_rat, meta = parse_instance(dict(QUARTERS, triangle=canonical))
+        assert "transform" in meta
+        assert via_rat == plain and hash(via_rat) == hash(plain)
 
     def test_duplicate_translates_rejected(self):
         data = dict(QUARTERS, translates=[["0", "0"], ["0", "0"]])
@@ -337,6 +348,17 @@ class TestCommands:
         assert main(["gen-lattice", "--k", "1", "--l", "1", "--basis", basis]) == 2
         assert capsys.readouterr().err == f"error: --basis {message}\n"
 
+    @pytest.mark.parametrize("option, message", [
+        (["--l", "abc"], "--l malformed rational literal 'abc'"),
+        (["--l", "0"], "--l window side must be positive, got 0"),
+        (["--l=-1/2"], "--l window side must be positive, got -1/2"),
+        (["--l", "1", "--perturb", "x"], "--perturb malformed rational literal 'x'"),
+    ])
+    def test_gen_lattice_bad_option_exits_2_and_names_it(self, capsys, option, message):
+        args = ["gen-lattice", "--k", "1", "--basis", "1/3,0;0,1/3", *option]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_gen_lattice_missing_results_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "none.json"
         assert main(["gen-lattice", "--k", "1", "--l", "1", "--results", str(missing)]) == 2
@@ -484,6 +506,19 @@ class TestCommands:
         assert capsys.readouterr().err == "error: best.01: the key must be a fold k >= 1\n"
         assert (tmp_path / "store.json").read_bytes() == before
 
+    @pytest.mark.parametrize("command", [
+        ["optimize", "--k", "1", "--budget", "400", "--resume"],
+        ["gen-lattice", "--k", "1", "--l", "1", "--results"],
+    ])
+    def test_a_huge_fold_key_exits_2_and_names_the_field(self, tmp_path, capsys, command):
+        # int() refuses a key of more than 4,300 digits with no field named
+        entry = {"u": ["1", "0"], "v": ["1/3", "1/3"], "multiplicity": 1}
+        store = write_instance(tmp_path / "store.json", {"best": {"7" * 4301: entry}})
+        assert main(command + [store]) == 2
+        assert capsys.readouterr().err == (
+            f"error: best.{'7' * 40!r}... (4301 characters): the key must be a fold k >= 1\n"
+        )
+
     def test_optimize_refuses_a_fold_above_the_cap_fast(self, capsys):
         # a 50-check search took 193 s at k = 20,000 before the fold cap
         start = time.process_time()
@@ -538,6 +573,7 @@ class TestResultsStore:
     @pytest.mark.parametrize("data, field", [
         ({"best": [1]}, "best"),
         ({"best": {"one": {}}}, "best.one"),
+        ({"best": {"7" * 4301: {}}}, re.escape(f"best.{'7' * 40!r}... (4301 characters): ")),
         ({"best": {"1": "lattice"}}, "best.1"),
         ({"best": {"1": {"u": ["1", "zzz"], "v": ["0", "1"], "multiplicity": 1}}},
          r"best\.1\.u\[1\]"),

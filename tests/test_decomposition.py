@@ -37,12 +37,16 @@ class TestInstanceValidation:
             CoveringInstance.of(1, 1, [(0, 0), (0, 0)])
 
     def test_rejects_bad_fold_and_window(self):
-        with pytest.raises(ValueError):
-            CoveringInstance.of(0, 1, [(0, 0)])
-        with pytest.raises(ValueError):
-            CoveringInstance.of(1, 0, [(0, 0)])
-        with pytest.raises(ValueError):
-            CoveringInstance.of(1, 1, [])
+        for k, l, corners, message in [
+            (0, 1, [(0, 0)], "fold must be a positive integer, got 0"),
+            # the window is checked before a square Rect of it is built
+            (1, 0, [(0, 0)], "window side must be positive"),
+            (1, -1, [(0, 0)], "window side must be positive"),
+            (1, 1, [], "instance needs at least one translate"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                CoveringInstance.of(k, l, corners)
+            assert str(err.value) == message
 
     @pytest.mark.parametrize("k", [True, False, "1", Fraction(1)])
     def test_rejects_fold_that_is_not_an_int(self, k):
@@ -195,7 +199,7 @@ class TestDecompose:
         # drawn window, and so the hole
         k, corners, window, hole = family
         assume(hole is not None)
-        inst = CoveringInstance(k, max(window.x1, window.y1), tuple(corners))
+        inst = CoveringInstance.of(k, max(window.x1, window.y1), tuple(corners))
         cells = cells_by_index(inst)
         for i in range(inst.size):
             assert cell_matches_set_formula(inst, i, cells.get(i))
@@ -205,7 +209,7 @@ def _square_instance(family) -> CoveringInstance:
     """The drawn family on [0, l)^2, the least square window holding the
     drawn window (and so the hole of a holed draw)."""
     k, corners, window, _ = family
-    return CoveringInstance(k, max(window.x1, window.y1), tuple(corners))
+    return CoveringInstance.of(k, max(window.x1, window.y1), tuple(corners))
 
 
 @st.composite
@@ -333,7 +337,7 @@ def _holed_generic() -> CoveringInstance:
     )
     hole = pt(Fraction(4001, DEN), Fraction(5003, DEN))
     dropped = [c for c in corners if Triangle(c).contains(hole)][1:]
-    return CoveringInstance(2, Fraction(1), tuple(c for c in corners if c not in dropped))
+    return CoveringInstance.of(2, Fraction(1), tuple(c for c in corners if c not in dropped))
 
 
 def _bignum_cases():
@@ -358,7 +362,7 @@ class TestBignumPath:
         expected = decompose(inst), coverage_certificate(inst)
         monkeypatch.setattr(arrangement, "_INT64_LIMIT", 1)
         # the instance builds its frame once, so it is built again here
-        big = CoveringInstance(inst.k, inst.window, inst.corners)
+        big = CoveringInstance.of(inst.k, inst.window, inst.corners)
         assert big.frame.cx.dtype == object and big.frame.cs.dtype == object
         assert frame_dtypes(big) == ({np.dtype(object)}, {np.dtype(object)})
         assert (decompose(big), coverage_certificate(big)) == expected

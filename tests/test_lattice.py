@@ -108,8 +108,9 @@ class TestEnumeration:
         assert sorted(corners, key=lambda p: (p.x, p.y)) == brute
 
     def test_rejects_empty_window(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             lattice_instance(grid_lattice(2), 0, 1)
+        assert str(err.value) == "l: window side must be positive, got 0"
 
 
 class TestMultiplicity:

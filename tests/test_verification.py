@@ -93,13 +93,13 @@ class TestCoverageCertificate:
         assert cert.covers
 
     def test_invariant_under_permutation(self, quarters):
-        shuffled = CoveringInstance(
+        shuffled = CoveringInstance.of(
             quarters.k, quarters.window, tuple(reversed(quarters.corners))
         )
         assert coverage_certificate(shuffled).min_depth == 1
 
     def test_invariant_under_window_disjoint_translate(self, quarters):
-        extended = CoveringInstance(
+        extended = CoveringInstance.of(
             quarters.k, quarters.window, quarters.corners + (pt(7, 7), pt(-9, 0))
         )
         assert coverage_certificate(extended).min_depth == 1
@@ -405,7 +405,7 @@ def generic_families(draw):
         through = [i for i, p in enumerate(corners) if Triangle(p).contains(hole)]
         dropped = set(rng.sample(through, len(through) - (k - 1)))
         corners = [p for i, p in enumerate(corners) if i not in dropped]
-    return CoveringInstance(k, l, tuple(corners)), holed
+    return CoveringInstance.of(k, l, tuple(corners)), holed
 
 
 def _paths_agree(inst, result=None):
@@ -476,7 +476,7 @@ class TestCertificatePath:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(arrangement, "_INT64_LIMIT", 1)
             # the drawn instance built its frame on int64; build it again
-            inst = CoveringInstance(inst.k, inst.window, inst.corners)
+            inst = CoveringInstance.of(inst.k, inst.window, inst.corners)
             assert frame_dtypes(inst) == ({np.dtype(object)}, {np.dtype(object)})
             assert _paths_agree(inst).covers is not holed
             assert _tiling_proves_depth(inst, decompose(inst)) is not holed
@@ -780,7 +780,7 @@ class TestOneScale:
 
     @staticmethod
     def families():
-        big = CoveringInstance(
+        big = CoveringInstance.of(
             1, Fraction(3, 2),
             tuple(shifted_diagonal_covering(random.Random(5), 1, Fraction(3, 2), (1 << 61) - 1)),
         )

@@ -125,6 +125,8 @@ class Frame(NamedTuple):
         edges = [v.as_integer_ratio() for v in (window.x0, window.x1, window.y0, window.y1)]
         scale = 4 * lcm(*(d for _, d in edges), *(x[1] for x, _ in corners),
                         *(y[1] for _, y in corners))
+        if not scale:  # lcm is 0 exactly when a denominator is
+            raise ValueError("a corner's denominator is zero")
         # scale is a multiple of every denominator, so these are exact
         cx = [n * (scale // d) for (n, d), _ in corners]
         cy = [n * (scale // d) for _, (n, d) in corners]

@@ -23,7 +23,7 @@ from .lattice import (
     perturb_instance,
     search_optimal_lattice,
 )
-from .rational import rat, rat_str
+from .rational import int_at_least, rat, rat_str
 from .verification import coverage_certificate, run_audits
 
 
@@ -164,6 +164,7 @@ def _basis(text: str) -> Lattice:
 
 
 def cmd_gen_lattice(args) -> int:
+    _option("--k", lambda k: int_at_least(k, 1, "fold must be a positive integer"), args.k)
     side = _option("--l", rat, args.l)
     if side <= 0:
         raise ValueError(f"--l window side must be positive, got {rat_str(side)}")
@@ -186,7 +187,7 @@ def cmd_gen_lattice(args) -> int:
         f"v={rat_str(lat.v.x)},{rat_str(lat.v.y)}"
     )
     if args.perturb:
-        inst = perturb_instance(inst, magnitude, seed=args.seed)
+        inst = _option("--perturb", lambda m: perturb_instance(inst, m, args.seed), magnitude)
         provenance += f" perturbed by {args.perturb} (seed {args.seed})"
     meta = {
         "name": args.name or f"lattice-k{args.k}-l{rat_str(inst.window)}",

@@ -54,8 +54,8 @@ class CoveringInstance:
 
     The corners are exact: `pairs` holds, per corner, the (numerator,
     denominator) pairs of its x and its y, in lowest terms with positive
-    denominators, as `of` makes them from rationals and the parser from
-    plain literals. Equality and hashing are by fold, window and pairs.
+    denominators, as `of` and the parser make them (a zero denominator is
+    refused). Equality and hashing are by fold, window and pairs.
     The instance derives its `frame`, the corners and the window on the
     integer frame of `arrangement`, which the depth scan and `decompose`
     read, and its `Point`s on the first read of `corners`.

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .bounds import BoundReport
 from .decomposition import CoveringInstance, DecompositionResult
@@ -102,20 +102,12 @@ def parse_instance(data: dict) -> tuple[CoveringInstance, dict]:
     raw_translates = data.get("translates")
     if not isinstance(raw_translates, list) or not raw_translates:
         raise InstanceFormatError("translates: nonempty list required")
-    meta = {
-        key: data[key] for key in ("name", "seed", "provenance") if key in data
-    }
-    pairs = None if "triangle" in data else _plain_corners(raw_translates)
-    if pairs is None:
-        corners = [
-            _point_field(raw, f"translates[{i}]") for i, raw in enumerate(raw_translates)
-        ]
-        if "triangle" in data:
-            corners, transform = _normalize_triangle(data["triangle"], corners)
-            meta["transform"] = transform
+    meta = {key: data[key] for key in ("name", "seed", "provenance") if key in data}
+    pairs = _translate_pairs(raw_translates)
+    if "triangle" in data:
+        pairs, meta["transform"] = _normalize_triangle(data["triangle"], pairs)
     try:
-        inst = (CoveringInstance.of(k, l, corners) if pairs is None
-                else CoveringInstance(k, l, pairs))
+        inst = CoveringInstance(k, l, pairs)
     except ValueError as exc:  # k, l and emptiness are checked above: repeats
         raise InstanceFormatError(f"translates: {exc}") from exc
     return inst, meta
@@ -124,7 +116,8 @@ def parse_instance(data: dict) -> tuple[CoveringInstance, dict]:
 def _plain_literal(raw):
     """The (numerator, denominator) pair in lowest terms of a plain ASCII
     literal "n" or "p/q" (an optional minus sign, decimal digits, q > 0),
-    or None for any other value, which `rat` then decides."""
+    or None for any other value, which the parser then reads, by itself,
+    with `rat`."""
     if type(raw) is not str:
         return None
     num, slash, den = raw.partition("/")
@@ -143,26 +136,30 @@ def _plain_literal(raw):
     return n // g, d // g
 
 
-def _plain_corners(raw_translates):
-    """The corners' exact pairs as `CoveringInstance` holds them, when every
-    translate is a pair of plain literals; otherwise None, and the caller
-    parses the file by `rat`, which names the first bad field."""
+def _translate_pairs(raw_translates):
+    """The corners' exact pairs as `CoveringInstance` holds them, reading
+    each distinct str or int literal once: by `_plain_literal`, or else
+    alone by `rat`, which names its field. A literal of any other type is
+    read at each use, as true and 1.0 equal 1 as dict keys and are refused."""
     values = {}  # literal -> (numerator, denominator)
-    for raw in raw_translates:
+    for i, raw in enumerate(raw_translates):
         if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
-            return None
-        for literal in raw:
-            if type(literal) is not str:
-                return None
-            if literal not in values:
-                value = _plain_literal(literal)
-                if value is None:
-                    return None
-                values[literal] = value
+            raise InstanceFormatError(f"translates[{i}]: expected a pair [x, y], "
+                                      f"got {brief_repr(raw)}")
+        x, y = raw
+        if (type(x) is not str and type(x) is not int) or x not in values:
+            values[x] = _plain_literal(x) or _rat_pair(x, i, 0)
+        if (type(y) is not str and type(y) is not int) or y not in values:
+            values[y] = _plain_literal(y) or _rat_pair(y, i, 1)
     return tuple((values[x], values[y]) for x, y in raw_translates)
 
 
-def _normalize_triangle(raw, corners):
+def _rat_pair(raw, i: int, j: int) -> tuple[int, int]:
+    """The pair of translates[i][j] by `rat`, whose refusal names the field."""
+    return _rat_field(raw, f"translates[{i}][{j}]").as_integer_ratio()
+
+
+def _normalize_triangle(raw, pairs):
     if not (isinstance(raw, list) and len(raw) == 3):
         raise InstanceFormatError("triangle: expected three vertex pairs")
     a, b, c = (_point_field(v, f"triangle[{i}]") for i, v in enumerate(raw))
@@ -172,15 +169,16 @@ def _normalize_triangle(raw, corners):
     if det == 0:
         raise InstanceFormatError("triangle: vertices are collinear")
     inv = ((m11 / det, -m01 / det), (-m10 / det, m00 / det))
-    mapped = [
-        Point(inv[0][0] * p.x + inv[0][1] * p.y, inv[1][0] * p.x + inv[1][1] * p.y)
-        for p in corners
-    ]
-    transform = {
-        "triangle": [_point_json(p) for p in (a, b, c)],
-        "linear_map": [[rat_str(v) for v in row] for row in inv],
-    }
-    return mapped, transform
+    # the map as ints over a common denominator q, applied to n/d pairs
+    q = lcm(*(v.denominator for row in inv for v in row))
+    (i00, i01), (i10, i11) = (((v * q).numerator for v in row) for row in inv)
+    mapped = []
+    for (xn, xd), (yn, yd) in pairs:
+        x, y, d = i00 * xn * yd + i01 * yn * xd, i10 * xn * yd + i11 * yn * xd, q * xd * yd
+        gx, gy = gcd(x, d), gcd(y, d)
+        mapped.append(((x // gx, d // gx), (y // gy, d // gy)))
+    return tuple(mapped), {"triangle": [_point_json(p) for p in (a, b, c)],
+                           "linear_map": [[rat_str(v) for v in row] for row in inv]}
 
 
 def _load_json(path):
@@ -200,7 +198,7 @@ def instance_to_json(inst: CoveringInstance, meta: dict | None = None) -> dict:
         "schema": SCHEMA_INSTANCE,
         "k": inst.k,
         "l": rat_str(inst.window),
-        "translates": [_point_json(c) for c in inst.corners],
+        "translates": [[_ratio_str(*x), _ratio_str(*y)] for x, y in inst.pairs],
     }
     if meta:
         data.update(meta)

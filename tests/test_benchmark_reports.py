@@ -2,18 +2,19 @@
 (built by `perfbench/corpus.py`, imported as it is) are byte-identical with
 the certificate-first depth scan on and forced off; `verify` decomposes
 only where the scan is large, never on the N ~ 1,000 bulk lattices; and
-there it makes no `Fraction` per translate."""
+there it makes no `Fraction` per translate, even when one literal of the
+file is not plain."""
 
 import cProfile
-import fractions
 import importlib
+import json
 import math
-import pstats
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from staircover import arrangement, verification
+from staircover import Point, arrangement, verification
 from staircover.cli import main
 from staircover.fileio import load_instance
 
@@ -59,24 +60,47 @@ def test_reports_do_not_depend_on_the_certificate_path(
         assert on_decomposed > 0
 
 
+def verified(path):
+    """The instance of the file at *path*, and the numbers of `Fraction`s
+    and `Point`s made to load and verify it."""
+    profile = cProfile.Profile()
+    profile.enable()
+    inst, _ = load_instance(path)
+    verification.coverage_certificate(inst)
+    profile.disable()
+    made = (Fraction.__new__.__code__, Point.__init__.__code__)
+    return inst, *(
+        sum(entry.callcount for entry in profile.getstats() if entry.code is code)
+        for code in made
+    )
+
+
+def bulk_files(bench_corpus, root) -> list[str]:
+    return sorted({
+        op["argv"][1] for op in bench_corpus.build("bulk-verify", 1, str(root))["ops"]
+        if op["command"] == "verify"
+    })
+
+
 def test_bulk_verify_makes_no_fraction_per_translate(bench_corpus, tmp_path):
     # the parser puts the plain literals straight onto the integer frame and
     # the scan reads it: Fractions are made for l, the window and the witness
-    files = {
-        op["argv"][1] for op in bench_corpus.build("bulk-verify", 1, str(tmp_path))["ops"]
-        if op["command"] == "verify"
-    }
+    files = bulk_files(bench_corpus, tmp_path)
     assert files
-    for path in sorted(files):
-        profile = cProfile.Profile()
-        profile.enable()
-        inst, _ = load_instance(path)
-        verification.coverage_certificate(inst)
-        profile.disable()
-        made = sum(
-            calls
-            for (file, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
-            if file == fractions.__file__ and name == "__new__"
-        )
-        assert inst.size > 900 and made <= 8, (path, inst.size, made)
-        assert "corners" not in vars(inst)  # no Points were made either
+    for path in files:
+        inst, fractions, points = verified(path)
+        assert inst.size > 900 and fractions <= 8, (path, inst.size, fractions)
+        assert points == 1 and "corners" not in vars(inst)  # the witness alone
+
+
+def test_one_literal_that_is_not_plain_is_read_by_itself(bench_corpus, tmp_path):
+    # "+" is read by `rat`, alone: the rest of the file stays plain
+    path = next(p for p in bulk_files(bench_corpus, tmp_path) if "bulk1-grid2-k1" in p)
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    pair = next(pair for pair in data["translates"] if pair[0][0] != "-")
+    plain, _ = load_instance(path)
+    pair[0] = "+" + pair[0]
+    Path(path).write_text(json.dumps(data), encoding="utf-8")
+    inst, fractions, points = verified(path)
+    assert inst == plain and inst.size > 900
+    assert fractions <= 8 + 1 and points == 1, (fractions, points)

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from staircover import CoveringInstance, Lattice, pt, rat
@@ -57,13 +57,12 @@ class TestInstanceFiles:
         assert hash(parsed[0]) == hash(inst)
 
     def test_triangle_header_path_equals_the_plain_path(self):
-        # the canonical triangle sends the corners through `rat` and
-        # `Point`s; the same literals without it take the plain path
+        # the canonical triangle maps every corner to itself
         plain, _ = parse_instance(QUARTERS)
         canonical = [["0", "0"], ["1", "0"], ["0", "1"]]
-        via_rat, meta = parse_instance(dict(QUARTERS, triangle=canonical))
+        mapped, meta = parse_instance(dict(QUARTERS, triangle=canonical))
         assert "transform" in meta
-        assert via_rat == plain and hash(via_rat) == hash(plain)
+        assert mapped == plain and hash(mapped) == hash(plain)
 
     def test_duplicate_translates_rejected(self):
         data = dict(QUARTERS, translates=[["0", "0"], ["0", "0"]])
@@ -101,6 +100,23 @@ class TestInstanceFiles:
         }
         assert meta["transform"]["linear_map"] == [["1/2", "0"], ["0", "1/2"]]
 
+    @given(
+        vertices=st.tuples(COORD, COORD, COORD, COORD, COORD, COORD),
+        corners=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=6, unique=True),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_triangle_header_maps_as_its_linear_map(self, vertices, corners):
+        ax, ay, bx, by, cx, cy = vertices
+        assume((bx - ax) * (cy - ay) != (cx - ax) * (by - ay))
+        data = {
+            "k": 1, "l": "1",
+            "triangle": [[str(ax), str(ay)], [str(bx), str(by)], [str(cx), str(cy)]],
+            "translates": [[str(x), str(y)] for x, y in corners],
+        }
+        inst, meta = parse_instance(data)
+        (m00, m01), (m10, m11) = ((rat(v) for v in row) for row in meta["transform"]["linear_map"])
+        assert inst.corners == tuple(pt(m00 * x + m01 * y, m10 * x + m11 * y) for x, y in corners)
+
     def test_collinear_triangle_rejected(self):
         data = dict(QUARTERS, triangle=[["0", "0"], ["1", "1"], ["2", "2"]])
         with pytest.raises(InstanceFormatError, match="collinear"):
@@ -126,7 +142,8 @@ OTHER_LITERALS = st.sampled_from([
 
 class TestPlainLiteralPath:
     """The parser reads plain literals -?[0-9]+(/[0-9]+)? straight into
-    ints and sends every other file through `rat`."""
+    ints, and any other literal by itself through `rat`, which names its
+    field; the rest of the file stays on the plain path."""
 
     @given(PLAIN_LITERALS | OTHER_LITERALS)
     @settings(max_examples=400, deadline=None, derandomize=True)
@@ -143,15 +160,16 @@ class TestPlainLiteralPath:
             assert fast is None
 
     @pytest.mark.parametrize("bad", [
-        "zzz", "1/0", "1e9", "1" * 5000, 0.5, True, None, ["1"], "1.5", "+3", " 3 ",
+        "zzz", "1/0", "1e9", "1" * 5000, 0.5, True, None, ["1"], "1.5", "+3", " 3 ", 7,
     ])
     @pytest.mark.parametrize("i, j", [(0, 0), (3, 1), (7, 0)])
-    def test_one_bad_literal_among_plain_ones(self, bad, i, j):
+    @pytest.mark.parametrize("header", [{}, {"triangle": [["0", "0"], ["1", "0"], ["0", "1"]]}])
+    def test_one_bad_literal_among_plain_ones(self, bad, i, j, header):
         # the file's message is the one `rat` gives for that field, and
         # the forms `rat` accepts parse to the same values
         translates = [[f"{n}/3", f"-{n}"] for n in range(8)]
         translates[i][j] = bad
-        data = {"k": 1, "l": "1", "translates": translates}
+        data = {"k": 1, "l": "1", "translates": translates, **header}
         try:
             value = rat(bad)
         except (TypeError, ValueError) as exc:
@@ -161,6 +179,21 @@ class TestPlainLiteralPath:
             return
         translates[i][j] = str(value)
         assert parse_instance(data)[0] == parse_instance(dict(data, translates=translates))[0]
+
+    @pytest.mark.parametrize("one", [1, "1"])
+    @pytest.mark.parametrize("bad, message", [
+        (True, "cannot interpret True as an exact rational"),
+        (1.0, "exact rational required, got float: 1.0"),
+    ])
+    @pytest.mark.parametrize("i, j", [(2, 0), (3, 1)])
+    def test_a_literal_equal_to_one_already_read_is_refused(self, one, bad, message, i, j):
+        # true and 1.0 equal 1 as dict keys: no memo of read literals may
+        # stand for them
+        translates = [[one, "0"], ["0", one], ["1/2", one], [one, "1/2"]]
+        translates[i][j] = bad
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(dict(QUARTERS, translates=translates))
+        assert str(err.value) == f"translates[{i}][{j}]: {message}"
 
     def test_a_pair_that_is_not_a_pair(self):
         data = dict(QUARTERS, translates=[["0", "0"], ["0", "1", "2"]])
@@ -178,7 +211,8 @@ class TestPlainLiteralPath:
 
     def test_parsed_corners_are_made_on_first_read(self):
         inst, _ = parse_instance(QUARTERS)
-        assert "corners" not in vars(inst)
+        assert instance_to_json(inst)["translates"] == QUARTERS["translates"]
+        assert "corners" not in vars(inst)  # a round trip makes no Point
         assert inst.corners == (pt(0, 0), pt(0, "1/2"), pt("1/2", 0), pt("1/2", "1/2"))
         assert inst.corners is inst.corners
 
@@ -353,11 +387,15 @@ class TestCommands:
         (["--l", "0"], "--l window side must be positive, got 0"),
         (["--l=-1/2"], "--l window side must be positive, got -1/2"),
         (["--l", "1", "--perturb", "x"], "--perturb malformed rational literal 'x'"),
+        (["--l", "1", "--perturb=-1"], "--perturb magnitude must be nonnegative"),
+        (["--l", "1", "--k", "0"], "--k fold must be a positive integer, got 0"),
     ])
-    def test_gen_lattice_bad_option_exits_2_and_names_it(self, capsys, option, message):
-        args = ["gen-lattice", "--k", "1", "--basis", "1/3,0;0,1/3", *option]
+    def test_gen_lattice_bad_option_exits_2_and_names_it(self, tmp_path, capsys, option, message):
+        out = tmp_path / "inst.json"
+        args = ["gen-lattice", "--k", "1", "--basis", "1/3,0;0,1/3", *option, "--out", str(out)]
         assert main(args) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_gen_lattice_missing_results_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "none.json"

@@ -48,6 +48,11 @@ class TestInstanceValidation:
                 CoveringInstance.of(k, l, corners)
             assert str(err.value) == message
 
+    def test_rejects_a_zero_denominator(self):
+        with pytest.raises(ValueError) as err:
+            CoveringInstance(1, Fraction(1), (((1, 0), (0, 1)),))
+        assert str(err.value) == "a corner's denominator is zero"
+
     @pytest.mark.parametrize("k", [True, False, "1", Fraction(1)])
     def test_rejects_fold_that_is_not_an_int(self, k):
         # a bool fold would be written as "k": true, which no parser reads back

@@ -61,13 +61,12 @@ the sweep before any sample is evaluated.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
 import numpy as np
 
-from .geom import Point, Rect
+from .geom import Rect, scaled_point
 
 __all__ = ["Frame", "min_depth"]
 
@@ -136,10 +135,6 @@ class Frame(NamedTuple):
         dtype = np.int64 if biggest < _INT64_LIMIT else object
         return cls(scale, *(np.asarray(v, dtype=dtype) for v in (cx, cy, cs, bounds)))
 
-    def point(self, x: int, y: int) -> Point:
-        """The point whose scaled coordinates are (x, y)."""
-        return Point(Fraction(x, self.scale), Fraction(y, self.scale))
-
     def min_depth(self, *, certify=None):
         """Exact minimum coverage depth of the corners over the window.
 
@@ -192,7 +187,7 @@ class Frame(NamedTuple):
         r1 = np.searchsorted(ucy, ys, "right")
         r2 = np.searchsorted(ucs, ys + ts, "left")
         col = int(np.argmin(np.where(valid, cy_row[r1] - cs_row[r2], _NO_SAMPLE)))
-        return best, self.point(int(ts[0]), int(ys[0, col]))
+        return best, scaled_point(int(ts[0]), int(ys[0, col]), self.scale)
 
 
 def _distinct(values):

@@ -188,7 +188,7 @@ def cmd_gen_lattice(args) -> int:
     )
     if args.perturb:
         inst = _option("--perturb", lambda m: perturb_instance(inst, m, args.seed), magnitude)
-        provenance += f" perturbed by {args.perturb} (seed {args.seed})"
+        provenance += f" perturbed by {rat_str(magnitude)} (seed {args.seed})"
     meta = {
         "name": args.name or f"lattice-k{args.k}-l{rat_str(inst.window)}",
         "seed": args.seed,

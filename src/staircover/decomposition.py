@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .arrangement import Frame
-from .geom import Point, Rect, StairPolygon, pt
+from .geom import Point, Rect, StairPolygon, pt, scaled_point
 from .rational import int_at_least, rat
 
 __all__ = [
@@ -79,7 +79,7 @@ class CoveringInstance:
         scaled = list(zip(frame.cx.tolist(), frame.cy.tolist()))
         if len(set(scaled)) < len(scaled):
             counts = Counter(scaled)
-            smallest = min(str(frame.point(*p)) for p, n in counts.items() if n > 1)
+            smallest = min(str(scaled_point(*p, frame.scale)) for p, n in counts.items() if n > 1)
             raise ValueError(f"corners must be pairwise distinct; repeated {smallest}")
         object.__setattr__(self, "frame", frame)
 

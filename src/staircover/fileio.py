@@ -24,7 +24,7 @@ from .bounds import BoundReport
 from .decomposition import CoveringInstance, DecompositionResult
 from .geom import Point
 from .lattice import Lattice, LatticeSearchReport
-from .rational import brief_repr, int_at_least, rat, rat_str
+from .rational import brief_repr, int_at_least, lowest, rat, rat_str
 from .verification import AuditReport, CoverageCertificate
 
 __all__ = [
@@ -130,10 +130,7 @@ def _plain_literal(raw):
         n, d = int(num), int(den) if slash else 1
     except ValueError:
         return None
-    if d == 0:
-        return None
-    g = gcd(n, d)
-    return n // g, d // g
+    return lowest(n, d) if d else None
 
 
 def _translate_pairs(raw_translates):
@@ -175,8 +172,7 @@ def _normalize_triangle(raw, pairs):
     mapped = []
     for (xn, xd), (yn, yd) in pairs:
         x, y, d = i00 * xn * yd + i01 * yn * xd, i10 * xn * yd + i11 * yn * xd, q * xd * yd
-        gx, gy = gcd(x, d), gcd(y, d)
-        mapped.append(((x // gx, d // gx), (y // gy, d // gy)))
+        mapped.append((lowest(x, d), lowest(y, d)))
     return tuple(mapped), {"triangle": [_point_json(p) for p in (a, b, c)],
                            "linear_map": [[rat_str(v) for v in row] for row in inv]}
 

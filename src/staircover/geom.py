@@ -28,6 +28,7 @@ __all__ = [
     "Rect",
     "StairPolygon",
     "pt",
+    "scaled_point",
 ]
 
 
@@ -43,6 +44,11 @@ class Point:
 def pt(x, y) -> Point:
     """Build a Point from any exact rational representation (not float)."""
     return Point(rat(x), rat(y))
+
+
+def scaled_point(x: int, y: int, scale: int) -> Point:
+    """The point whose coordinates times the positive *scale* are the ints (x, y)."""
+    return Point(Fraction(x, scale), Fraction(y, scale))
 
 
 @dataclass(frozen=True)

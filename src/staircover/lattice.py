@@ -9,10 +9,10 @@ With a basis normalized to u = (a, 0), v = (b, c), a, c > 0, 0 <= b < a
 vectors and a = det / c, see `hermite_basis`), the half-open box
 [0, a+b) x [0, c) contains the fundamental parallelogram, and the window
 depth engine gives the exact value. The translates meeting a window are
-enumerated on the normalized basis, row by row: the rows y = j*c, and in
-each row the points x = i*a + j*b, both ranges cut exactly to the triangles
-that meet the window. Instances use the same enumeration, so a lattice gives
-the same sorted corners in any basis; their size is bounded before the
+enumerated in ints on the normalized basis, row by row: the rows y = j*c,
+and in each row the points x = i*a + j*b, both ranges cut exactly to the
+triangles that meet the window. Instances sort those int pairs, so a lattice
+gives the same corners in any basis; their size is bounded before the
 first row and capped at _MAX_TRANSLATES.
 
 The search maximizes the determinant (equivalently minimizes the density
@@ -44,8 +44,8 @@ from math import ceil, gcd, isqrt, lcm
 
 from . import arrangement
 from .decomposition import CoveringInstance
-from .geom import Point, Rect, pt
-from .rational import int_at_least, rat, rat_str
+from .geom import Point, Rect, pt, scaled_point
+from .rational import int_at_least, lowest, rat, rat_str
 from .verification import coverage_certificate
 
 _MAX_ROWS = 1000
@@ -124,22 +124,22 @@ def hermite_basis(lat: Lattice) -> tuple[Fraction, Fraction, Fraction]:
     return a, (alpha * u.x + beta * v.x) % a, Fraction(g, den)
 
 
-def _translates_meeting(a, b, c, window: Rect) -> list[Point]:
-    """All points of the lattice with normalized basis (a, 0), (b, c) whose
+def _translates_meeting(a, b, c, wx, wy) -> tuple[int, list[tuple[int, int]]]:
+    """(d, points): the points, as int pairs times d = the lcm of the five
+    denominators, of the lattice with normalized basis (a, 0), (b, c) whose
     triangle meets the half-open window [0, wx) x [0, wy), row by row.
 
     The triangle at (x, y) meets the window exactly when x < wx, y < wy and
     max(x, 0) + max(y, 0) <= x + y + 1, that is y >= -1 and
     x >= -1 - min(y, 0). Rows y = j*c run over the y-range, and in each row
-    the points x = i*a + j*b over the x-range.
-    """
-    out = []
-    for j in range(ceil(-1 / c), ceil(window.y1 / c)):
-        y, shift = j * c, j * b
-        lo = -1 - min(y, 0)
-        for i in range(ceil((lo - shift) / a), ceil((window.x1 - shift) / a)):
-            out.append(Point(i * a + shift, y))
-    return out
+    the points x = i*a + j*b over the x-range."""
+    d = lcm(*(v.denominator for v in (a, b, c, wx, wy)))
+    a, b, c, wx, wy = (v.numerator * (d // v.denominator) for v in (a, b, c, wx, wy))
+    points = []
+    for y in range(-(d // c) * c, wy, c):
+        lo = -d - min(y, 0)
+        points.extend((x, y) for x in range(lo + (y // c * b - lo) % a, wx, a))
+    return d, points
 
 
 def lattice_instance(lat: Lattice, l, k: int) -> CoveringInstance:
@@ -147,22 +147,21 @@ def lattice_instance(lat: Lattice, l, k: int) -> CoveringInstance:
     side = rat(l)
     if side <= 0:
         raise ValueError(f"l: window side must be positive, got {rat_str(side)}")
-    window = Rect(Fraction(0), side, Fraction(0), side)
     a, b, c = hermite_basis(lat)
     # rows times the most points a row's x-range [-1 - min(y, 0), l) holds
     bound = (ceil(side / c) - ceil(-1 / c)) * ceil((side + 1) / a)
     if bound > _MAX_TRANSLATES:
         raise ValueError(f"l: the window meets up to {bound} translates of this "
                          f"lattice, more than {_MAX_TRANSLATES}")
-    corners = _translates_meeting(a, b, c, window)
-    corners.sort(key=lambda p: (p.x, p.y))  # the order reaches instance files
-    return CoveringInstance.of(k, side, corners)
+    d, points = _translates_meeting(a, b, c, side, side)
+    points.sort()  # the order reaches instance files
+    return CoveringInstance(k, side, tuple((lowest(x, d), lowest(y, d)) for x, y in points))
 
 
 def _multiplicity_window(lat: Lattice) -> tuple[Rect, list[Point]]:
     a, b, c = hermite_basis(lat)
-    window = Rect(Fraction(0), a + b, Fraction(0), c)
-    return window, _translates_meeting(a, b, c, window)
+    d, points = _translates_meeting(a, b, c, a + b, c)
+    return Rect(Fraction(0), a + b, Fraction(0), c), [scaled_point(x, y, d) for x, y in points]
 
 
 def lattice_multiplicity(lat: Lattice) -> int:
@@ -451,9 +450,9 @@ def search_optimal_lattice(
 
 def perturb_instance(inst: CoveringInstance, magnitude, seed: int) -> CoveringInstance:
     """Randomly shift every translate by up to *magnitude* in each coordinate,
-    keeping only verified k-fold coverings with distinct corners. At most
-    _PERTURB_TRIES rejection-sampled draws; deterministic for a fixed seed.
-    """
+    in steps of magnitude/64 on one integer scale, keeping only verified
+    k-fold coverings with distinct corners. At most _PERTURB_TRIES
+    rejection-sampled draws; deterministic for a fixed seed."""
     mag = rat(magnitude)
     if mag < 0:
         raise ValueError("magnitude must be nonnegative")
@@ -461,24 +460,23 @@ def perturb_instance(inst: CoveringInstance, magnitude, seed: int) -> CoveringIn
         return inst
     rng = random.Random(seed)
     den = 64  # perturbations live on a fixed rational grid
+    scale = lcm(den * mag.denominator, *(d for corner in inst.pairs for _, d in corner))
+    step = mag.numerator * (scale // (den * mag.denominator))
+    corners = [(x * (scale // xd), y * (scale // yd)) for (x, xd), (y, yd) in inst.pairs]
     for _ in range(_PERTURB_TRIES):
-        used: set[Point] = set()
-        corners: list[Point] = []
-        for c in inst.corners:
+        used: dict[tuple[int, int], None] = {}  # insertion-ordered: the order reaches files
+        for x, y in corners:
             for _ in range(16):  # re-draw collisions so normality survives
-                cand = Point(
-                    c.x + mag * Fraction(rng.randint(-den, den), den),
-                    c.y + mag * Fraction(rng.randint(-den, den), den),
-                )
+                cand = (x + step * rng.randint(-den, den), y + step * rng.randint(-den, den))
                 if cand not in used:
-                    used.add(cand)
-                    corners.append(cand)
+                    used[cand] = None
                     break
             else:
                 break
-        if len(corners) < inst.size:  # some corner found no free spot
+        if len(used) < inst.size:  # some corner found no free spot
             continue
-        candidate = CoveringInstance.of(inst.k, inst.window, corners)
+        candidate = CoveringInstance(
+            inst.k, inst.window, tuple((lowest(x, scale), lowest(y, scale)) for x, y in used))
         if coverage_certificate(candidate).covers:
             return candidate
     raise ValueError(

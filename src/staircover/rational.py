@@ -3,18 +3,20 @@
 Every coordinate in this package is exact: a `fractions.Fraction` in the
 public types, or an int on one common scale in the integer kernels, in the
 frame that a parsed instance carries (`arrangement.Frame`), whose plain
-"p/q" and "n" literals `fileio` reads without `rat`, and in the breaks of
-the stair cells decomposed on that frame. Floats are rejected
-outright rather than converted: half-open membership tests and the
-sum-then-x point order both hinge on exact ties, which binary floats cannot
-be trusted to preserve.
+"p/q" and "n" literals `fileio` reads without `rat`, in the breaks of
+the stair cells decomposed on that frame, and in the rows of a lattice's
+translates, which `lowest` reduces to pairs. Floats are rejected outright
+rather than converted: half-open membership tests and the sum-then-x point
+order both hinge on exact ties, which binary floats cannot be trusted to
+preserve.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-__all__ = ["rat", "rat_str", "int_at_least", "brief_repr"]
+__all__ = ["rat", "rat_str", "lowest", "int_at_least", "brief_repr"]
 
 _ECHO_CHARS = 40  # most characters of an input that an error message repeats
 
@@ -43,6 +45,12 @@ def rat(value) -> Fraction:
     raise TypeError(
         f"exact rational required, got {type(value).__name__}: {brief_repr(value)}"
     )
+
+
+def lowest(n: int, d: int) -> tuple[int, int]:
+    """The (numerator, denominator) pair of n/d in lowest terms, for a positive d."""
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 def int_at_least(value, least: int, message: str) -> None:

@@ -42,7 +42,7 @@ from math import lcm
 import numpy as np
 
 from .decomposition import CoveringInstance, DecompositionResult, decompose, stair_decomposition
-from .geom import Point, StairPolygon
+from .geom import Point, StairPolygon, scaled_point
 
 __all__ = [
     "CoverageCertificate",
@@ -144,10 +144,6 @@ def _tiling_proves_depth(
     return (tiling or verify_exact_tiling(result.stair_cells(), inst.k, inst.window)).passed
 
 
-def _point(x: int, y: int, scale: int) -> Point:
-    return Point(Fraction(x, scale), Fraction(y, scale))
-
-
 def multiplicity_grid(cells, l: Fraction):
     """Multiplicity of a stair-cell family on the grid of all its breaks.
 
@@ -227,8 +223,8 @@ def audit_cell_shape(result: DecompositionResult) -> AuditVerdict:
                     check,
                     f"cell {i} is not anchored at its corner",
                     cell=i,
-                    anchor=_point(cell.xs[0], cell.ys[-1], s),
-                    corner=frame.point(x, y),
+                    anchor=scaled_point(cell.xs[0], cell.ys[-1], s),
+                    corner=scaled_point(x, y, frame.scale),
                 )
     return AuditVerdict(check, PASS, f"{len(result.cells)} stair cells")
 
@@ -359,7 +355,7 @@ def audit_boundary_cut(frame, indexed_cells):
                 f"triangle {i} cuts triangle {j} but boundary of cell {i} meets cell {j}",
                 cutter=i,
                 cut=j,
-                point=_point(*hits[(p, q)], scale),
+                point=scaled_point(*hits[(p, q)], scale),
             )
             break
     pairwise = AuditVerdict(pairwise_check, PASS, "every pair is one-sided")
@@ -372,8 +368,8 @@ def audit_boundary_cut(frame, indexed_cells):
             f"boundaries of cells {i} and {j} each meet the other cell",
             first=i,
             second=j,
-            point=_point(*hits[(p, q)], scale),
-            point_reverse=_point(*hits[(q, p)], scale),
+            point=scaled_point(*hits[(p, q)], scale),
+            point_reverse=scaled_point(*hits[(q, p)], scale),
         )
     return directed, pairwise
 
@@ -402,7 +398,7 @@ def audit_inner_corners(indexed_cells) -> AuditVerdict:
                     check,
                     f"inner corner of cell {i} is in no cell anchored at its x",
                     cell=i,
-                    point=_point(x, y, scale),
+                    point=scaled_point(x, y, scale),
                 )
     return AuditVerdict(check, PASS, f"{corners_checked} inner corners checked")
 

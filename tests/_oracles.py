@@ -14,7 +14,9 @@ dynamic program over the last break, and that program is itself checked by
 a full enumeration over break tuples; coverage depth is counted triangle by
 triangle, and the minimum depth over a window by testing every face sample
 against every translate; the lattice translates meeting a window are found
-by testing every coefficient pair of a box, in the basis as given. The
+by testing every coefficient pair of a box, in the basis as given, and
+also row by row in `Fraction`s, which is the order of the int rows of
+`lattice`; a perturbation draws `Fraction` shifts of `Point` corners. The
 decomposition is rebuilt in Fractions, one `Triangle` pair test per cutter
 candidate, and its cutter rule is kept as one numpy row per triangle
 (`cutters_reference`), against which `decompose`'s blocks of rows are
@@ -30,10 +32,12 @@ cell, in Fractions.
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import ceil
 
 import numpy as np
 
@@ -42,8 +46,9 @@ from staircover.arrangement import Frame, _samples, _sweep
 from staircover.bounds import max_stair_area
 from staircover.decomposition import CoveringInstance, DecompositionResult, NonStairCell
 from staircover.geom import Point, Rect, StairPolygon, pt
-from staircover.rational import int_at_least
-from staircover.verification import PASS, AuditVerdict, _fail
+from staircover.lattice import _PERTURB_TRIES
+from staircover.rational import int_at_least, rat
+from staircover.verification import PASS, AuditVerdict, _fail, coverage_certificate
 
 
 # --- triangle translates and the cutting relation, in Fractions -------------
@@ -649,6 +654,58 @@ def translates_meeting_scan(u: Point, v: Point, window: Rect, radius: int):
                 ring += max(abs(i), abs(j)) == radius
     found.sort(key=lambda p: (p.x, p.y))
     return found, ring
+
+
+def translates_meeting_reference(a, b, c, window: Rect) -> list[Point]:
+    """`lattice._translates_meeting` in `Fraction`s, as `Point`s in its
+    order: rows y = j*c from the first at least -1 to the last below
+    window.y1, and in each row the points x = i*a + j*b from the first at
+    least -1 - min(y, 0) to the last below window.x1."""
+    out = []
+    for j in range(ceil(-1 / c), ceil(window.y1 / c)):
+        y, shift = j * c, j * b
+        lo = -1 - min(y, 0)
+        for i in range(ceil((lo - shift) / a), ceil((window.x1 - shift) / a)):
+            out.append(Point(i * a + shift, y))
+    return out
+
+
+def perturb_reference(inst: CoveringInstance, magnitude, seed: int) -> CoveringInstance:
+    """`perturb_instance` in `Fraction`s: every corner shifted by
+    magnitude * r / 64 in each coordinate, r drawn by `randint(-64, 64)`,
+    x before y, a corner re-drawn up to 16 times while it repeats an
+    earlier one; up to _PERTURB_TRIES draws, the first that covers wins."""
+    mag = rat(magnitude)
+    if mag < 0:
+        raise ValueError("magnitude must be nonnegative")
+    if mag == 0:
+        return inst
+    rng = random.Random(seed)
+    den = 64
+    for _ in range(_PERTURB_TRIES):
+        used: set[Point] = set()
+        corners: list[Point] = []
+        for c in inst.corners:
+            for _ in range(16):
+                cand = Point(
+                    c.x + mag * Fraction(rng.randint(-den, den), den),
+                    c.y + mag * Fraction(rng.randint(-den, den), den),
+                )
+                if cand not in used:
+                    used.add(cand)
+                    corners.append(cand)
+                    break
+            else:
+                break
+        if len(corners) < inst.size:
+            continue
+        candidate = CoveringInstance.of(inst.k, inst.window, corners)
+        if coverage_certificate(candidate).covers:
+            return candidate
+    raise ValueError(
+        f"no covering-preserving perturbation of magnitude {mag} found "
+        f"in {_PERTURB_TRIES} attempts"
+    )
 
 
 # --- extremal stair construction and grid stair DP -------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import time
@@ -466,6 +467,26 @@ class TestCommands:
         assert json.loads(p1.read_text())["seed"] == 11
         assert main(["verify", str(p1)]) == 0  # perturbation kept the covering
         capsys.readouterr()
+
+    def test_gen_lattice_provenance_writes_the_magnitude_canonically(self, tmp_path, capsys):
+        args = ["gen-lattice", "--k", "2", "--l", "1", "--basis", "1/3,0;0,1/3", "--seed", "11"]
+        spaced, plain = tmp_path / "spaced.json", tmp_path / "plain.json"
+        assert main(args + ["--perturb", " 2/128", "--out", str(spaced)]) == 0
+        assert main(args + ["--perturb", "1/64", "--out", str(plain)]) == 0
+        capsys.readouterr()
+        assert json.loads(spaced.read_text())["provenance"] == (
+            "lattice u=1/3,0 v=0,1/3 perturbed by 1/64 (seed 11)")
+        assert spaced.read_bytes() == plain.read_bytes()
+
+    def test_gen_lattice_file_at_scale_is_pinned(self, tmp_path, capsys):
+        # 91,201 translates; the digest is that of the file written when the
+        # translates were enumerated in Fractions
+        out = tmp_path / "grid.json"
+        assert main(["gen-lattice", "--k", "1", "--l", "150", "--basis", "1/2,0;0,1/2",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "908ba5cf336f6d103a96bc2397f1b48c0afbb8b723b0fd9fb86d60365050d0ac")
 
     def test_gen_lattice_malformed_results_exits_2(self, tmp_path, capsys):
         store = write_instance(tmp_path / "store.json", {"best": {"1": {"u": ["1", "0"]}}})

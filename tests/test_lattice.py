@@ -1,4 +1,6 @@
+import cProfile
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,8 +19,11 @@ from staircover import (
     search_optimal_lattice,
 )
 from staircover import lattice
-from staircover.lattice import _critical_size, _guard_density, _multiplicity_window
-from _oracles import translates_meeting_scan
+from staircover.geom import Point, scaled_point
+from staircover.lattice import (
+    _critical_size, _guard_density, _multiplicity_window, _translates_meeting,
+)
+from _oracles import perturb_reference, translates_meeting_reference, translates_meeting_scan
 from conftest import diag_lattice, grid_lattice, rect_of
 
 
@@ -69,6 +74,19 @@ class TestLatticeBasics:
         assert lattice_multiplicity(lat) == lattice_multiplicity(norm) == 1
 
 
+@st.composite
+def normalized_bases(draw):
+    """(a, b, c) with a, c > 0 and 0 <= b < a, small and huge denominators."""
+    def side(limit):
+        return st.fractions(Fraction(1, 8), 2, max_denominator=limit)
+
+    limit = draw(st.sampled_from([12, 10**12]))
+    a, c = draw(side(limit)), draw(side(limit))
+    b = draw(st.one_of(st.just(Fraction(0)),
+                       st.fractions(0, a, max_denominator=limit).filter(lambda b: b < a)))
+    return a, b, c
+
+
 SCAN_RADIUS = 30
 ENUMERATION_BASES = [
     pytest.param(Lattice.of("1/2", "1/4", "-1/8", "3/8"), id="skew"),
@@ -106,6 +124,30 @@ class TestEnumeration:
         assert ring == 0
         # depth does not depend on corner order, so the window keeps row order
         assert sorted(corners, key=lambda p: (p.x, p.y)) == brute
+
+    @given(normalized_bases(), st.one_of(st.none(), st.fractions(Fraction(1, 10**6), 3)))
+    @example((Fraction(1, 2), Fraction(0), Fraction(1, 2)), Fraction(1))
+    @example((Fraction(1, 3), Fraction(1, 4), Fraction(3, 7)), None)
+    def test_int_rows_match_the_fraction_reference(self, basis, side):
+        # side None is the multiplicity window [0, a + b) x [0, c)
+        a, b, c = basis
+        wx, wy = (a + b, c) if side is None else (side, side)
+        d, points = _translates_meeting(a, b, c, wx, wy)
+        assert d == lcm(*(v.denominator for v in (a, b, c, wx, wy)))
+        reference = translates_meeting_reference(a, b, c, Rect(Fraction(0), wx, Fraction(0), wy))
+        assert [scaled_point(x, y, d) for x, y in points] == reference  # order included
+
+    def test_instance_makes_no_fraction_per_translate(self):
+        # before the int rows, this instance made 7,789 Fractions and 3,721 Points
+        lat = Lattice.of("1/3", 0, "1/4", "3/7")
+        profile = cProfile.Profile()
+        profile.enable()
+        inst = lattice_instance(lat, 22, 1)
+        profile.disable()
+        made = [sum(entry.callcount for entry in profile.getstats() if entry.code is code)
+                for code in (Fraction.__new__.__code__, Point.__init__.__code__)]
+        assert inst.size == 3721
+        assert made[0] <= 32 and made[1] == 0, made
 
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError) as err:
@@ -342,6 +384,29 @@ class TestPerturb:
     def test_oversized_magnitude_errors(self, quarters):
         with pytest.raises(ValueError, match="no covering-preserving"):
             perturb_instance(quarters, 1, seed=0)
+
+    @pytest.mark.parametrize("basis, l, k, seeds", [
+        (("1/3", 0, 0, "1/3"), 1, 2, (0, 1, 7)),  # 3-fold: draws that cover
+        (("1/2", 0, 0, "1/2"), 1, 1, (0,)),  # exactly 1-fold: refused
+        (("1/4", 0, "1/9", "1/4"), 3, 2, (2,)),  # corners over 4 and 36
+    ])
+    @pytest.mark.parametrize("magnitude", ["1/64", "3/128", "1/50", "1/37"])
+    def test_matches_the_fraction_reference(self, basis, l, k, seeds, magnitude):
+        inst = lattice_instance(Lattice.of(*basis), l, k)
+        for seed in seeds:
+            try:
+                expected = perturb_reference(inst, magnitude, seed)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    perturb_instance(inst, magnitude, seed)
+                assert str(err.value) == str(exc)
+            else:
+                assert perturb_instance(inst, magnitude, seed).pairs == expected.pairs
+
+    def test_mixed_denominators_keep_the_covering(self):
+        inst = lattice_instance(Lattice.of("1/4", 0, "1/9", "1/4"), 3, 2)
+        out = perturb_instance(inst, "1/50", seed=2)
+        assert out.size == inst.size and coverage_certificate(out).covers
 
     def test_rejects_negative_magnitude(self, quarters):
         with pytest.raises(ValueError):

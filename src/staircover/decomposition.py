@@ -17,7 +17,8 @@ non-coverings can still flow through the pipeline.
 All of this runs in integers, on the `arrangement.Frame` that the instance
 derives from its exact corners (built once, when it is made): corners,
 hypotenuse offsets and the window scaled to int64 (or bignum `object`)
-arrays. Stair cells keep those ints as their breaks, on the frame's scale.
+arrays. Both kinds of cell keep those ints as their breaks (and a non-stair
+cell its hypotenuse offset), on the frame's scale.
 Numpy blocks of cutter rows find the cutters and their apexes, and the
 staircase is a sweep over the sorted apexes that keeps the k lowest y's
 seen; one `decompose` costs O(N^2 + sum of m_i (log m_i + k)) time, m_i
@@ -37,7 +38,7 @@ import numpy as np
 
 from .arrangement import Frame
 from .geom import Point, Rect, StairPolygon, pt, scaled_point
-from .rational import int_at_least, rat
+from .rational import int_at_least, lowest, rat
 
 __all__ = [
     "CoveringInstance",
@@ -54,7 +55,7 @@ class CoveringInstance:
 
     The corners are exact: `pairs` holds, per corner, the (numerator,
     denominator) pairs of its x and its y, in lowest terms with positive
-    denominators, as `of` and the parser make them (a zero denominator is
+    denominators, as `of` and the parser make them (any other pair is
     refused). Equality and hashing are by fold, window and pairs.
     The instance derives its `frame`, the corners and the window on the
     integer frame of `arrangement`, which the depth scan and `decompose`
@@ -67,15 +68,22 @@ class CoveringInstance:
     frame: Frame = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Check the fold and the window, build the frame, and refuse an
-        empty or repeated corner list: the one check of distinct corners,
-        on the frame's ints."""
+        """Check the fold and the window, build the frame (which refuses a
+        zero denominator), refuse a corner not in lowest terms, and refuse
+        an empty or repeated corner list: the one check of distinct
+        corners, on the frame's ints."""
         int_at_least(self.k, 1, "fold must be a positive integer")
         if self.window <= 0:
             raise ValueError("window side must be positive")
         if not self.pairs:
             raise ValueError("instance needs at least one translate")
         frame = Frame.of_int_pairs(self.pairs, self.window_rect())
+        # each distinct (n, d) once: a file or a lattice repeats its values
+        bad = {(n, d) for n, d in {v for c in self.pairs for v in c}
+               if d < 0 or lowest(n, d) != (n, d)}
+        if bad:
+            i = next(i for i, (x, y) in enumerate(self.pairs) if x in bad or y in bad)
+            raise ValueError(f"corner {i} is not in lowest terms with a positive denominator")
         scaled = list(zip(frame.cx.tolist(), frame.cy.tolist()))
         if len(set(scaled)) < len(scaled):
             counts = Counter(scaled)
@@ -108,37 +116,38 @@ class CoveringInstance:
 class NonStairCell:
     """Cell region whose staircase still pokes over its triangle's hypotenuse.
 
-    The point set is the union of the half-open columns intersected with the
-    closed half-plane x + y <= diag_sum. Only non-coverings produce these.
+    Ints on the frame's `scale`, as in a `StairPolygon`: the column breaks
+    `xs`, then in `ys` the column tops (non-increasing; equal ones are not
+    merged, as the report lists every column) and the bottom, and the
+    hypotenuse x + y = diag. The point set is the part of the half-open
+    columns in the closed half-plane x + y <= diag. Only non-coverings
+    produce these, always on their frame's scale, so equality is by the ints.
     """
 
-    columns: tuple[Rect, ...]
-    diag_sum: Fraction
+    xs: tuple[int, ...]
+    ys: tuple[int, ...]
+    diag: int
+    scale: int
 
     def area(self) -> Fraction:
-        total = Fraction(0)
-        for c in self.columns:
-            lo = max(c.x0, self.diag_sum - c.y1)  # diagonal enters above here
-            hi = min(c.x1, self.diag_sum - c.y0)
-            full_to = min(c.x1, max(c.x0, lo))
-            total += (full_to - c.x0) * (c.y1 - c.y0)
-            if lo < hi:
-                # triangular part: height diag_sum - x - y0 over [lo, hi)
-                total += (hi - lo) * (self.diag_sum - c.y0) - (hi * hi - lo * lo) / 2
-        return total
+        xs, y0, h = self.xs, self.ys[-1], self.diag
+        twice = 0  # twice the area, on the scale squared
+        for a, b, top in zip(xs, xs[1:], self.ys):
+            lo, hi = max(a, h - top), min(b, h - y0)  # the hypotenuse crosses [lo, hi)
+            twice += 2 * (min(b, lo) - a) * (top - y0)
+            if lo < hi:  # the trapezoid under the hypotenuse
+                twice += (hi - lo) * (2 * (h - y0) - lo - hi)
+        return Fraction(twice, 2 * self.scale * self.scale)
 
     def diagonal_witness(self) -> Point:
         """A point of the cell lying exactly on the closed hypotenuse."""
-        for c in self.columns:
-            lo = max(c.x0, self.diag_sum - c.y1)
-            hi = min(c.x1, self.diag_sum - c.y0)
+        xs, y0, h = self.xs, self.ys[-1], self.diag
+        for a, b, top in zip(xs, xs[1:], self.ys):
+            lo, hi = max(a, h - top), min(b, h - y0)
             if lo < hi:
-                x = (lo + hi) / 2
-                return Point(x, self.diag_sum - x)
-        for c in self.columns:
-            # degenerate cell: only the closed corner touches the hypotenuse
-            if c.x0 + c.y0 == self.diag_sum:
-                return Point(c.x0, c.y0)
+                return scaled_point(lo + hi, 2 * h - lo - hi, 2 * self.scale)
+        if xs[0] + y0 == h:  # one-point cell: only the closed corner touches the hypotenuse
+            return scaled_point(xs[0], y0, self.scale)
         raise ValueError("cell has no point on the hypotenuse")
 
 
@@ -226,24 +235,18 @@ def _cell(frame, k: int, i: int, apexes):
     columns = _dominance_columns(apexes, k, x0, y0, hi, h)
     if not columns:
         return None
-    if all(b + top <= h for _, b, top in columns):
-        xs, ys = [x0], []
-        for _, b, top in columns:
-            if ys and ys[-1] == top:
-                xs[-1] = b  # equal tops merge into one column
-            else:
-                xs.append(b)
-                ys.append(top)
-        ys.append(y0)
-        return StairPolygon(xs, ys, scale)
-    bottom = Fraction(y0, scale)
-    return NonStairCell(
-        columns=tuple(
-            Rect(Fraction(a, scale), Fraction(b, scale), bottom, Fraction(top, scale))
-            for a, b, top in columns
-        ),
-        diag_sum=Fraction(h, scale),
-    )
+    if any(b + top > h for _, b, top in columns):
+        xs = (x0, *(b for _, b, _ in columns))
+        return NonStairCell(xs, (*(top for *_, top in columns), y0), h, scale)
+    xs, ys = [x0], []
+    for _, b, top in columns:
+        if ys and ys[-1] == top:
+            xs[-1] = b  # equal tops merge into one column
+        else:
+            xs.append(b)
+            ys.append(top)
+    ys.append(y0)
+    return StairPolygon(xs, ys, scale)
 
 
 def decompose(inst: CoveringInstance) -> DecompositionResult:

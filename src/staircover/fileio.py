@@ -236,11 +236,11 @@ def _cells_json(result: DecompositionResult):
     non_stair = [
         {
             "index": i,
-            "diag_sum": rat_str(cell.diag_sum),
+            "diag_sum": _ratio_str(cell.diag, cell.scale),
             "area": rat_str(cell.area()),
             "columns": [
-                [rat_str(r.x0), rat_str(r.x1), rat_str(r.y0), rat_str(r.y1)]
-                for r in cell.columns
+                [_ratio_str(v, cell.scale) for v in (a, b, cell.ys[-1], top)]
+                for a, b, top in zip(cell.xs, cell.xs[1:], cell.ys)
             ],
         }
         for i, cell in result.non_stair

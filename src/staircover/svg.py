@@ -81,11 +81,9 @@ def render_decomposition(result: DecompositionResult) -> str:
             f'stroke-width="1.4" stroke-dasharray="6,4"/>'
         )
     for i, cell in result.non_stair:
-        for r in cell.columns:
-            pts = " ".join(
-                m.pair(px, py)
-                for px, py in ((r.x0, r.y0), (r.x1, r.y0), (r.x1, r.y1), (r.x0, r.y1))
-            )
+        xs, ys = [v / cell.scale for v in cell.xs], [v / cell.scale for v in cell.ys]
+        for x0, x1, y1 in zip(xs, xs[1:], ys):
+            pts = " ".join(m.pair(*p) for p in ((x0, ys[-1]), (x1, ys[-1]), (x1, y1), (x0, y1)))
             parts.append(
                 f'<polygon points="{pts}" fill="{_fill_color(i)}" fill-opacity="0.5" '
                 f'stroke="#b22" stroke-width="1" stroke-dasharray="3,3"/>'

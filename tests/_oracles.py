@@ -2,9 +2,12 @@
 
 Everything here deliberately avoids the package's optimized code paths:
 membership of a point in a half-open rectangle, stair cell or non-stair
-cell is decided pointwise in Fractions (`rect_contains`, `stair_contains`,
-`stair_interior_contains`, `non_stair_contains`), which the package itself
-never needs, as it decides every membership in integers; triangle
+cell is decided pointwise (`rect_contains`, `stair_contains`,
+`stair_interior_contains`, `non_stair_contains`, the last on the cell's
+ints against the point's Fractions), which the package itself never
+needs, as it decides every membership in integers; a non-stair cell's
+area and hypotenuse witness are computed column by column in Fractions
+(`non_stair_area_reference`, `non_stair_witness_reference`); triangle
 intersection goes through vertex containment, exact segment
 crossings and rational grid sampling; cell regions are evaluated pointwise
 from the defining set formula (inside the triangle and the window, not
@@ -18,7 +21,8 @@ by testing every coefficient pair of a box, in the basis as given, and
 also row by row in `Fraction`s, which is the order of the int rows of
 `lattice`; a perturbation draws `Fraction` shifts of `Point` corners. The
 decomposition is rebuilt in Fractions, one `Triangle` pair test per cutter
-candidate, and its cutter rule is kept as one numpy row per triangle
+candidate, and only its non-stair cells are put on the frame's integer
+scale at the end; its cutter rule is kept as one numpy row per triangle
 (`cutters_reference`), against which `decompose`'s blocks of rows are
 tested; a single-column stair cell (`stair_rect`), a cell's anchor and its
 inner corners are made from `Fraction` breaks; the exact tiling is judged
@@ -156,8 +160,53 @@ def inner_corners(cell: StairPolygon) -> tuple[Point, ...]:
 
 def non_stair_contains(cell: NonStairCell, p: Point) -> bool:
     """Whether p lies in one of the cell's half-open columns and on or
-    under its closed hypotenuse."""
-    return p.x + p.y <= cell.diag_sum and any(rect_contains(c, p) for c in cell.columns)
+    under its closed hypotenuse, read off the cell's ints."""
+    x, y = p.x * cell.scale, p.y * cell.scale
+    xs, ys = cell.xs, cell.ys
+    return x + y <= cell.diag and ys[-1] <= y and any(
+        a <= x < b and y < top for a, b, top in zip(xs, xs[1:], ys))
+
+
+def _non_stair_columns(cell: NonStairCell):
+    """The cell's columns as `Rect`s and its hypotenuse offset, in Fractions."""
+    xs = [Fraction(v, cell.scale) for v in cell.xs]
+    ys = [Fraction(v, cell.scale) for v in cell.ys]
+    rects = [Rect(a, b, ys[-1], top) for a, b, top in zip(xs, xs[1:], ys)]
+    return rects, Fraction(cell.diag, cell.scale)
+
+
+def non_stair_area_reference(cell: NonStairCell) -> Fraction:
+    """`NonStairCell.area` in Fractions, column by column: the full part
+    left of where the hypotenuse enters, plus the part under it."""
+    columns, diag_sum = _non_stair_columns(cell)
+    total = Fraction(0)
+    for c in columns:
+        lo = max(c.x0, diag_sum - c.y1)  # diagonal enters above here
+        hi = min(c.x1, diag_sum - c.y0)
+        full_to = min(c.x1, max(c.x0, lo))
+        total += (full_to - c.x0) * (c.y1 - c.y0)
+        if lo < hi:
+            # triangular part: height diag_sum - x - y0 over [lo, hi)
+            total += (hi - lo) * (diag_sum - c.y0) - (hi * hi - lo * lo) / 2
+    return total
+
+
+def non_stair_witness_reference(cell: NonStairCell) -> Point:
+    """`NonStairCell.diagonal_witness` in Fractions: the midpoint of the
+    first column's stretch of hypotenuse, else a column's closed corner on
+    it."""
+    columns, diag_sum = _non_stair_columns(cell)
+    for c in columns:
+        lo = max(c.x0, diag_sum - c.y1)
+        hi = min(c.x1, diag_sum - c.y0)
+        if lo < hi:
+            x = (lo + hi) / 2
+            return Point(x, diag_sum - x)
+    for c in columns:
+        # degenerate cell: only the closed corner touches the hypotenuse
+        if c.x0 + c.y0 == diag_sum:
+            return Point(c.x0, c.y0)
+    raise ValueError("cell has no point on the hypotenuse")
 
 
 # --- exact convex-geometry primitives -------------------------------------
@@ -234,9 +283,12 @@ def _scaled_breaks(values, scale) -> np.ndarray:
     return np.asarray([int(v * scale) for v in values], dtype=np.int64)
 
 
-def _stair_mask(cell: StairPolygon, scale, ts, ys) -> np.ndarray:
-    xb = _scaled_breaks(cell.x_breaks, scale)
-    yb = _scaled_breaks(cell.y_breaks, scale)
+def _column_mask(cell, scale, ts, ys) -> np.ndarray:
+    """Which samples lie in the half-open columns of a stair or non-stair
+    cell, whose int breaks on the cell's own scale are put on *scale*."""
+    ratio = Fraction(scale, cell.scale)
+    xb = _scaled_breaks(cell.xs, ratio)
+    yb = _scaled_breaks(cell.ys, ratio)
     idx = np.searchsorted(xb, np.asarray(ts, dtype=np.int64), side="right") - 1
     in_col = (idx >= 0) & (idx <= len(xb) - 2)
     tops = yb[np.clip(idx, 0, len(xb) - 2)]
@@ -290,17 +342,10 @@ def cell_matches_set_formula(inst: CoveringInstance, i: int, cell) -> bool:
         if cell is None:
             mask = np.zeros_like(formula)
         elif isinstance(cell, StairPolygon):
-            mask = _stair_mask(cell, scale, ts, ys)
+            mask = _column_mask(cell, scale, ts, ys)
         else:  # non-stair region: columns plus the closed diagonal half-plane
-            mask = np.zeros_like(formula)
-            for r in cell.columns:
-                mask |= (
-                    (ts64[:, None] >= int(r.x0 * scale))
-                    & (ts64[:, None] < int(r.x1 * scale))
-                    & (ys64 >= int(r.y0 * scale))
-                    & (ys64 < int(r.y1 * scale))
-                )
-            mask &= (ts64[:, None] + ys64) <= int(cell.diag_sum * scale)
+            diag = int(Fraction(cell.diag * scale, cell.scale))
+            mask = _column_mask(cell, scale, ts, ys) & ((ts64[:, None] + ys64) <= diag)
         if not np.array_equal(mask[valid], formula[valid]):
             return False
         checked += int(valid.sum())
@@ -390,9 +435,18 @@ def _reference_cell(inst: CoveringInstance, i: int):
         return None
     if all(b + top <= h for a, b, top in kept):
         return _columns_to_stair(kept, y0)
-    return NonStairCell(
-        columns=tuple(Rect(a, b, y0, top) for a, b, top in kept), diag_sum=h
-    )
+    # only now onto the frame's scale, of which every value here is a multiple
+    scale = inst.frame.scale
+    xs = _on_scale([kept[0][0], *(b for _, b, _ in kept)], scale)
+    ys = _on_scale([*(top for *_, top in kept), y0], scale)
+    return NonStairCell(xs, ys, *_on_scale([h], scale), scale)
+
+
+def _on_scale(values, scale: int) -> tuple[int, ...]:
+    """Exact Fractions times *scale*, as ints."""
+    scaled = [v * scale for v in values]
+    assert all(v.denominator == 1 for v in scaled), (values, scale)
+    return tuple(v.numerator for v in scaled)
 
 
 def decompose_reference(inst: CoveringInstance) -> DecompositionResult:

@@ -1,11 +1,13 @@
+import cProfile
 import random
 import re
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from staircover import (
@@ -20,11 +22,12 @@ from staircover import arrangement, decomposition
 from staircover.decomposition import stair_decomposition
 from _oracles import (
     Triangle, anchor, cell_matches_set_formula, cuts, cutters_reference, decompose_reference,
-    non_stair_contains,
+    non_stair_area_reference, non_stair_contains, non_stair_witness_reference,
 )
 from conftest import cells_by_index, diag_lattice, frame_dtypes, grid_lattice
 from test_arrangement import DEN, SHRINK, _generic, generic_families
-from staircover.lattice import lattice_instance
+from staircover.fileio import parse_instance
+from staircover.lattice import lattice_instance, perturb_instance
 
 
 def corner_index(inst, x, y):
@@ -52,6 +55,31 @@ class TestInstanceValidation:
         with pytest.raises(ValueError) as err:
             CoveringInstance(1, Fraction(1), (((1, 0), (0, 1)),))
         assert str(err.value) == "a corner's denominator is zero"
+
+    @pytest.mark.parametrize("pairs, index", [
+        ((((2, 4), (0, 1)),), 0),  # 1/2 as 2/4: it would compare unequal to 1/2
+        ((((0, 1), (0, 1)), ((1, 2), (0, 2))), 1),  # 0 as 0/2
+        ((((0, 1), (0, 1)), ((1, 2), (0, 1)), ((1, 3), (1, -2))), 2),  # -1/2 as 1/-2
+        ((((-3, 6), (0, 1)), ((-1, 2), (0, 1))), 0),
+    ])
+    def test_rejects_pairs_not_in_lowest_terms(self, pairs, index):
+        with pytest.raises(ValueError) as err:
+            CoveringInstance(1, Fraction(1), pairs)
+        assert str(err.value) == (
+            f"corner {index} is not in lowest terms with a positive denominator")
+
+    def test_every_builder_makes_lowest_terms(self):
+        half = CoveringInstance(1, Fraction(1), (((1, 2), (-1, 3)), ((0, 1), (0, 1))))
+        assert CoveringInstance.of(1, 1, [("2/4", "-2/6"), (0, "0/5")]) == half
+        parsed, _ = parse_instance({"k": 1, "l": "1", "translates": [["2/4", "-2/6"], [0, "0/5"]]})
+        assert parsed == half
+        doubled, _ = parse_instance({
+            "k": 1, "l": "1", "triangle": [["0", "0"], ["2", "0"], ["0", "2"]],
+            "translates": [["1", "-2/3"], ["0", "0"]],
+        })
+        assert doubled == half
+        inst = lattice_instance(grid_lattice(3), Fraction(5, 3), 1)
+        assert perturb_instance(inst, "1/64", seed=5).size == inst.size
 
     @pytest.mark.parametrize("k", [True, False, "1", Fraction(1)])
     def test_rejects_fold_that_is_not_an_int(self, k):
@@ -106,7 +134,7 @@ class TestStairCell:
         inst = CoveringInstance.of(1, 1, [(0, 0)])
         cell = cells_by_index(inst)[0]
         assert isinstance(cell, NonStairCell)
-        assert cell.diag_sum == 1
+        assert Fraction(cell.diag, cell.scale) == 1
         assert non_stair_contains(cell, pt("1/2", "1/2"))  # on the hypotenuse, closed
         assert not non_stair_contains(cell, pt("3/4", "1/2"))
         assert cell.area() == Fraction(1, 2)
@@ -122,6 +150,20 @@ class TestStairCell:
         assert len(result.non_stair) == 3
         for i, cell in result.non_stair:
             assert cell_matches_set_formula(inst, i, cell)
+
+    @pytest.mark.parametrize("make", [
+        lambda: _holed_generic(),
+        lambda: CoveringInstance.of(3, 1, [(0, 0), ("-1/8", 0), (0, "-1/8")]),
+    ], ids=["holed-generic", "fewer-cutters-than-fold"])
+    def test_non_stair_cells_make_no_fraction(self, make):
+        inst = make()
+        profile = cProfile.Profile()
+        profile.enable()
+        result = decompose(inst)
+        profile.disable()
+        made = sum(entry.callcount for entry in profile.getstats()
+                   if entry.code is Fraction.__new__.__code__)
+        assert result.non_stair and made == 0, made
 
     def test_empty_when_outside_window(self):
         inst = CoveringInstance.of(1, 1, [(0, 0), (5, 5)])
@@ -146,6 +188,43 @@ class TestStairCell:
         assert result.empty_indices  # some off-window translates contribute nothing
         for i in result.empty_indices:
             assert cell_matches_set_formula(inst, i, None)
+
+
+@st.composite
+def non_stair_cells(draw):
+    """Contiguous columns on a common bottom, tops non-increasing and equal
+    ones kept, and a hypotenuse anywhere from under the lower-left corner
+    to over every column: some columns wholly under it, some wholly over."""
+    scale = draw(st.integers(1, 6))
+    x0, y0 = draw(st.integers(-12, 12)), draw(st.integers(-12, 12))
+    widths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))
+    heights = draw(st.lists(st.integers(1, 10), min_size=len(widths), max_size=len(widths)))
+    xs = tuple(accumulate([x0, *widths]))
+    ys = (*(y0 + h for h in sorted(heights, reverse=True)), y0)
+    diag = x0 + y0 + draw(st.integers(-4, sum(widths) + max(heights) + 4))
+    return NonStairCell(xs, ys, diag, scale)
+
+
+class TestNonStairCell:
+    """The int area and hypotenuse witness equal the column-by-column
+    `Fraction` formulas of the reference."""
+
+    @given(non_stair_cells())
+    @example(NonStairCell((0, 1), (1, 0), 0, 1))  # one point: the closed corner
+    @example(NonStairCell((0, 2, 3), (5, 5, 0), 4, 3))  # equal tops, unmerged
+    @example(NonStairCell((0, 1, 2), (1, 1, 0), 2, 1))  # wholly under: a stair
+    @example(NonStairCell((-2, 1, 3, 5), (6, 2, 1, 0), 2, 2))  # the last wholly over
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_the_fraction_formulas(self, cell):
+        assert cell.area() == non_stair_area_reference(cell)
+        try:
+            expected = non_stair_witness_reference(cell)
+        except ValueError:
+            with pytest.raises(ValueError, match="no point on the hypotenuse"):
+                cell.diagonal_witness()
+        else:
+            assert cell.diagonal_witness() == expected
+            assert non_stair_contains(cell, expected)
 
 
 class TestDecompose:

@@ -18,9 +18,9 @@ All arithmetic is integer, on a `Frame`: the corners and the window
 scaled once by four times the lcm of every corner and window denominator
 (which keeps both levels of midpoints exact), in numpy int64 arrays when
 magnitudes allow or object (bignum) arrays otherwise; the rest of the
-module runs the same code on either. `Frame.of_int_pairs` alone picks the
-scale and the dtype, from (numerator, denominator) pairs: `Frame.of` hands
-it those of `Point`s, and `CoveringInstance` the pairs it holds (which the
+module runs the same code on either. `Frame.of_ints` alone picks the
+scale and the dtype, from int corners on one denominator: `Frame.of` hands
+it those of `Point`s, and `CoveringInstance` the ints it holds (which the
 parser reads straight from the literals of an instance file); `decomposition`
 builds its cells on the instance's frame. `min_depth` scans a frame of its
 own; `Frame.min_depth` scans the frame it is called on.
@@ -67,6 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geom import Rect, scaled_point
+from .rational import on_one_scale
 
 __all__ = ["Frame", "min_depth"]
 
@@ -113,24 +114,20 @@ class Frame(NamedTuple):
     @classmethod
     def of(cls, corners, window: Rect) -> "Frame":
         """The frame of `Point` corners over the window."""
-        pairs = [(c.x.as_integer_ratio(), c.y.as_integer_ratio()) for c in corners]
-        return cls.of_int_pairs(pairs, window)
+        den, vs = on_one_scale([v for c in corners for v in (c.x, c.y)])
+        return cls.of_ints(den, list(zip(vs[::2], vs[1::2])), window)
 
     @classmethod
-    def of_int_pairs(cls, corners, window: Rect) -> "Frame":
-        """The frame of the corners over the window, each corner given as
-        the (numerator, denominator) pairs of its x and its y: ints in
-        lowest terms, with a positive denominator."""
-        edges = [v.as_integer_ratio() for v in (window.x0, window.x1, window.y0, window.y1)]
-        scale = 4 * lcm(*(d for _, d in edges), *(x[1] for x, _ in corners),
-                        *(y[1] for _, y in corners))
-        if not scale:  # lcm is 0 exactly when a denominator is
-            raise ValueError("a corner's denominator is zero")
-        # scale is a multiple of every denominator, so these are exact
-        cx = [n * (scale // d) for (n, d), _ in corners]
-        cy = [n * (scale // d) for _, (n, d) in corners]
+    def of_ints(cls, den: int, points, window: Rect) -> "Frame":
+        """The frame over the window of the corners whose (x, y) times the
+        positive *den* are the int pairs *points*."""
+        wden, edges = on_one_scale((window.x0, window.x1, window.y0, window.y1))
+        scale = 4 * lcm(den, wden)
+        up = scale // den
+        cx = [x * up for x, _ in points]
+        cy = [y * up for _, y in points]
         cs = [x + y + scale for x, y in zip(cx, cy)]
-        bounds = [n * (scale // d) for n, d in edges]
+        bounds = [v * (scale // wden) for v in edges]
         biggest = max(abs(v) for v in (*cx, *cy, *cs, *bounds))
         dtype = np.int64 if biggest < _INT64_LIMIT else object
         return cls(scale, *(np.asarray(v, dtype=dtype) for v in (cx, cy, cs, bounds)))

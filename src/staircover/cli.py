@@ -168,7 +168,7 @@ def cmd_gen_lattice(args) -> int:
     side = _option("--l", rat, args.l)
     if side <= 0:
         raise ValueError(f"--l window side must be positive, got {rat_str(side)}")
-    magnitude = _option("--perturb", rat, args.perturb) if args.perturb else None
+    magnitude = _option("--perturb", rat, args.perturb) if args.perturb is not None else None
     if args.basis:
         lat = _option("--basis", _basis, args.basis)
     elif args.results:
@@ -186,7 +186,7 @@ def cmd_gen_lattice(args) -> int:
         f"lattice u={rat_str(lat.u.x)},{rat_str(lat.u.y)} "
         f"v={rat_str(lat.v.x)},{rat_str(lat.v.y)}"
     )
-    if args.perturb:
+    if magnitude is not None:
         inst = _option("--perturb", lambda m: perturb_instance(inst, m, args.seed), magnitude)
         provenance += f" perturbed by {rat_str(magnitude)} (seed {args.seed})"
     meta = {

@@ -33,12 +33,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 import numpy as np
 
 from .arrangement import Frame
 from .geom import Point, Rect, StairPolygon, pt, scaled_point
-from .rational import int_at_least, lowest, rat
+from .rational import int_at_least, on_one_scale, rat
 
 __all__ = [
     "CoveringInstance",
@@ -53,59 +54,60 @@ __all__ = [
 class CoveringInstance:
     """A fold k, a half-open square window [0, l)^2 and N distinct corners.
 
-    The corners are exact: `pairs` holds, per corner, the (numerator,
-    denominator) pairs of its x and its y, in lowest terms with positive
-    denominators, as `of` and the parser make them (any other pair is
-    refused). Equality and hashing are by fold, window and pairs.
-    The instance derives its `frame`, the corners and the window on the
-    integer frame of `arrangement`, which the depth scan and `decompose`
-    read, and its `Point`s on the first read of `corners`.
+    The corners are exact: `points` holds, per corner, its x and its y
+    times the positive int `den`, as ints. The constructor divides out
+    any factor that `den` shares with every coordinate, so `den` is their
+    least common denominator, and equality and hashing (by fold, window,
+    `den` and `points`) are by value. `of` makes one from `Point`s or
+    rationals. The instance derives its `frame`, the corners and the
+    window on the integer frame of `arrangement`, which the depth scan and
+    `decompose` read, and its `Point`s on the first read of `corners`.
     """
 
     k: int
     window: Fraction
-    pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    den: int
+    points: tuple[tuple[int, int], ...]
     frame: Frame = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Check the fold and the window, build the frame (which refuses a
-        zero denominator), refuse a corner not in lowest terms, and refuse
-        an empty or repeated corner list: the one check of distinct
-        corners, on the frame's ints."""
+        """Check the fold, the window and `den`, reduce `den`, refuse an
+        empty or repeated corner list (the one check of distinct corners)
+        and build the frame."""
         int_at_least(self.k, 1, "fold must be a positive integer")
         if self.window <= 0:
             raise ValueError("window side must be positive")
-        if not self.pairs:
+        int_at_least(self.den, 1, "denominator must be a positive integer")
+        den, points = self.den, tuple(self.points)
+        if not points:
             raise ValueError("instance needs at least one translate")
-        frame = Frame.of_int_pairs(self.pairs, self.window_rect())
-        # each distinct (n, d) once: a file or a lattice repeats its values
-        bad = {(n, d) for n, d in {v for c in self.pairs for v in c}
-               if d < 0 or lowest(n, d) != (n, d)}
-        if bad:
-            i = next(i for i, (x, y) in enumerate(self.pairs) if x in bad or y in bad)
-            raise ValueError(f"corner {i} is not in lowest terms with a positive denominator")
-        scaled = list(zip(frame.cx.tolist(), frame.cy.tolist()))
-        if len(set(scaled)) < len(scaled):
-            counts = Counter(scaled)
-            smallest = min(str(scaled_point(*p, frame.scale)) for p, n in counts.items() if n > 1)
+        g = gcd(den, *(v for p in points for v in p))
+        if g > 1:
+            den, points = den // g, tuple((x // g, y // g) for x, y in points)
+        if len(set(points)) < len(points):
+            counts = Counter(points)
+            smallest = min(str(scaled_point(*p, den)) for p, n in counts.items() if n > 1)
             raise ValueError(f"corners must be pairwise distinct; repeated {smallest}")
-        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "frame", Frame.of_ints(den, points, self.window_rect()))
 
     @classmethod
     def of(cls, k: int, window, corners) -> "CoveringInstance":
         """The instance of corners given as `Point`s or as (x, y) pairs of
         exact rationals in any form that `rat` reads."""
-        points = (c if isinstance(c, Point) else pt(*c) for c in corners)
-        return cls(k, rat(window), tuple(
-            (p.x.as_integer_ratio(), p.y.as_integer_ratio()) for p in points))
+        side = rat(window)
+        points = [c if isinstance(c, Point) else pt(*c) for c in corners]
+        den, vs = on_one_scale([v for p in points for v in (p.x, p.y)])
+        return cls(k, side, den, tuple(zip(vs[::2], vs[1::2])))
 
     @cached_property
     def corners(self) -> tuple[Point, ...]:
-        return tuple(Point(Fraction(*x), Fraction(*y)) for x, y in self.pairs)
+        return tuple(scaled_point(x, y, self.den) for x, y in self.points)
 
     @property
     def size(self) -> int:
-        return len(self.pairs)
+        return len(self.points)
 
     def window_rect(self) -> Rect:
         zero = Fraction(0)

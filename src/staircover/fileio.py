@@ -24,7 +24,7 @@ from .bounds import BoundReport
 from .decomposition import CoveringInstance, DecompositionResult
 from .geom import Point
 from .lattice import Lattice, LatticeSearchReport
-from .rational import brief_repr, int_at_least, lowest, rat, rat_str
+from .rational import brief_repr, int_at_least, lowest, on_one_scale, rat, rat_str
 from .verification import AuditReport, CoverageCertificate
 
 __all__ = [
@@ -103,11 +103,11 @@ def parse_instance(data: dict) -> tuple[CoveringInstance, dict]:
     if not isinstance(raw_translates, list) or not raw_translates:
         raise InstanceFormatError("translates: nonempty list required")
     meta = {key: data[key] for key in ("name", "seed", "provenance") if key in data}
-    pairs = _translate_pairs(raw_translates)
+    den, points = _translate_points(raw_translates)
     if "triangle" in data:
-        pairs, meta["transform"] = _normalize_triangle(data["triangle"], pairs)
+        den, points, meta["transform"] = _normalize_triangle(data["triangle"], den, points)
     try:
-        inst = CoveringInstance(k, l, pairs)
+        inst = CoveringInstance(k, l, den, points)
     except ValueError as exc:  # k, l and emptiness are checked above: repeats
         raise InstanceFormatError(f"translates: {exc}") from exc
     return inst, meta
@@ -133,11 +133,12 @@ def _plain_literal(raw):
     return lowest(n, d) if d else None
 
 
-def _translate_pairs(raw_translates):
-    """The corners' exact pairs as `CoveringInstance` holds them, reading
-    each distinct str or int literal once: by `_plain_literal`, or else
-    alone by `rat`, which names its field. A literal of any other type is
-    read at each use, as true and 1.0 equal 1 as dict keys and are refused."""
+def _translate_points(raw_translates):
+    """(den, points): the corners as `CoveringInstance` holds them, ints on
+    the lcm of the literals' denominators, reading each distinct str or int
+    literal once: by `_plain_literal`, or else alone by `rat`, which names
+    its field. A literal of any other type is read at each use, as true and
+    1.0 equal 1 as dict keys and are refused."""
     values = {}  # literal -> (numerator, denominator)
     for i, raw in enumerate(raw_translates):
         if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
@@ -148,7 +149,9 @@ def _translate_pairs(raw_translates):
             values[x] = _plain_literal(x) or _rat_pair(x, i, 0)
         if (type(y) is not str and type(y) is not int) or y not in values:
             values[y] = _plain_literal(y) or _rat_pair(y, i, 1)
-    return tuple((values[x], values[y]) for x, y in raw_translates)
+    den = lcm(*(d for _, d in values.values()))
+    scaled = {raw: n * (den // d) for raw, (n, d) in values.items()}
+    return den, tuple((scaled[x], scaled[y]) for x, y in raw_translates)
 
 
 def _rat_pair(raw, i: int, j: int) -> tuple[int, int]:
@@ -156,7 +159,7 @@ def _rat_pair(raw, i: int, j: int) -> tuple[int, int]:
     return _rat_field(raw, f"translates[{i}][{j}]").as_integer_ratio()
 
 
-def _normalize_triangle(raw, pairs):
+def _normalize_triangle(raw, den: int, points):
     if not (isinstance(raw, list) and len(raw) == 3):
         raise InstanceFormatError("triangle: expected three vertex pairs")
     a, b, c = (_point_field(v, f"triangle[{i}]") for i, v in enumerate(raw))
@@ -166,15 +169,11 @@ def _normalize_triangle(raw, pairs):
     if det == 0:
         raise InstanceFormatError("triangle: vertices are collinear")
     inv = ((m11 / det, -m01 / det), (-m10 / det, m00 / det))
-    # the map as ints over a common denominator q, applied to n/d pairs
-    q = lcm(*(v.denominator for row in inv for v in row))
-    (i00, i01), (i10, i11) = (((v * q).numerator for v in row) for row in inv)
-    mapped = []
-    for (xn, xd), (yn, yd) in pairs:
-        x, y, d = i00 * xn * yd + i01 * yn * xd, i10 * xn * yd + i11 * yn * xd, q * xd * yd
-        mapped.append((lowest(x, d), lowest(y, d)))
-    return tuple(mapped), {"triangle": [_point_json(p) for p in (a, b, c)],
-                           "linear_map": [[rat_str(v) for v in row] for row in inv]}
+    # the map as ints over a common denominator q, applied to the ints on den
+    q, (i00, i01, i10, i11) = on_one_scale(v for row in inv for v in row)
+    mapped = tuple((i00 * x + i01 * y, i10 * x + i11 * y) for x, y in points)
+    return q * den, mapped, {"triangle": [_point_json(p) for p in (a, b, c)],
+                             "linear_map": [[rat_str(v) for v in row] for row in inv]}
 
 
 def _load_json(path):
@@ -194,7 +193,8 @@ def instance_to_json(inst: CoveringInstance, meta: dict | None = None) -> dict:
         "schema": SCHEMA_INSTANCE,
         "k": inst.k,
         "l": rat_str(inst.window),
-        "translates": [[_ratio_str(*x), _ratio_str(*y)] for x, y in inst.pairs],
+        "translates": [[_ratio_str(x, inst.den), _ratio_str(y, inst.den)]
+                       for x, y in inst.points],
     }
     if meta:
         data.update(meta)

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .rational import rat, rat_str
+from .rational import on_one_scale, rat, rat_str
 
 __all__ = [
     "Point",
@@ -96,10 +95,9 @@ class StairPolygon:
     @classmethod
     def of(cls, x_breaks, y_breaks) -> "StairPolygon":
         """The polygon of exact rational breaks, on the lcm of their denominators."""
-        xs, ys = [rat(v) for v in x_breaks], [rat(v) for v in y_breaks]
-        scale = lcm(*(v.denominator for v in xs + ys))
-        up = [[v.numerator * (scale // v.denominator) for v in vs] for vs in (xs, ys)]
-        return cls(*up, scale)
+        xs = [rat(v) for v in x_breaks]
+        scale, up = on_one_scale(xs + [rat(v) for v in y_breaks])
+        return cls(up[:len(xs)], up[len(xs):], scale)
 
     def __eq__(self, other):
         if not isinstance(other, StairPolygon) or len(self.xs) != len(other.xs):

@@ -11,9 +11,9 @@ vectors and a = det / c, see `hermite_basis`), the half-open box
 depth engine gives the exact value. The translates meeting a window are
 enumerated in ints on the normalized basis, row by row: the rows y = j*c,
 and in each row the points x = i*a + j*b, both ranges cut exactly to the
-triangles that meet the window. Instances sort those int pairs, so a lattice
-gives the same corners in any basis; their size is bounded before the
-first row and capped at _MAX_TRANSLATES.
+triangles that meet the window. An instance holds those int pairs, sorted,
+on the same denominator, so a lattice gives the same corners in any basis;
+their number is bounded before the first row and capped at _MAX_TRANSLATES.
 
 The search maximizes the determinant (equivalently minimizes the density
 (1/2)/det) over normalized bases subject to "multiplicity >= k". Shrinking
@@ -40,12 +40,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from heapq import nlargest
-from math import ceil, gcd, isqrt, lcm
+from math import ceil, gcd, isqrt
 
 from . import arrangement
 from .decomposition import CoveringInstance
 from .geom import Point, Rect, pt, scaled_point
-from .rational import int_at_least, lowest, rat, rat_str
+from .rational import int_at_least, on_one_scale, rat, rat_str
 from .verification import coverage_certificate
 
 _MAX_ROWS = 1000
@@ -114,8 +114,7 @@ def hermite_basis(lat: Lattice) -> tuple[Fraction, Fraction, Fraction]:
     Bezout pair alpha*m1 + beta*m2 = 1 gives alpha*u + beta*v at height c.
     """
     u, v = lat.u, lat.v
-    den = lcm(u.y.denominator, v.y.denominator)
-    n1, n2 = int(u.y * den), int(v.y * den)
+    den, (n1, n2) = on_one_scale((u.y, v.y))
     g = gcd(n1, n2)
     m1, m2 = n1 // g, n2 // g
     a = m2 * u.x - m1 * v.x  # = det * den / g > 0
@@ -133,8 +132,7 @@ def _translates_meeting(a, b, c, wx, wy) -> tuple[int, list[tuple[int, int]]]:
     max(x, 0) + max(y, 0) <= x + y + 1, that is y >= -1 and
     x >= -1 - min(y, 0). Rows y = j*c run over the y-range, and in each row
     the points x = i*a + j*b over the x-range."""
-    d = lcm(*(v.denominator for v in (a, b, c, wx, wy)))
-    a, b, c, wx, wy = (v.numerator * (d // v.denominator) for v in (a, b, c, wx, wy))
+    d, (a, b, c, wx, wy) = on_one_scale((a, b, c, wx, wy))
     points = []
     for y in range(-(d // c) * c, wy, c):
         lo = -d - min(y, 0)
@@ -154,8 +152,7 @@ def lattice_instance(lat: Lattice, l, k: int) -> CoveringInstance:
         raise ValueError(f"l: the window meets up to {bound} translates of this "
                          f"lattice, more than {_MAX_TRANSLATES}")
     d, points = _translates_meeting(a, b, c, side, side)
-    points.sort()  # the order reaches instance files
-    return CoveringInstance(k, side, tuple((lowest(x, d), lowest(y, d)) for x, y in points))
+    return CoveringInstance(k, side, d, sorted(points))  # the order reaches instance files
 
 
 def _multiplicity_window(lat: Lattice) -> tuple[Rect, list[Point]]:
@@ -210,9 +207,7 @@ def _critical_size(shape: tuple[Fraction, Fraction], k: int) -> Fraction:
     """
     if k > _MAX_FOLD:
         raise ValueError(f"fold must be at most {_MAX_FOLD}, got {k}")
-    beta, gamma = shape
-    scale = lcm(beta.denominator, gamma.denominator)
-    a, b, c = scale, int(beta * scale), int(gamma * scale)
+    a, (b, c) = on_one_scale(shape)
     u = isqrt((2 * k + 1) * a * c)
     while True:
         rows = range(0, -((u - 1) // c), -1)  # the rows j*c > c - u
@@ -228,7 +223,7 @@ def _critical_size(shape: tuple[Fraction, Fraction], k: int) -> Fraction:
             if worst > u:
                 break
         if cuts and worst <= u:
-            return Fraction(worst, scale)
+            return Fraction(worst, a)
         u *= 2
 
 
@@ -460,9 +455,9 @@ def perturb_instance(inst: CoveringInstance, magnitude, seed: int) -> CoveringIn
         return inst
     rng = random.Random(seed)
     den = 64  # perturbations live on a fixed rational grid
-    scale = lcm(den * mag.denominator, *(d for corner in inst.pairs for _, d in corner))
-    step = mag.numerator * (scale // (den * mag.denominator))
-    corners = [(x * (scale // xd), y * (scale // yd)) for (x, xd), (y, yd) in inst.pairs]
+    # the corners (ints on inst.den) and the step mag / den on one scale
+    scale, (step, up) = on_one_scale((mag / den, Fraction(1, inst.den)))
+    corners = [(x * up, y * up) for x, y in inst.points]
     for _ in range(_PERTURB_TRIES):
         used: dict[tuple[int, int], None] = {}  # insertion-ordered: the order reaches files
         for x, y in corners:
@@ -475,8 +470,7 @@ def perturb_instance(inst: CoveringInstance, magnitude, seed: int) -> CoveringIn
                 break
         if len(used) < inst.size:  # some corner found no free spot
             continue
-        candidate = CoveringInstance(
-            inst.k, inst.window, tuple((lowest(x, scale), lowest(y, scale)) for x, y in used))
+        candidate = CoveringInstance(inst.k, inst.window, scale, tuple(used))
         if coverage_certificate(candidate).covers:
             return candidate
     raise ValueError(

@@ -1,22 +1,22 @@
 """Exact rational parsing and formatting, and the check on integer counts.
 
 Every coordinate in this package is exact: a `fractions.Fraction` in the
-public types, or an int on one common scale in the integer kernels, in the
-frame that a parsed instance carries (`arrangement.Frame`), whose plain
-"p/q" and "n" literals `fileio` reads without `rat`, in the breaks of
-the stair cells decomposed on that frame, and in the rows of a lattice's
-translates, which `lowest` reduces to pairs. Floats are rejected outright
-rather than converted: half-open membership tests and the sum-then-x point
-order both hinge on exact ties, which binary floats cannot be trusted to
-preserve.
+public types, or an int on one common scale in the integer kernels: in the
+corners of an instance, on their least common denominator (whose plain
+"p/q" and "n" literals `fileio` reads without `rat`), in the frame that
+the instance carries (`arrangement.Frame`) and in the breaks of the stair
+cells decomposed on that frame. `on_one_scale` puts any exact values on
+their least common denominator. Floats are rejected outright rather than
+converted: half-open membership tests and the sum-then-x point order both
+hinge on exact ties, which binary floats cannot be trusted to preserve.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-__all__ = ["rat", "rat_str", "lowest", "int_at_least", "brief_repr"]
+__all__ = ["rat", "rat_str", "lowest", "on_one_scale", "int_at_least", "brief_repr"]
 
 _ECHO_CHARS = 40  # most characters of an input that an error message repeats
 
@@ -51,6 +51,14 @@ def lowest(n: int, d: int) -> tuple[int, int]:
     """The (numerator, denominator) pair of n/d in lowest terms, for a positive d."""
     g = gcd(n, d)
     return n // g, d // g
+
+
+def on_one_scale(values) -> tuple[int, list[int]]:
+    """(d, ints): the least common denominator d of the exact rationals
+    *values* (Fractions or ints) and each value times d."""
+    values = list(values)
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def int_at_least(value, least: int, message: str) -> None:

@@ -389,6 +389,7 @@ class TestCommands:
         (["--l=-1/2"], "--l window side must be positive, got -1/2"),
         (["--l", "1", "--perturb", "x"], "--perturb malformed rational literal 'x'"),
         (["--l", "1", "--perturb=-1"], "--perturb magnitude must be nonnegative"),
+        (["--l", "1", "--perturb="], "--perturb malformed rational literal ''"),
         (["--l", "1", "--k", "0"], "--k fold must be a positive integer, got 0"),
     ])
     def test_gen_lattice_bad_option_exits_2_and_names_it(self, tmp_path, capsys, option, message):

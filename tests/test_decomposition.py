@@ -3,7 +3,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import accumulate
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 import pytest
@@ -51,25 +51,27 @@ class TestInstanceValidation:
                 CoveringInstance.of(k, l, corners)
             assert str(err.value) == message
 
-    def test_rejects_a_zero_denominator(self):
+    @pytest.mark.parametrize("den", [0, -2, True, Fraction(2)])
+    def test_rejects_a_denominator_that_is_not_a_positive_int(self, den):
         with pytest.raises(ValueError) as err:
-            CoveringInstance(1, Fraction(1), (((1, 0), (0, 1)),))
-        assert str(err.value) == "a corner's denominator is zero"
+            CoveringInstance(1, Fraction(1), den, ((1, 0),))
+        assert str(err.value) == f"denominator must be a positive integer, got {den!r}"
 
-    @pytest.mark.parametrize("pairs, index", [
-        ((((2, 4), (0, 1)),), 0),  # 1/2 as 2/4: it would compare unequal to 1/2
-        ((((0, 1), (0, 1)), ((1, 2), (0, 2))), 1),  # 0 as 0/2
-        ((((0, 1), (0, 1)), ((1, 2), (0, 1)), ((1, 3), (1, -2))), 2),  # -1/2 as 1/-2
-        ((((-3, 6), (0, 1)), ((-1, 2), (0, 1))), 0),
+    @pytest.mark.parametrize("den, points, least", [
+        (4, ((2, 0),), (2, ((1, 0),))),  # 1/2 as 2/4
+        (2, ((0, 0), (1, 0)), (2, ((0, 0), (1, 0)))),  # already least
+        (6, ((-3, 0), (3, 6)), (2, ((-1, 0), (1, 2)))),
+        (5, ((0, 0),), (1, ((0, 0),))),  # 0 as 0/5
     ])
-    def test_rejects_pairs_not_in_lowest_terms(self, pairs, index):
-        with pytest.raises(ValueError) as err:
-            CoveringInstance(1, Fraction(1), pairs)
-        assert str(err.value) == (
-            f"corner {index} is not in lowest terms with a positive denominator")
+    def test_reduces_to_the_least_denominator(self, den, points, least):
+        inst = CoveringInstance(1, Fraction(1), den, points)
+        assert (inst.den, inst.points) == least
+        assert inst == CoveringInstance(1, Fraction(1), *least)
+        assert hash(inst) == hash(CoveringInstance(1, Fraction(1), *least))
 
-    def test_every_builder_makes_lowest_terms(self):
-        half = CoveringInstance(1, Fraction(1), (((1, 2), (-1, 3)), ((0, 1), (0, 1))))
+    def test_every_builder_gives_the_least_denominator(self):
+        half = CoveringInstance(1, Fraction(1), 6, ((3, -2), (0, 0)))
+        assert (half.den, half.corners) == (6, (pt("1/2", "-1/3"), pt(0, 0)))
         assert CoveringInstance.of(1, 1, [("2/4", "-2/6"), (0, "0/5")]) == half
         parsed, _ = parse_instance({"k": 1, "l": "1", "translates": [["2/4", "-2/6"], [0, "0/5"]]})
         assert parsed == half
@@ -79,7 +81,23 @@ class TestInstanceValidation:
         })
         assert doubled == half
         inst = lattice_instance(grid_lattice(3), Fraction(5, 3), 1)
-        assert perturb_instance(inst, "1/64", seed=5).size == inst.size
+        moved = perturb_instance(inst, "1/64", seed=5)
+        assert moved.size == inst.size
+        for built in (inst, moved):
+            assert built.den == lcm(*(v.denominator for p in built.corners for v in (p.x, p.y)))
+
+    @given(st.lists(st.tuples(*2 * [st.fractions(-3, 3, max_denominator=40)]),
+                    min_size=1, max_size=6, unique=True),
+           st.integers(1, 3), st.fractions(Fraction(1, 8), 3), st.integers(1, 60))
+    def test_a_common_factor_leaves_the_instance_unchanged(self, corners, k, l, m):
+        den = lcm(*(v.denominator for c in corners for v in c))
+        points = tuple((int(x * den), int(y * den)) for x, y in corners)
+        inst = CoveringInstance(k, l, den, points)
+        scaled = CoveringInstance(k, l, m * den, tuple((m * x, m * y) for x, y in points))
+        assert scaled == inst == CoveringInstance.of(k, l, corners)
+        assert hash(scaled) == hash(inst)
+        assert scaled.den == inst.den == den
+        assert scaled.corners == inst.corners == tuple(pt(x, y) for x, y in corners)
 
     @pytest.mark.parametrize("k", [True, False, "1", Fraction(1)])
     def test_rejects_fold_that_is_not_an_int(self, k):

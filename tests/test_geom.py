@@ -1,11 +1,12 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from staircover import Point, StairPolygon, pt, rat
+from staircover.rational import on_one_scale
 from staircover.verification import _cuts
 from _oracles import (
     Triangle,
@@ -27,11 +28,9 @@ triangles = st.builds(Triangle, points)
 
 
 def int_cuts(a: Triangle, b: Triangle) -> bool:
-    """`verification._cuts` on the two corners, scaled by the lcm of their
-    denominators."""
-    values = (a.corner.x, a.corner.y, b.corner.x, b.corner.y)
-    scale = lcm(*(v.denominator for v in values))
-    ax, ay, bx, by = (int(v * scale) for v in values)
+    """`verification._cuts` on the two corners, on their least common
+    denominator."""
+    scale, (ax, ay, bx, by) = on_one_scale((a.corner.x, a.corner.y, b.corner.x, b.corner.y))
     return _cuts((ax, ay), (bx, by), scale)
 
 
@@ -60,6 +59,17 @@ class TestRational:
 
     def test_accepts_decimals(self):
         assert rat("0.25") == Fraction(1, 4)
+
+    @given(st.lists(st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**4)),
+                    max_size=8))
+    @example([0])
+    @example([-3])
+    @example([Fraction(-5, 6)])
+    @example([0, Fraction(0), Fraction(-1, 2), 4])
+    def test_on_one_scale_is_the_least_common_denominator(self, values):
+        d, ints = on_one_scale(values)
+        assert ints == [v * d for v in values]  # each value times d, exactly
+        assert d >= 1 and gcd(d, *ints) == 1  # no smaller d makes them all ints
 
 
 class TestPrecedes:

@@ -20,17 +20,18 @@ scaled once by four times the lcm of every corner and window denominator
 magnitudes allow or object (bignum) arrays otherwise; the rest of the
 module runs the same code on either. `Frame.of_ints` alone picks the
 scale and the dtype, from int corners on one denominator: `Frame.of` hands
-it those of `Point`s, and `CoveringInstance` the ints it holds (which the
-parser reads straight from the literals of an instance file); `decomposition`
-builds its cells on the instance's frame. `min_depth` scans a frame of its
-own; `Frame.min_depth` scans the frame it is called on.
+it those of `Point`s, and `CoveringInstance.frame`, on its first read, the
+instance's ints (which the parser reads straight from the literals of an
+instance file); `decomposition` builds its cells on that frame.
+`min_depth` scans a frame of its own; `Frame.min_depth` the one it is on.
 
-The depth at a point (t, y) comes from two cumulative count tables over
-the distinct corner values, one of cx against cy, one of cx against the
-hypotenuse offset cs = cx + cy + 1. A triangle meets the line x = t only if
-cx <= t <= cx + 1, and there it covers [cy, cs - t]; so the depth is the
-number of those triangles with cy <= y minus those with cs - t < y (which
-have cy <= y too), each count a difference of table entries.
+The depth at a point (t, y) comes from two cumulative count tables of the
+distinct cx against the sweep's y_base (the distinct cy and the window's y
+edges) and s_base (the distinct hypotenuse offsets cs = cx + cy + 1). A
+triangle meets the line x = t only if cx <= t <= cx + 1, and there it
+covers [cy, cs - t]; so the depth is the number of those triangles with
+cy <= y minus those with cs - t < y (which have cy <= y too), each count a
+difference of table entries.
 
 Line minima: the triangles are closed, so on a sweep line the depth is an
 upper-semicontinuous step function of y, least on some open gap between
@@ -43,9 +44,9 @@ count is searched. A line thus costs |s_base| + 1 gap samples, not its
 at the least minimum and evaluates all the slots of that line alone; their
 first at the minimum, in scan order (sorted crossings, then midpoints), is
 the first sample at the global minimum, the witness of a scan of every
-sample. One call costs O(slabs * |s_base| * log D_y + D_x * D_y) time and
-holds two (D_x + 1) x (D_y + 1) int32 tables, D_x and D_y being the numbers
-of distinct cx and of distinct cy (or cs): 8 MB at D_x = D_y = 1000.
+sample. With D_x distinct cx, one call costs O(slabs * |s_base| *
+log |y_base| + D_x * (|y_base| + |s_base|)) time and holds two int32 tables
+of D_x + 1 rows, by |y_base| + 1 and |s_base| + 1 columns: 8 MB at 1000 each.
 
 Certificate-first scan: the scan keeps its `best` line and moves it only
 on a strict decrease, so it ends on the first line at the global minimum.
@@ -151,9 +152,9 @@ class Frame(NamedTuple):
         floor = 0
         if certify is not None and slots > _CERTIFY_SLOTS_PER_TRANSLATE * len(self.cx):
             floor = certify()
-        ucx, uxe, (ucy, Cy), (ucs, Cs) = _count_tables(self)
+        ucx, uxe, Cy, Cs = _count_tables(self, y_base, s_base)
         wy0, wy1 = self.bounds[2:]
-        at_wy0 = np.searchsorted(ucy, wy0, "right")
+        at_wy0 = np.searchsorted(y_base, wy0, "right")
         best = _NO_SAMPLE
         for start in range(0, len(slabs), _CHUNK):
             ts = slabs[start : start + _CHUNK]
@@ -161,16 +162,18 @@ class Frame(NamedTuple):
             # lo..hi-1; on the line x = t each covers [cy, cs - t], so on
             # the gap just above y the depth counts cy <= y minus cs - t <= y.
             # Above the crossing y = s_base[j] - t the second count is the
-            # first j + 1 values of ucs (= s_base); above wy0 it is searched.
+            # first j + 1 values of s_base; above wy0 it is searched.
             hi = np.searchsorted(ucx, ts, "right")
             lo = np.searchsorted(uxe, ts, "left")
             cy_rows, cs_rows = Cy[hi] - Cy[lo], Cs[hi] - Cs[lo]
             rows = np.arange(len(ts))
             ys = s_base - ts[:, None]
-            r1 = np.searchsorted(ucy, ys, "right") + rows[:, None] * cy_rows.shape[1]
+            r1 = np.searchsorted(y_base, ys, "right") + rows[:, None] * cy_rows.shape[1]
             depth = np.where((ys >= wy0) & (ys < wy1), cy_rows.ravel()[r1] - cs_rows[:, 1:],
                              _NO_SAMPLE).min(1, initial=_NO_SAMPLE)
-            r2 = np.searchsorted(ucs, wy0 + ts, "right")
+            # "left" gives the same minimum: when some cs is wy0 + t, the gap
+            # above wy0 is also sampled above that crossing, with the right count.
+            r2 = np.searchsorted(s_base, wy0 + ts, "right")
             depth = np.minimum(depth, cy_rows[:, at_wy0] - cs_rows[rows, r2])
             row = int(np.argmin(depth))
             if depth[row] < best:
@@ -181,8 +184,8 @@ class Frame(NamedTuple):
         # the witness: the first sample at the minimum on the line, in scan order
         ts, cy_row, cs_row = line
         ys, valid = _samples(self, sweep, ts)
-        r1 = np.searchsorted(ucy, ys, "right")
-        r2 = np.searchsorted(ucs, ys + ts, "left")
+        r1 = np.searchsorted(y_base, ys, "right")
+        r2 = np.searchsorted(s_base, ys + ts, "left")
         col = int(np.argmin(np.where(valid, cy_row[r1] - cs_row[r2], _NO_SAMPLE)))
         return best, scaled_point(int(ts[0]), int(ys[0, col]), self.scale)
 
@@ -234,25 +237,21 @@ def _samples(frame: Frame, sweep, ts):
     return ys, (ys >= wy0) & (ys < wy1)
 
 
-def _count_tables(frame: Frame):
-    """Distinct corner values and cumulative count tables over them.
-
-    Returns (ucx, uxe, (ucy, Cy), (ucs, Cs)). ucx holds the distinct cx and
-    uxe the distinct right ends cx + scale (= cs - cy) of the triangles'
-    x-ranges, in the same rank order. Cy[a, r] counts the corners whose cx is
-    among the first a values of ucx and whose cy is among the first r values
-    of ucy; Cs is the same with cs in place of cy.
-    """
+def _count_tables(frame: Frame, y_base, s_base):
+    """(ucx, uxe, Cy, Cs): the distinct cx, the distinct right ends
+    cx + scale (= cs - cy) of the triangles' x-ranges in the same rank
+    order, and two cumulative count tables. Cy[a, r] counts the corners
+    whose cx is among the first a values of ucx and whose cy is among the
+    first r of `_sweep`'s y_base; Cs is the same with cs and s_base."""
     ucx = _distinct(frame.cx)
     ix = np.searchsorted(ucx, frame.cx)
 
-    def table(v):
-        uv = _distinct(v)
-        counts = np.zeros((len(ucx) + 1, len(uv) + 1), dtype=np.int32)
-        np.add.at(counts, (ix + 1, np.searchsorted(uv, v) + 1), 1)
-        return uv, counts.cumsum(0, dtype=np.int32).cumsum(1, dtype=np.int32)
+    def table(base, v):
+        counts = np.zeros((len(ucx) + 1, len(base) + 1), dtype=np.int32)
+        np.add.at(counts, (ix + 1, np.searchsorted(base, v) + 1), 1)
+        return counts.cumsum(0, dtype=np.int32).cumsum(1, dtype=np.int32)
 
-    return ucx, ucx + frame.scale, table(frame.cy), table(frame.cs)
+    return ucx, ucx + frame.scale, table(y_base, frame.cy), table(s_base, frame.cs)
 
 
 def min_depth(corners, window: Rect):

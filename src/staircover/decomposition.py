@@ -15,7 +15,7 @@ x + y <= hyp_sum) and flagged, rather than raising, so that candidate
 non-coverings can still flow through the pipeline.
 
 All of this runs in integers, on the `arrangement.Frame` that the instance
-derives from its exact corners (built once, when it is made): corners,
+derives from its exact corners (built on its first read): corners,
 hypotenuse offsets and the window scaled to int64 (or bignum `object`)
 arrays. Both kinds of cell keep those ints as their breaks (and a non-stair
 cell its hypotenuse offset), on the frame's scale.
@@ -59,21 +59,19 @@ class CoveringInstance:
     any factor that `den` shares with every coordinate, so `den` is their
     least common denominator, and equality and hashing (by fold, window,
     `den` and `points`) are by value. `of` makes one from `Point`s or
-    rationals. The instance derives its `frame`, the corners and the
-    window on the integer frame of `arrangement`, which the depth scan and
-    `decompose` read, and its `Point`s on the first read of `corners`.
+    rationals. On first read the instance derives its `frame` (the corners
+    and the window on the integer frame of `arrangement`, which the depth
+    scan and `decompose` read) and its `corners` as `Point`s.
     """
 
     k: int
     window: Fraction
     den: int
     points: tuple[tuple[int, int], ...]
-    frame: Frame = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Check the fold, the window and `den`, reduce `den`, refuse an
-        empty or repeated corner list (the one check of distinct corners)
-        and build the frame."""
+        """Check the fold, the window and `den`, reduce `den`, and refuse an
+        empty or repeated corner list (the one check of distinct corners)."""
         int_at_least(self.k, 1, "fold must be a positive integer")
         if self.window <= 0:
             raise ValueError("window side must be positive")
@@ -90,7 +88,6 @@ class CoveringInstance:
             raise ValueError(f"corners must be pairwise distinct; repeated {smallest}")
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "frame", Frame.of_ints(den, points, self.window_rect()))
 
     @classmethod
     def of(cls, k: int, window, corners) -> "CoveringInstance":
@@ -100,6 +97,10 @@ class CoveringInstance:
         points = [c if isinstance(c, Point) else pt(*c) for c in corners]
         den, vs = on_one_scale([v for p in points for v in (p.x, p.y)])
         return cls(k, side, den, tuple(zip(vs[::2], vs[1::2])))
+
+    @cached_property
+    def frame(self) -> Frame:
+        return Frame.of_ints(self.den, self.points, self.window_rect())
 
     @cached_property
     def corners(self) -> tuple[Point, ...]:

@@ -26,10 +26,10 @@ breaks and the frame's corners and window, all on the frame's scale for
 4). Cells made otherwise, as by `StairPolygon.of`, go onto the lcm of the
 scales in play (`_common_scale`). `Fraction`s are made only for witnesses
 and for the grid's lines. Each audit visits only what can touch: the
-boundary audit sweeps the cells' closed boxes by x0 and searches just the
-pairs that meet; the anchor counts bisect the x-sorted anchors to each
-cell's x-range; the inner-corner audit tests each corner against the
-cells anchored at its x.
+boundary audit bisects the x0-sorted closed boxes to the later ones that
+start within each box and searches just the pairs that meet; the anchor
+counts bisect the x-sorted anchors to each cell's x-range; the
+inner-corner audit tests each corner against the cells anchored at its x.
 """
 
 from __future__ import annotations
@@ -322,9 +322,9 @@ def audit_boundary_cut(frame, indexed_cells):
     i < j in the order of the entries. An index repeated in
     `indexed_cells` keeps the place of its first entry and is judged by its
     last. The removed boundary of a cell lies in its closed box, so only
-    pairs whose closed boxes meet can hit: a sweep over the boxes by x0,
-    with the list of those still open, searches just those pairs, both
-    ways, and only hits are stored.
+    pairs whose closed boxes meet can hit: each box, sorted by x0, bisects
+    to the later ones that start within its closed x-range and searches
+    those it meets, both ways; only hits are stored.
     """
     directed_check = "boundary_vs_cutter"
     pairwise_check = "boundary_one_sided"
@@ -336,17 +336,15 @@ def audit_boundary_cut(frame, indexed_cells):
     boxes = sorted(
         (bx[0], bx[-1], by[-1], by[0], p) for p, (bx, by) in enumerate(breaks)
     )
+    starts = [box[0] for box in boxes]
     hits: dict[tuple[int, int], tuple[int, int]] = {}  # by positions
-    active = []
-    for x0, x1, y0, y1, q in boxes:
-        active = [box for box in active if box[1] >= x0]
-        for _, _, ay0, ay1, p in active:
-            if ay0 <= y1 and y0 <= ay1:
+    for n, (_, x1, y0, y1, p) in enumerate(boxes):
+        for _, _, by0, by1, q in boxes[n + 1 : bisect_right(starts, x1)]:
+            if by0 <= y1 and y0 <= by1:
                 for a, b in ((p, q), (q, p)):
                     w = _removed_boundary_hit(breaks[a], breaks[b])
                     if w is not None:
                         hits[(a, b)] = w
-        active.append((x0, x1, y0, y1, q))
     directed = AuditVerdict(directed_check, PASS, "no cutter boundary meets a cut cell")
     for (i, j), (p, q) in sorted(((order[p], order[q]), (p, q)) for p, q in hits):
         if _cuts(corner[p], corner[q], scale):

@@ -260,6 +260,24 @@ class TestChunkSizes:
             _every_floor(corners, window, expected)
 
 
+class TestEarlyStop:
+    """The scan stops at the first line whose minimum is at most the floor,
+    so a floor equal to that minimum stops it as early as a huge one."""
+
+    def test_a_line_at_the_floor_stops_the_scan(self, monkeypatch):
+        # a 2-fold covering: its first sweep line has minimum 4, and the
+        # global minimum is 2; one line per block, a proof asked on every scan
+        lattice = lattice_instance(Lattice.of(1, 0, "1/5", "1/5"), 2, 2).corners
+        extra = [pt("-1/2", Fraction(j, 3)) for j in range(6)]
+        frame = arrangement.Frame.of([*lattice, *extra], rect_of(0, 2, 0, 2))
+        monkeypatch.setattr(arrangement, "_CHUNK", 1)
+        monkeypatch.setattr(arrangement, "_CERTIFY_SLOTS_PER_TRANSLATE", -1)
+        assert frame.min_depth()[0] == 2
+        first_line = frame.min_depth(certify=lambda: 10**9)
+        assert first_line[0] == 4
+        assert frame.min_depth(certify=lambda: 4) == first_line
+
+
 class TestLineMinima:
     """The scan takes each sweep line's minimum from the gaps just above
     wy0 and above its hypotenuse crossings, then reads the witness off the
@@ -332,12 +350,16 @@ class TestDistinct:
         assert [f.cx.dtype for f in frames] == [np.dtype(np.int64), np.dtype(object)]
 
         def flat(frame):
-            ucx, uxe, (ucy, cy_table), (ucs, cs_table) = arrangement._count_tables(frame)
-            return ([a.tolist() for a in arrangement._sweep(frame)],
-                    [a.tolist() for a in (ucx, uxe, ucy, cy_table, ucs, cs_table)])
+            sweep = y_base, s_base, _ = arrangement._sweep(frame)
+            return ([a.tolist() for a in sweep],
+                    [a.tolist() for a in arrangement._count_tables(frame, y_base, s_base)])
 
         int64, bignum = map(flat, frames)
         assert int64 == bignum
-        (y_base, s_base, _), _ = int64
+        (y_base, s_base, _), (_, _, cy_table, cs_table) = int64
         assert y_base == np.unique(np.concatenate([frames[0].cy, frames[0].bounds[2:]])).tolist()
         assert s_base == np.unique(frames[0].cs).tolist()
+        # the last row counts every corner at or below each base value
+        for values, base, table in ((frames[0].cy, y_base, cy_table),
+                                    (frames[0].cs, s_base, cs_table)):
+            assert table[-1] == [0, *(int((values <= b).sum()) for b in base)]

@@ -26,7 +26,7 @@ from _oracles import (
 )
 from conftest import cells_by_index, diag_lattice, frame_dtypes, grid_lattice
 from test_arrangement import DEN, SHRINK, _generic, generic_families
-from staircover.fileio import parse_instance
+from staircover.fileio import instance_to_json, parse_instance
 from staircover.lattice import lattice_instance, perturb_instance
 
 
@@ -98,6 +98,15 @@ class TestInstanceValidation:
         assert hash(scaled) == hash(inst)
         assert scaled.den == inst.den == den
         assert scaled.corners == inst.corners == tuple(pt(x, y) for x, y in corners)
+
+    def test_builds_its_frame_on_first_read(self, monkeypatch):
+        inst = lattice_instance(grid_lattice(3), Fraction(5, 3), 1)
+        parsed, _ = parse_instance(instance_to_json(inst))
+        assert "frame" not in vars(inst) and "frame" not in vars(parsed)
+        cert = coverage_certificate(inst)
+        frame = vars(inst)["frame"]
+        monkeypatch.setattr(arrangement.Frame, "of_ints", None)  # no second build
+        assert coverage_certificate(inst) == cert and inst.frame is frame
 
     @pytest.mark.parametrize("k", [True, False, "1", Fraction(1)])
     def test_rejects_fold_that_is_not_an_int(self, k):
@@ -175,6 +184,7 @@ class TestStairCell:
     ], ids=["holed-generic", "fewer-cutters-than-fold"])
     def test_non_stair_cells_make_no_fraction(self, make):
         inst = make()
+        inst.frame  # the window's Fraction edges belong to the instance's frame
         profile = cProfile.Profile()
         profile.enable()
         result = decompose(inst)

@@ -247,9 +247,11 @@ def _count_tables(frame: Frame, y_base, s_base):
     ix = np.searchsorted(ucx, frame.cx)
 
     def table(base, v):
-        counts = np.zeros((len(ucx) + 1, len(base) + 1), dtype=np.int32)
-        np.add.at(counts, (ix + 1, np.searchsorted(base, v) + 1), 1)
-        return counts.cumsum(0, dtype=np.int32).cumsum(1, dtype=np.int32)
+        shape = len(ucx) + 1, len(base) + 1
+        flat = (ix + 1) * shape[1] + np.searchsorted(base, v) + 1
+        counts = np.bincount(flat, minlength=shape[0] * shape[1]).reshape(shape)
+        counts = counts.cumsum(0, dtype=np.int32)  # frees the int64 counts
+        return counts.cumsum(1, dtype=np.int32, out=counts)
 
     return ucx, ucx + frame.scale, table(y_base, frame.cy), table(s_base, frame.cs)
 

@@ -2,6 +2,11 @@
 A(r) = (r + 1) / (2 (r + 2)), and the chained area inequality that turns an
 exact k-fold stair tiling of the window into the density bound
 l^2 <= (N/k) * A(2k - 1).
+
+The chain is summed in ints where it runs over the cells: the cells' int
+areas on their scale squared (one sum per scale, and `decompose` puts every
+cell on its frame's), and the per-cell bound as a sum over the stair counts
+r of count(r) * A(r). Each link is the exact rational of the per-cell sum.
 """
 
 from __future__ import annotations
@@ -82,16 +87,25 @@ def density_chain(result: DecompositionResult) -> BoundReport:
     """
     inst = result.instance
     k, l = inst.k, inst.window
-    cells = tuple((i, c.stair_count, c.area()) for i, c in result.cells)
+    totals = {}  # scale -> the int areas of the cells on that scale, summed
+    cells = []
+    for i, c in result.cells:
+        area = c.scaled_area()
+        totals[c.scale] = totals.get(c.scale, 0) + area
+        cells.append((i, c.stair_count, Fraction(area, c.scale * c.scale)))
+    cells = tuple(cells)
     if not result.is_stair_decomposition:
         return BoundReport(cells, (), "cells are not all stair polygons")
     if not verify_exact_tiling(result.stair_cells(), k, l).passed:
         return BoundReport(cells, (), "cells do not tile the window exactly k-fold")
     n_prime = len(cells)
-    sum_r = sum(r for _, r, _ in cells)
+    stairs = {}  # stair count r -> the number of cells with r stairs
+    for _, r, _ in cells:
+        stairs[r] = stairs.get(r, 0) + 1
+    sum_r = sum(r * n for r, n in stairs.items())
     window_area = l * l
-    cell_total = sum(a for _, _, a in cells) / k
-    per_cell_bound = sum(max_stair_area(r) for _, r, _ in cells) / k
+    cell_total = sum(Fraction(a, s * s) for s, a in totals.items()) / k
+    per_cell_bound = sum(n * max_stair_area(r) for r, n in stairs.items()) / k
     jensen = Fraction(n_prime, k) * stair_area_bound(Fraction(sum_r, n_prime))
     budget = Fraction(n_prime, k) * max_stair_area(2 * k - 1)
     instance_total = Fraction(inst.size, k) * max_stair_area(2 * k - 1)

@@ -79,7 +79,11 @@ class CoveringInstance:
         den, points = self.den, tuple(self.points)
         if not points:
             raise ValueError("instance needs at least one translate")
-        g = gcd(den, *(v for p in points for v in p))
+        g = den
+        for x, y in points:  # least-denominator rows reach 1 at once
+            g = gcd(g, x, y)
+            if g == 1:
+                break
         if g > 1:
             den, points = den // g, tuple((x // g, y // g) for x, y in points)
         if len(set(points)) < len(points):

@@ -7,6 +7,9 @@ byte-identical files. This module alone formats values for JSON: the result
 records and audit witnesses hold exact values (points as `Point`s), and the
 report functions derive the counts and totals they print.
 
+Per-cell output is formatted from the ints that the cells hold (an area
+from its int on the scale squared), each distinct value once per report.
+
 An instance file may carry an optional "triangle" header with three vertex
 pairs [A, B, C]; translates are then interpreted as positions of that
 triangle and are mapped through the (exact, rational) affine change of
@@ -61,8 +64,20 @@ def _ratio_str(n: int, d: int) -> str:
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
-def _cell_row(i: int, stairs: int, area: Fraction) -> dict:
-    return {"index": i, "stairs": stairs, "area": rat_str(area)}
+class _Ratios(dict):
+    """`_ratio_str(n, d)` by the pair (n, d), made on its first lookup: one
+    report formats each distinct value once."""
+
+    def __missing__(self, pair: tuple[int, int]) -> str:
+        text = self[pair] = _ratio_str(*pair)
+        return text
+
+
+def _cell_rows(cells, ratios: _Ratios) -> list[dict]:
+    """The report row of each (index, stair cell), its area from the int
+    area on the cell's scale squared."""
+    return [{"index": i, "stairs": c.stair_count, "area": ratios[c.scaled_area(), c.scale**2]}
+            for i, c in cells]
 
 
 def _lattice_json(lat: Lattice) -> dict:
@@ -189,20 +204,131 @@ def load_instance(path) -> tuple[CoveringInstance, dict]:
 
 
 def instance_to_json(inst: CoveringInstance, meta: dict | None = None) -> dict:
+    ratios, den = _Ratios(), inst.den
     data = {
         "schema": SCHEMA_INSTANCE,
         "k": inst.k,
         "l": rat_str(inst.window),
-        "translates": [[_ratio_str(x, inst.den), _ratio_str(y, inst.den)]
-                       for x, y in inst.points],
+        "translates": [[ratios[x, den], ratios[y, den]] for x, y in inst.points],
     }
     if meta:
         data.update(meta)
     return data
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
 def dump_report(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(data, indent=2, sort_keys=True) + "\\n"`, byte for byte.
+
+    `indent` sends `json.dumps` to CPython's pure-Python encoder, so this
+    writes the same text itself: the records that repeat once per cell or
+    translate from one f-string template per kind (`_records`), and the
+    rest by `_write`, a walker with sorted keys and a two-space indent.
+    """
+    out = []
+    _write(data, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, nl: str, out: list) -> None:
+    """Append to *out* the text that `json.dumps(value, indent=2,
+    sort_keys=True)` gives *value* on a line that starts after the line
+    break and indent *nl*. A type that the report functions do not write
+    (a float, a non-str key, a subclass) goes to `json.dumps` itself."""
+    kind = type(value)
+    if kind is str:
+        out.append(_escape(value))
+    elif kind is int:
+        out.append(str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif (kind is list or kind is tuple) and value:
+        inner = nl + "  "
+        records = _records(value, nl, inner)
+        if records is not None:
+            out.append(f"[{inner}{records}{nl}]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif kind is dict and value and all(type(key) is str for key in value):
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(f"{sep}{_escape(key)}: ")
+            _write(value[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", nl))
+
+
+def _records(items, nl: str, inner: str) -> str | None:
+    """The nonempty list *items* at the line break *nl*, without its
+    brackets, when its items are all of the kind of its first: stair cell
+    rows (`_row`), decompose's cells (`_cell`) or pairs of strings
+    (`_pair`: an instance's translates); else None."""
+    first = items[0]
+    if type(first) is dict and "stairs" in first:
+        template = _cell if "x_breaks" in first else _row
+    elif type(first) is list or type(first) is tuple:
+        template = _pair
+    else:
+        return None
+    try:
+        return ("," + inner).join([template(item, inner, inner + "  ") for item in items])
+    except (TypeError, KeyError, ValueError):  # an item of another kind
+        return None
+
+
+# The templates: each writes its keys in sorted order, as `sort_keys` does,
+# and refuses (by TypeError) a record with other keys or value types.
+
+def _pair(pair, nl: str, inner: str) -> str:
+    if (type(pair) is not list and type(pair) is not tuple) or len(pair) != 2:
+        raise TypeError("not a pair")
+    x, y = pair
+    return f"[{inner}{_escape(x)},{inner}{_escape(y)}{nl}]"
+
+
+def _strings(values, nl: str, inner: str) -> str:
+    if type(values) is not list and type(values) is not tuple:
+        raise TypeError("not a list")
+    if not values:
+        return "[]"
+    return f"[{inner}{(',' + inner).join(map(_escape, values))}{nl}]"
+
+
+def _index_stairs(record, size: int) -> tuple[int, int]:
+    """The int "index" and "stairs" of a dict of *size* keys."""
+    if type(record) is dict and len(record) == size:
+        i, r = record["index"], record["stairs"]
+        if type(i) is int and type(r) is int:
+            return i, r
+    raise TypeError("not a record of this kind")
+
+
+def _row(row, nl: str, inner: str) -> str:
+    i, r = _index_stairs(row, 3)
+    return f'{{{inner}"area": {_escape(row["area"])},{inner}"index": {i},{inner}"stairs": {r}{nl}}}'
+
+
+def _cell(cell, nl: str, inner: str) -> str:
+    (i, r), wider = _index_stairs(cell, 5), inner + "  "
+    return (f'{{{inner}"area": {_escape(cell["area"])},{inner}"index": {i},'
+            f'{inner}"stairs": {r},'
+            f'{inner}"x_breaks": {_strings(cell["x_breaks"], inner, wider)},'
+            f'{inner}"y_breaks": {_strings(cell["y_breaks"], inner, wider)}{nl}}}')
 
 
 def _header(kind: str, inst: CoveringInstance) -> dict:
@@ -225,14 +351,11 @@ def report_verify(inst: CoveringInstance, cert: CoverageCertificate) -> dict:
 
 
 def _cells_json(result: DecompositionResult):
-    cells = [
-        {
-            **_cell_row(i, cell.stair_count, cell.area()),
-            "x_breaks": [_ratio_str(v, cell.scale) for v in cell.xs],
-            "y_breaks": [_ratio_str(v, cell.scale) for v in cell.ys],
-        }
-        for i, cell in result.cells
-    ]
+    ratios = _Ratios()
+    cells = _cell_rows(result.cells, ratios)
+    for row, (_, cell) in zip(cells, result.cells):
+        row["x_breaks"] = [ratios[v, cell.scale] for v in cell.xs]
+        row["y_breaks"] = [ratios[v, cell.scale] for v in cell.ys]
     non_stair = [
         {
             "index": i,
@@ -284,7 +407,7 @@ def report_audit(inst: CoveringInstance, report: AuditReport) -> dict:
         "n_nonempty": len(result.cells) + len(result.non_stair),
         "min_depth": report.certificate.min_depth,
         "sum_stair_counts": sum(c.stair_count for _, c in result.cells),
-        "cells": [_cell_row(i, c.stair_count, c.area()) for i, c in result.cells],
+        "cells": _cell_rows(result.cells, _Ratios()),
     }
     if "anchor_counts" in stats:
         stats["anchor_counts"] = {str(i): n for i, n in sorted(stats["anchor_counts"].items())}
@@ -310,7 +433,8 @@ def report_bounds(inst: CoveringInstance, report: BoundReport) -> dict:
             {"label": link.label, "value": rat_str(link.value), "holds": link.holds}
             for link in report.links
         ],
-        "cells": [_cell_row(*cell) for cell in report.cells],
+        "cells": [{"index": i, "stairs": r, "area": rat_str(area)}
+                  for i, r, area in report.cells],
     }
 
 

@@ -78,6 +78,7 @@ class StairPolygon:
     is the union of the half-open columns [x_i, x_{i+1}) x [y_{r+1}, y_i).
     Adjacent columns never share a top, so the breaks on one scale are
     canonical. Equality and hashing are by point set, across scales too.
+    The area is an int on the scale squared (`scaled_area`).
     """
 
     __slots__ = ("xs", "ys", "scale")
@@ -126,10 +127,13 @@ class StairPolygon:
         """The number r of inner (reflex) corners."""
         return len(self.xs) - 2
 
-    def area(self) -> Fraction:
+    def scaled_area(self) -> int:
+        """The area times the scale squared: the columns' int areas summed."""
         xs, ys = self.xs, self.ys
-        scaled = sum((xs[i + 1] - xs[i]) * (ys[i] - ys[-1]) for i in range(len(xs) - 1))
-        return Fraction(scaled, self.scale * self.scale)
+        area, bottom = 0, ys[-1]
+        for a, b, top in zip(xs, xs[1:], ys):
+            area += (b - a) * (top - bottom)
+        return area
 
     def to_rects(self) -> tuple[Rect, ...]:
         """Column decomposition: r+1 pairwise-disjoint half-open rectangles."""

@@ -3,7 +3,10 @@
 Each cell gets its own fill; closed edges (bottom and left) are drawn solid,
 the half-open staircase edges (top and right) dashed, the anchor as a filled
 dot and the inner corners as open dots. Output is a pure function of the
-decomposition, so byte-identical reruns are guaranteed.
+decomposition, so byte-identical reruns are guaranteed. Each break becomes
+a float (by exact int division) and each distinct float coordinate becomes
+its "%.3f" text once per render; a cell's paths and markers are joined
+from those texts.
 """
 
 from __future__ import annotations
@@ -19,41 +22,52 @@ _SIZE = 640
 _MARGIN = 24
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.3f}"
+class _Texts(dict):
+    """The SVG coordinate text "%.3f" of `place(v)` by window coordinate v
+    (a float), made on the first lookup of v: each distinct coordinate is
+    formatted once per render."""
+
+    def __init__(self, place):
+        super().__init__()
+        self.place = place
+
+    def __missing__(self, v: float) -> str:
+        text = self[v] = f"{self.place(v):.3f}"
+        return text
 
 
 class _Mapper:
+    """The window [0, l)^2 onto the drawing: `x[v]` and `y[v]` are the
+    texts of a window coordinate v, y pointing down from the top."""
+
     def __init__(self, window: Fraction):
         try:  # float(window) is 0.0 below float range and raises above it
-            self.scale = (_SIZE - 2 * _MARGIN) / float(window)
+            scale = (_SIZE - 2 * _MARGIN) / float(window)
         except (OverflowError, ZeroDivisionError):
-            self.scale = math.inf
-        if not math.isfinite(self.scale):
+            scale = math.inf
+        if not math.isfinite(scale):
             raise ValueError("l: the window side is outside the SVG's float range")
-        self.window = window
+        top = float(window)
+        self.x = _Texts(lambda v: _MARGIN + v * scale)
+        self.y = _Texts(lambda v: _MARGIN + (top - v) * scale)
 
-    def x(self, v) -> str:
-        return _fmt(_MARGIN + float(v) * self.scale)
-
-    def y(self, v) -> str:
-        return _fmt(_MARGIN + (float(self.window) - float(v)) * self.scale)
-
-    def pair(self, px, py) -> str:
-        return f"{self.x(px)},{self.y(py)}"
+    def pair(self, px: float, py: float) -> str:
+        return f"{self.x[px]},{self.y[py]}"
 
 
 def _fill_color(i: int) -> str:
     return f"hsl({(i * 137) % 360},60%,74%)"
 
 
-def _stair_outline(xs, ys, m: _Mapper):
-    bottom = ys[-1]
-    closed = [m.pair(xs[0], ys[0]), m.pair(xs[0], bottom), m.pair(xs[-1], bottom)]
-    open_path = [m.pair(xs[-1], bottom)]
-    for i in range(len(xs) - 2, -1, -1):
-        open_path.append(m.pair(xs[i + 1], ys[i]))
-        open_path.append(m.pair(xs[i], ys[i]))
+def _stair_outline(sx, sy):
+    """The closed and the open path of a stair cell, from the texts of its
+    x and y breaks."""
+    bottom = sy[-1]
+    closed = [f"{sx[0]},{sy[0]}", f"{sx[0]},{bottom}", f"{sx[-1]},{bottom}"]
+    open_path = [closed[-1]]
+    for i in range(len(sx) - 2, -1, -1):
+        open_path.append(f"{sx[i + 1]},{sy[i]}")
+        open_path.append(f"{sx[i]},{sy[i]}")
     return closed, open_path
 
 
@@ -66,10 +80,10 @@ def render_decomposition(result: DecompositionResult) -> str:
         f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
     # int true division rounds correctly: each is float(Fraction(v, scale))
-    breaks = [([v / c.scale for v in c.xs], [v / c.scale for v in c.ys])
-              for _, c in result.cells]
-    for (i, _), (xs, ys) in zip(result.cells, breaks):
-        closed, open_path = _stair_outline(xs, ys, m)
+    texts = [([m.x[v / c.scale] for v in c.xs], [m.y[v / c.scale] for v in c.ys])
+             for _, c in result.cells]
+    for (i, _), (sx, sy) in zip(result.cells, texts):
+        closed, open_path = _stair_outline(sx, sy)
         polygon = " ".join(closed + open_path[1:])
         color = _fill_color(i)
         parts.append(f'<polygon points="{polygon}" fill="{color}" stroke="none"/>')
@@ -89,13 +103,13 @@ def render_decomposition(result: DecompositionResult) -> str:
                 f'stroke="#b22" stroke-width="1" stroke-dasharray="3,3"/>'
             )
     # markers drawn after fills so they stay visible
-    for xs, ys in breaks:
+    for sx, sy in texts:
         parts.append(
-            f'<circle cx="{m.x(xs[0])}" cy="{m.y(ys[-1])}" r="3.2" fill="#111"/>'
+            f'<circle cx="{sx[0]}" cy="{sy[-1]}" r="3.2" fill="#111"/>'
         )
-        for x, y in zip(xs[1:-1], ys[1:-1]):  # the inner corners
+        for x, y in zip(sx[1:-1], sy[1:-1]):  # the inner corners
             parts.append(
-                f'<circle cx="{m.x(x)}" cy="{m.y(y)}" r="2.6" '
+                f'<circle cx="{x}" cy="{y}" r="2.6" '
                 f'fill="white" stroke="#111" stroke-width="1.2"/>'
             )
     parts.append(

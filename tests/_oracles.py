@@ -30,8 +30,11 @@ by counting, at the lower-left corner of every cell of the grid of
 breaks, the stair cells that contain it; the boundary audit compares every
 ordered pair of cells by its own search of boundary segments against
 column rectangles, with the cutting relation of `Triangle`s in Fractions;
-and the two corner audits test every anchor or inner corner against every
-cell, in Fractions.
+the two corner audits test every anchor or inner corner against every
+cell, in Fractions; a stair cell's area is summed column by column in
+Fractions of its breaks (`stair_area`), and the bound chain one Fraction
+per cell (`density_chain_reference`); and the depth scan's count tables
+are built by `np.add.at` (`count_tables_reference`).
 """
 
 from __future__ import annotations
@@ -46,13 +49,15 @@ from math import ceil
 import numpy as np
 
 from staircover import arrangement
-from staircover.arrangement import Frame, _samples, _sweep
-from staircover.bounds import max_stair_area
+from staircover.arrangement import Frame, _distinct, _samples, _sweep
+from staircover.bounds import BoundReport, ChainLink, max_stair_area, stair_area_bound
 from staircover.decomposition import CoveringInstance, DecompositionResult, NonStairCell
 from staircover.geom import Point, Rect, StairPolygon, pt
 from staircover.lattice import _PERTURB_TRIES
 from staircover.rational import int_at_least, rat
-from staircover.verification import PASS, AuditVerdict, _fail, coverage_certificate
+from staircover.verification import (
+    PASS, AuditVerdict, _fail, coverage_certificate, verify_exact_tiling,
+)
 
 
 # --- triangle translates and the cutting relation, in Fractions -------------
@@ -641,6 +646,20 @@ def _iter_chunks(frame: Frame, sweep):
         yield ts, *_samples(frame, sweep, ts)
 
 
+def count_tables_reference(frame: Frame, y_base, s_base):
+    """`arrangement._count_tables` by `np.add.at` into int32 count tables,
+    one (row, column) cell per corner, then their int32 cumsums."""
+    ucx = _distinct(frame.cx)
+    ix = np.searchsorted(ucx, frame.cx)
+
+    def table(base, v):
+        counts = np.zeros((len(ucx) + 1, len(base) + 1), dtype=np.int32)
+        np.add.at(counts, (ix + 1, np.searchsorted(base, v) + 1), 1)
+        return counts.cumsum(0, dtype=np.int32).cumsum(1, dtype=np.int32)
+
+    return ucx, ucx + frame.scale, table(y_base, frame.cy), table(s_base, frame.cs)
+
+
 def depth_at(corners, p: Point) -> int:
     """Number of triangle translates (anchored at *corners*) containing p."""
     return sum(1 for c in corners if Triangle(c).contains(p))
@@ -762,6 +781,44 @@ def perturb_reference(inst: CoveringInstance, magnitude, seed: int) -> CoveringI
     )
 
 
+# --- cell areas and the bound chain in Fractions ---------------------------
+
+def stair_area(cell: StairPolygon) -> Fraction:
+    """The area of a stair cell, column by column in Fractions of its breaks."""
+    xs, ys = cell.x_breaks, cell.y_breaks
+    return sum(((b - a) * (top - ys[-1]) for a, b, top in zip(xs, xs[1:], ys)), Fraction(0))
+
+
+def density_chain_reference(result: DecompositionResult) -> BoundReport:
+    """`bounds.density_chain` with every sum taken over the cells one
+    `Fraction` at a time: the cells' `stair_area`s and their A(r_i)."""
+    inst = result.instance
+    k, l = inst.k, inst.window
+    cells = tuple((i, c.stair_count, stair_area(c)) for i, c in result.cells)
+    if not result.is_stair_decomposition:
+        return BoundReport(cells, (), "cells are not all stair polygons")
+    if not verify_exact_tiling(result.stair_cells(), k, l).passed:
+        return BoundReport(cells, (), "cells do not tile the window exactly k-fold")
+    n_prime = len(cells)
+    sum_r = sum(r for _, r, _ in cells)
+    window_area = l * l
+    cell_total = sum(a for _, _, a in cells) / k
+    per_cell_bound = sum(max_stair_area(r) for _, r, _ in cells) / k
+    jensen = Fraction(n_prime, k) * stair_area_bound(Fraction(sum_r, n_prime))
+    budget = Fraction(n_prime, k) * max_stair_area(2 * k - 1)
+    instance_total = Fraction(inst.size, k) * max_stair_area(2 * k - 1)
+    links = [ChainLink("window_area", window_area, True),
+             ChainLink("cell_area_total", cell_total, cell_total == window_area)]
+    for label, value in (
+        ("per_cell_bound", per_cell_bound),
+        ("jensen_bound", jensen),
+        ("stair_budget_bound", budget),
+        ("instance_bound", instance_total),
+    ):
+        links.append(ChainLink(label, value, value >= links[-1].value))
+    return BoundReport(cells, tuple(links))
+
+
 # --- extremal stair construction and grid stair DP -------------------------
 
 def max_stair_in_triangle(r: int) -> StairPolygon:
@@ -776,7 +833,7 @@ def max_stair_in_triangle(r: int) -> StairPolygon:
     xs = [Fraction(i, d) for i in range(r + 2)]
     ys = [Fraction(r + 1 - j, d) for j in range(r + 2)]
     stair = StairPolygon.of(xs, ys)
-    if stair.area() != area:
+    if stair_area(stair) != area:
         raise AssertionError("extremal construction has wrong area; bug")
     return stair
 

@@ -180,7 +180,7 @@ def test_criterion_7_max_stair_grid_search():
         if 60 % (r + 2) == 0:
             assert grid_best == bound
         stair = max_stair_in_triangle(r)
-        assert stair.area() == bound
+        assert Fraction(stair.scaled_area(), stair.scale**2) == bound
         assert stair.stair_count == r
         for rect in stair.to_rects():
             assert tri.contains(pt(rect.x0, rect.y0))

@@ -15,7 +15,10 @@ from staircover import arrangement
 from staircover.arrangement import min_depth
 from staircover.lattice import Lattice, _multiplicity_window, lattice_instance
 from conftest import diag_lattice, grid_lattice, rect_of
-from _oracles import Triangle, depth_at, min_depth_reference, rect_contains, sample_depths
+from _oracles import (
+    Triangle, count_tables_reference, depth_at, min_depth_reference, rect_contains,
+    sample_depths,
+)
 
 DEN = 9973  # prime: generic coordinates share no structure with the lattices
 SHRINK = Fraction(1, 8)
@@ -325,6 +328,45 @@ class TestLineMinima:
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_gap_minima_on_coarse_ties(self, case):
         self.check_gap_minima(*case)
+
+
+class TestCountTables:
+    """`_count_tables` counts the corners by one `np.bincount` over the
+    flat (row, column) index: its tables are those of `np.add.at` into
+    int32 counts, with the same int32 cumsums, on int64 and bignum frames,
+    empty ones too."""
+
+    @staticmethod
+    def _check(frame):
+        y_base, s_base, _ = arrangement._sweep(frame)
+        got = arrangement._count_tables(frame, y_base, s_base)
+        want = count_tables_reference(frame, y_base, s_base)
+        assert [a.dtype for a in got] == [a.dtype for a in want]
+        assert [a.dtype for a in got[2:]] == [np.dtype(np.int32)] * 2
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+    @pytest.mark.parametrize("corners, window", [*_lattice_cases(), ([], rect_of(0, 1, 0, 1))])
+    @pytest.mark.parametrize("bignum", [False, True])
+    def test_lattices(self, monkeypatch, corners, window, bignum):
+        if bignum:
+            monkeypatch.setattr(arrangement, "_INT64_LIMIT", 1)
+        frame = arrangement.Frame.of(corners, window)
+        assert frame.cx.dtype == np.dtype(object if bignum else np.int64)
+        self._check(frame)
+
+    def test_sliver_beyond_int64(self):
+        frame = arrangement.Frame.of(*_sliver())
+        assert frame.cx.dtype == object
+        self._check(frame)
+
+    @given(generic_families(), st.booleans())
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_generic_coverings_and_holes(self, family, bignum):
+        _, corners, window, _ = family
+        with pytest.MonkeyPatch.context() as m:
+            if bignum:
+                m.setattr(arrangement, "_INT64_LIMIT", 1)
+            self._check(arrangement.Frame.of(corners, window))
 
 
 class TestDistinct:

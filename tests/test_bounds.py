@@ -2,7 +2,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from staircover import (
@@ -12,9 +12,14 @@ from staircover import (
     pt,
     stair_area_bound,
 )
-from _oracles import Triangle, grid_max_stair_area, grid_stair_max_bruteforce, max_stair_in_triangle
-from conftest import diag_lattice, rect_area
+from _oracles import (
+    Triangle, density_chain_reference, grid_max_stair_area, grid_stair_max_bruteforce,
+    max_stair_in_triangle, stair_area,
+)
+from conftest import diag_lattice, grid_lattice, rect_area
+from staircover.geom import StairPolygon
 from staircover.lattice import lattice_instance
+from test_verification import generic_families, small_instances
 
 
 class TestAreaFormula:
@@ -74,7 +79,8 @@ class TestDensityFormula:
 class TestExtremalStair:
     @pytest.mark.parametrize("r", range(7))
     def test_area_is_attained(self, r):
-        assert max_stair_in_triangle(r).area() == max_stair_area(r)
+        stair = max_stair_in_triangle(r)
+        assert Fraction(stair.scaled_area(), stair.scale**2) == max_stair_area(r)
 
     @pytest.mark.parametrize("r", range(7))
     def test_contained_in_closed_triangle(self, r):
@@ -170,3 +176,60 @@ class TestDensityChain:
         mean_r = Fraction(sum(c.stair_count for _, c in cells), n)
         lhs = Fraction(sum(max_stair_area(c.stair_count) for _, c in cells), n)
         assert lhs <= stair_area_bound(mean_r)
+
+
+def _on_other_scales(result):
+    """*result* with every other cell rebuilt on the lcm of its own
+    breaks' denominators, so that its cells stand on several scales."""
+    cells = tuple(
+        (i, StairPolygon.of(c.x_breaks, c.y_breaks) if n % 2 else c)
+        for n, (i, c) in enumerate(result.cells)
+    )
+    return dataclasses.replace(result, cells=cells)
+
+
+class TestChainMatchesFractionSums:
+    """`density_chain` sums the cells' int areas on their scales and groups
+    the per-cell bound by stair count; the reference sums one `Fraction`
+    per cell. Both give the same report, link by link, and each cell's int
+    area is its `stair_area`, on the frame's scale or any other."""
+
+    @staticmethod
+    def _check(result):
+        report = density_chain(result)
+        assert report == density_chain_reference(result)
+        for _, c in result.cells:
+            assert Fraction(c.scaled_area(), c.scale**2) == stair_area(c)
+        return report
+
+    def test_corpus(self, corpus):
+        for inst in corpus:
+            result = decompose(inst)
+            report = self._check(result)
+            assert report.holds
+            mixed = _on_other_scales(result)
+            assert {c.scale for _, c in mixed.cells} != {inst.frame.scale}
+            assert self._check(mixed) == report
+
+    @pytest.mark.parametrize("lat, l, k", [
+        (diag_lattice(1), 2, 1), (diag_lattice(2), 2, 2), (diag_lattice(2), 3, 1),
+        (diag_lattice(3), 1, 3), (grid_lattice(2), 3, 1), (grid_lattice(3), 2, 2),
+    ])
+    def test_benchmark_lattice_families(self, lat, l, k):
+        result = decompose(lattice_instance(lat, l, k))
+        assert self._check(result).holds
+        self._check(_on_other_scales(result))
+        self._check(dataclasses.replace(result, cells=result.cells[1:]))  # no tiling
+
+    @given(generic_families())
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_generic_families(self, family):
+        inst, holed = family
+        result = decompose(inst)
+        assert self._check(result).valid == (not holed)
+        self._check(_on_other_scales(result))
+
+    @given(small_instances())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_small_instances(self, inst):
+        self._check(_on_other_scales(decompose(inst)))

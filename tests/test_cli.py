@@ -5,14 +5,18 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from staircover import CoveringInstance, Lattice, pt, rat
+from staircover import (
+    CoveringInstance, Lattice, coverage_certificate, decompose, density_chain, fileio, pt, rat,
+    run_audits,
+)
 from staircover.cli import main
 from staircover.fileio import (
     InstanceFormatError,
     _plain_literal,
+    dump_report,
     instance_to_json,
     load_results_store,
     parse_instance,
@@ -216,6 +220,96 @@ class TestPlainLiteralPath:
         assert "corners" not in vars(inst)  # a round trip makes no Point
         assert inst.corners == (pt(0, 0), pt(0, "1/2"), pt("1/2", 0), pt("1/2", "1/2"))
         assert inst.corners is inst.corners
+
+
+def _as_json(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+# report-shaped data: every record kind, and lists that start like one kind
+# and hold another; strings that need escapes, non-ASCII text, big ints
+TEXTS = st.text(max_size=6) | st.sampled_from(
+    ["", "1/2", "-7", "é", "日本", "\\", '"', "\n\t\x00\x1f", "\ud800", "\U0001f600"])
+INTS = st.integers(-10**6, 10**6) | st.sampled_from([2**70, -(2**64)])
+SCALARS = st.none() | st.booleans() | INTS | TEXTS | st.floats()
+ROWS = st.fixed_dictionaries({"index": INTS, "stairs": INTS, "area": TEXTS})
+BREAKS = st.lists(TEXTS, max_size=3) | st.tuples(TEXTS, TEXTS)
+CELLS = st.fixed_dictionaries(
+    {"index": INTS, "stairs": INTS, "area": TEXTS, "x_breaks": BREAKS, "y_breaks": BREAKS})
+PAIRS = st.lists(TEXTS, min_size=2, max_size=2) | st.tuples(TEXTS, TEXTS)
+VERDICTS = st.fixed_dictionaries(
+    {"check": TEXTS, "status": st.sampled_from(["pass", "fail", "skip"]), "detail": TEXTS},
+    optional={"witness": st.dictionaries(TEXTS, PAIRS | INTS | TEXTS, max_size=3)})
+MISFITS = st.one_of(  # items that no template takes
+    SCALARS, st.lists(TEXTS, max_size=3), st.lists(INTS, min_size=2, max_size=2),
+    ROWS.map(lambda r: {**r, "x": 1}), ROWS.map(lambda r: {**r, "index": True}),
+    ROWS.map(lambda r: {**r, "stairs": 1.0}), ROWS.map(lambda r: {**r, "area": 3}),
+    CELLS.map(lambda c: {**c, "x_breaks": "ab"}), CELLS.map(lambda c: {**c, "y_breaks": [1]}),
+    ROWS.map(lambda r: {k: v for k, v in r.items() if k != "area"}),
+)
+RECORDS = st.one_of(*(
+    st.lists(kind, max_size=4) | st.lists(kind | MISFITS, min_size=1, max_size=4)
+    for kind in (ROWS, CELLS, PAIRS, VERDICTS)))
+JSON = st.recursive(
+    SCALARS | RECORDS,
+    lambda inner: (st.lists(inner, max_size=3) | st.dictionaries(TEXTS, inner, max_size=4)
+                   | st.dictionaries(INTS, inner, max_size=2)),
+    max_leaves=16)
+
+
+class _Text(str):
+    pass
+
+
+class TestDumpReport:
+    """`dump_report` writes the bytes of `json.dumps(indent=2,
+    sort_keys=True)`: repeated records from one template per kind, the
+    rest by a walker, and any type that it does not write by `json.dumps`."""
+
+    @given(st.dictionaries(TEXTS, JSON, max_size=6))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @example({})
+    @example({"cells": [], "stats": {"cells": [], "anchor_counts": {}}, "x": [[]], "y": [{}]})
+    @example({"t": [["1", "2"], ["1", "2", "3"]], "u": [("a", "b"), ["c", 4]],
+              "v": [["a", _Text("b")]]})
+    @example({"cells": [{"index": 0, "stairs": 0, "area": _Text("1/2")}, {"index": 1}]})
+    @example({"t": [["a", "b"], "cd"], "cells": [
+        {"index": 0, "stairs": 0, "area": "1", "x_breaks": ["0", "1"], "y_breaks": ("1", "0")},
+        {"index": 1, "stairs": 0, "area": "1", "x_breaks": "ab", "y_breaks": ["1", "0"]}]})
+    @example({"n": -0.0, "m": float("nan"), "i": float("inf"),
+              "d": {3: "a", 1: "b"}, "e": {2.5: "c"}})
+    def test_equals_json_dumps(self, data):
+        assert dump_report(data) == _as_json(data)
+
+    @pytest.mark.parametrize("template, record", [
+        (fileio._row, {"stairs": 2, "index": 7, "area": "3/8"}),
+        (fileio._cell, {"y_breaks": ["1", "0"], "x_breaks": ["0", "1/2"], "area": "1/2",
+                        "index": 3, "stairs": 0}),
+    ])
+    def test_each_template_writes_its_keys_in_sorted_order(self, template, record):
+        text = template(record, "\n  ", "\n    ")
+        keys = [key for key, _ in json.loads(text, object_pairs_hook=list)]
+        assert keys == sorted(keys) == sorted(record)
+        assert text == json.dumps(record, indent=2, sort_keys=True).replace("\n", "\n  ")
+        with pytest.raises(TypeError):
+            template({**record, "index": False}, "\n", "\n  ")
+
+    def test_every_report_writes_its_records_from_templates(self, corpus):
+        inst = corpus[3]
+        result = decompose(inst)
+        audit = fileio.report_audit(inst, run_audits(inst, result))
+        reports = {
+            "decompose": fileio.report_decompose(inst, result, coverage_certificate(inst, result)),
+            "audit": audit,
+            "bounds": fileio.report_bounds(inst, density_chain(result)),
+            "instance": instance_to_json(inst, {"name": "x"}),
+        }
+        records = [reports["decompose"]["cells"], audit["stats"]["cells"],
+                   reports["bounds"]["cells"], reports["instance"]["translates"]]
+        for items in records:
+            assert items and fileio._records(items, "\n  ", "\n    ") is not None
+        for report in reports.values():
+            assert dump_report(report) == _as_json(report)
 
 
 class TestCommands:

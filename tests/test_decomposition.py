@@ -22,7 +22,7 @@ from staircover import arrangement, decomposition
 from staircover.decomposition import stair_decomposition
 from _oracles import (
     Triangle, anchor, cell_matches_set_formula, cuts, cutters_reference, decompose_reference,
-    non_stair_area_reference, non_stair_contains, non_stair_witness_reference,
+    non_stair_area_reference, non_stair_contains, non_stair_witness_reference, stair_area,
 )
 from conftest import cells_by_index, diag_lattice, frame_dtypes, grid_lattice
 from test_arrangement import DEN, SHRINK, _generic, generic_families
@@ -62,6 +62,12 @@ class TestInstanceValidation:
         (2, ((0, 0), (1, 0)), (2, ((0, 0), (1, 0)))),  # already least
         (6, ((-3, 0), (3, 6)), (2, ((-1, 0), (1, 2)))),
         (5, ((0, 0),), (1, ((0, 0),))),  # 0 as 0/5
+        # the gcd folds corner by corner, and stops at 1
+        (7, ((1, 3), (0, 14), (21, 7)), (7, ((1, 3), (0, 14), (21, 7)))),  # no common factor
+        # a factor 6 that only the last coordinate breaks: to 1, or to 3
+        (12, ((6, 0), (0, 6), (6, 6), (0, 5)), (12, ((6, 0), (0, 6), (6, 6), (0, 5)))),
+        (12, ((6, 0), (0, 6), (6, 6), (3, 0)), (4, ((2, 0), (0, 2), (2, 2), (1, 0)))),
+        (30, ((6, 12), (-18, 0), (0, 24)), (5, ((1, 2), (-3, 0), (0, 4)))),  # every one shares 6
     ])
     def test_reduces_to_the_least_denominator(self, den, points, least):
         inst = CoveringInstance(1, Fraction(1), den, points)
@@ -260,7 +266,7 @@ class TestDecompose:
         result = decompose(quarters)
         assert result.is_stair_decomposition
         assert len(result.cells) == 4
-        assert sum(c.area() for _, c in result.cells) == 1  # k * l^2
+        assert sum(stair_area(c) for _, c in result.cells) == 1  # k * l^2
 
     def test_anchor_matches_corner_inside_window(self):
         inst = lattice_instance(diag_lattice(2), 1, 2)
@@ -295,7 +301,7 @@ class TestDecompose:
         for k, lat in ((1, diag_lattice(1)), (2, diag_lattice(2)), (3, grid_lattice(3))):
             inst = lattice_instance(lat, 1, k)
             result = decompose(inst)
-            assert sum(c.area() for _, c in result.cells) == k
+            assert sum(stair_area(c) for _, c in result.cells) == k
 
     def test_indices_partition(self, quarters):
         result = decompose(quarters)

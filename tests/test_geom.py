@@ -15,6 +15,7 @@ from _oracles import (
     inner_corners,
     precedes,
     rect_contains,
+    stair_area,
     stair_contains,
     stair_interior_contains,
     tri_intersects,
@@ -168,6 +169,10 @@ class TestCuts:
         assert not int_cuts(t, t) and not cuts(t, t)
 
 
+def area_of(s: StairPolygon) -> Fraction:
+    return Fraction(s.scaled_area(), s.scale**2)
+
+
 def l_stair() -> StairPolygon:
     return StairPolygon.of((0, "1/3", "2/3"), ("2/3", "1/3", 0))
 
@@ -175,14 +180,14 @@ def l_stair() -> StairPolygon:
 class TestStairPolygon:
     def test_single_rectangle_area(self):
         s = StairPolygon.of((0, "1/2"), ("1/2", 0))
-        assert s.area() == Fraction(1, 4)
+        assert (s.scaled_area(), s.scale) == (1, 2)  # 1/4 on the scale 2
 
     def test_l_shape_area(self):
-        assert l_stair().area() == Fraction(1, 3)
+        assert area_of(l_stair()) == Fraction(1, 3) == stair_area(l_stair())
 
     def test_unit_square_area(self):
         s = StairPolygon.of((0, 1), (1, 0))
-        assert s.area() == 1
+        assert (s.scaled_area(), s.scale) == (1, 1)
 
     def test_accessors(self):
         s = l_stair()
@@ -211,7 +216,7 @@ class TestStairPolygon:
         rects = s.to_rects()
         assert len(rects) == 2
         assert sorted(rect_area(r) for r in rects) == [Fraction(1, 9), Fraction(2, 9)]
-        assert sum(rect_area(r) for r in rects) == s.area()
+        assert sum(rect_area(r) for r in rects) == area_of(s)
 
     def test_uniform_stair_column_count(self):
         from _oracles import max_stair_in_triangle

@@ -802,7 +802,8 @@ class TestOneScale:
             rebuilt = StairPolygon.of(cell.x_breaks, cell.y_breaks)
             assert rebuilt.scale < cell.scale and inst.frame.scale % rebuilt.scale == 0
             assert rebuilt == cell and cell == rebuilt and hash(rebuilt) == hash(cell)
-            assert rebuilt.area() == cell.area() and repr(rebuilt) == repr(cell)
+            assert rebuilt.scaled_area() * cell.scale**2 == cell.scaled_area() * rebuilt.scale**2
+            assert repr(rebuilt) == repr(cell)
             wider = StairPolygon(cell.xs, cell.ys[:-1] + (cell.ys[-1] - 1,), cell.scale)
             assert rebuilt != wider and wider != rebuilt
 

@@ -21,16 +21,18 @@ a lattice uniformly never decreases multiplicity, and the triangles are
 closed, so the feasible scales of a ray t * (1, beta, gamma) are exactly
 (0, 1/s*], s* being the least triangle size at which the lattice
 (1, 0), (beta, gamma) covers k-fold (`_critical_size`, exact, in ints).
-Each feasibility check is therefore the one comparison t * s* <= 1. s*
-is computed once per shape (beta, gamma), and Sriamorn's bound is checked
-with it: no k-fold lattice covering has density below (2k+1)/2. The same
-comparison, on a lattice's own normalized basis, is the exact test
-`lattice_covers` of a stored lattice; the exhaustive `lattice_multiplicity`
-is its oracle in the tests and re-checks the search's result. Rays,
-warm-start shapes first, are seeded from a ratio grid, bisected, refined
-along the mirror-symmetric line b = c, then pattern-searched. The only
-approximation anywhere is that the search may stop short of the true
-optimum, which is reported as a gap.
+Each feasibility check is therefore the one comparison t * s* <= 1, made
+in ints (`_fits`) on the scale and s* as int pairs. s* is computed once
+per shape (beta, gamma), and Sriamorn's bound is checked with it: no
+k-fold lattice covering has density below (2k+1)/2. The same comparison,
+on a lattice's own normalized basis, is the exact test `lattice_covers` of
+a stored lattice; the exhaustive `lattice_multiplicity` is its oracle in
+the tests and re-checks the search's result. Rays, warm-start shapes
+first, are seeded from a ratio grid, bisected, refined along the
+mirror-symmetric line b = c, then pattern-searched. A ray's probes and
+bisection, its checks and the budget that counts them run on int pairs.
+The only approximation anywhere is that the search may stop short of the
+true optimum, which is reported as a gap.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from heapq import nlargest
 from math import ceil, gcd, isqrt
 
@@ -54,13 +55,15 @@ _MAX_ROWS = 1000
 Its cost grows as rows^2 * k. The pinned searches (`optimize` at k = 1, 2
 and 3 with the defaults, and k = 2 with --seed-grid 3) reach at most 143
 rows; a warm start from a flat stored lattice has no such bound: the shape
-(1/3 + 1/70000, 1/10000) needs 5,542 rows and took 21 s at k = 1.
+(1/3 + 1/70000, 1/10000) needs 5,542 rows and took 9.1-9.4 s of CPU at
+k = 1 (2 vCPUs, Python 3.11.7).
 """
 
 _MAX_FOLD = 64
 """Largest fold k that `_critical_size` (so `optimize` and `lattice_covers`)
-accepts. Its cost grows as rows * k: a default search took 2.8-3.1 s of
-CPU at k = 64 and 34 s at k = 150 (2 vCPUs, Python 3.11)."""
+accepts. Its cost grows as rows * k: a default search took 1.9-2.4 s of
+CPU at k = 64 and 23.5 s at k = 150, nearly all of it in `_critical_size`
+(2 vCPUs, Python 3.11.7)."""
 
 _MAX_TRANSLATES = 100_000  # about 90x the largest benchmark instance (1,083)
 
@@ -171,10 +174,12 @@ def lattice_multiplicity(lat: Lattice) -> int:
 def lattice_covers(lat: Lattice, k: int) -> bool:
     """Whether the lattice family is a k-fold covering, exactly: with the
     normalized basis (a, 0), (b, c), the lattice is a times the one with
-    basis (1, 0), (b/a, c/a), so it covers k-fold when a * s* <= 1.
-    Raises ValueError where `_critical_size` refuses the shape or fold."""
+    basis (1, 0), (b/a, c/a), so it covers k-fold when a * s* <= 1, the
+    search's feasibility test. Raises ValueError where `_critical_size`
+    refuses the shape or fold."""
     a, b, c = hermite_basis(lat)
-    return a * _critical_size((b / a, c / a), k) <= 1
+    s = _critical_size((b / a, c / a), k)
+    return _fits(a.numerator, a.denominator, s.numerator, s.denominator)
 
 
 def _critical_size(shape: tuple[Fraction, Fraction], k: int) -> Fraction:
@@ -227,6 +232,12 @@ def _critical_size(shape: tuple[Fraction, Fraction], k: int) -> Fraction:
         u *= 2
 
 
+def _fits(p: int, q: int, n: int, d: int) -> bool:
+    """The feasibility test t * s* <= 1 of the scale t = p/q on a ray of
+    critical size s* = n/d, cross-multiplied (q, d > 0)."""
+    return p * n <= q * d
+
+
 @dataclass(frozen=True)
 class LatticeSearchReport:
     k: int
@@ -266,22 +277,21 @@ def _guard_density(k: int, density: Fraction):
         )
 
 
-def _sqrt_below(x: Fraction) -> Fraction:
-    """A rational at most sqrt(x)."""
-    return Fraction(isqrt(x.numerator * x.denominator), x.denominator)
+def _lowest(p: int, q: int) -> tuple[int, int]:
+    """p/q in lowest terms, q > 0: the int pair a Fraction would hold."""
+    g = gcd(p, q)
+    return p // g, q // g
 
 
-_PROBE_FRACS = (
-    Fraction(1),
-    Fraction(99, 100),
-    Fraction(19, 20),
-    Fraction(9, 10),
-    Fraction(4, 5),
-    Fraction(13, 20),
-    Fraction(1, 2),
-    Fraction(7, 20),
-    Fraction(1, 5),
-    Fraction(1, 10),
+def _sqrt_below(n: int, d: int) -> tuple[int, int]:
+    """The scale at most sqrt(n/d), n, d > 0, in lowest terms: with n/d in
+    lowest terms, isqrt(n*d) / d."""
+    n, d = _lowest(n, d)
+    return _lowest(isqrt(n * d), d)
+
+
+_PROBE_FRACS = (  # the fractions f of the probes det = f * target, as int pairs
+    (1, 1), (99, 100), (19, 20), (9, 10), (4, 5), (13, 20), (1, 2), (7, 20), (1, 5), (1, 10),
 )
 
 
@@ -306,6 +316,12 @@ def search_optimal_lattice(
     (2k+1)/2 raises AssertionError, and so does a multiplicity below k when
     the exhaustive `lattice_multiplicity` re-checks the lattice found.
 
+    Within a ray every scale is an int pair p/q in lowest terms and a check
+    is the one int comparison p * n <= q * d with s* = n/d; the budget set
+    holds each check as the shape's and the scale's int pairs. Fractions
+    are made per ray (its shape and its record) and per shape (s* and the
+    density guard) only.
+
     Deterministic throughout: fixed scan orders, exact arithmetic, exact
     feasibility verdicts. `budget` caps the number of distinct feasibility
     checks (the report's `evaluations`); if it runs out before any feasible
@@ -315,22 +331,21 @@ def search_optimal_lattice(
     int_at_least(k, 1, "fold must be a positive integer")
     int_at_least(budget, 1, "budget must be at least 1")
     int_at_least(seed_grid, 1, "seed grid must be at least 1")
-    target_det = Fraction(1, 2 * k + 1)
-    seen: set[tuple[tuple[Fraction, Fraction], Fraction]] = set()  # the checks made
+    seen: set[tuple[int, ...]] = set()  # the checks made
+    sizes: dict[tuple[int, ...], tuple[int, int]] = {}  # s* = n/d of each shape checked
 
-    @cache
-    def critical(shape) -> Fraction:
-        s = _critical_size(shape, k)
-        _guard_density(k, s * s / (2 * shape[1]))  # the ray's least density
-        return s
-
-    def feasible(shape, t) -> bool | None:
-        """Exact verdict, or None once the budget is exhausted."""
-        if (shape, t) not in seen:
+    def feasible(key, shape, p, q) -> bool | None:
+        """Exact verdict on the scale p/q, or None once the budget is exhausted."""
+        check = key + (p, q)
+        if check not in seen:
             if len(seen) >= budget:
                 return None
-            seen.add((shape, t))
-        return t * critical(shape) <= 1
+            seen.add(check)
+        if key not in sizes:
+            s = _critical_size(shape, k)
+            _guard_density(k, s * s / (2 * shape[1]))  # the ray's least density
+            sizes[key] = s.numerator, s.denominator
+        return _fits(p, q, *sizes[key])
 
     def ray_best(shape, precision: Fraction):
         """Record (det, t, shape) of the ray's largest feasible scale, or None.
@@ -339,36 +354,48 @@ def search_optimal_lattice(
         scale between the first feasible probe and a just-infeasible upper
         scale until the relative det window is below `precision`.
         """
-        gamma = shape[1]
-        for f in _PROBE_FRACS:
-            t_lo = _sqrt_below(f * target_det / gamma)
-            verdict = feasible(shape, t_lo)
+        beta, gamma = shape
+        key = (beta.numerator, beta.denominator, gamma.numerator, gamma.denominator)
+        # the probe at f = fn/fd: t^2 = f * target / gamma = (fn * num) / (fd * den)
+        num, den = gamma.denominator, (2 * k + 1) * gamma.numerator
+        for fn, fd in _PROBE_FRACS:
+            lo, lo_q = _sqrt_below(fn * num, fd * den)
+            verdict = feasible(key, shape, lo, lo_q)
             if verdict is None:
                 return None
             if verdict:
                 break
         else:
             return None
-        # strictly above the optimal scale; verified infeasible or guarded
-        t_hi = Fraction(21, 20) * _sqrt_below(target_det / gamma) + Fraction(1, 10**6)
-        while (t_hi - t_lo) > precision * t_lo and len(seen) < budget:
-            mid = (t_lo + t_hi) / 2
-            if feasible(shape, mid):  # never None: len(seen) < budget
-                t_lo = mid
+        # strictly above the optimal scale, 21/20 * sqrt_below(target / gamma)
+        # + 1/10^6; verified infeasible or guarded
+        p, q = _sqrt_below(num, den)
+        hi, hi_q = _lowest(21 * 10**6 * p + 20 * q, 20 * 10**6 * q)
+        pn, pd = precision.numerator, precision.denominator
+        # (t_hi - t_lo) > precision * t_lo, cross-multiplied
+        while (hi * lo_q - lo * hi_q) * pd > pn * lo * hi_q and len(seen) < budget:
+            mid, mid_q = _lowest(lo * hi_q + hi * lo_q, 2 * lo_q * hi_q)
+            if feasible(key, shape, mid, mid_q):  # never None: len(seen) < budget
+                lo, lo_q = mid, mid_q
             else:
-                t_hi = mid
-        return (t_lo * t_lo * gamma, t_lo, shape)
+                hi, hi_q = mid, mid_q
+        t = Fraction(lo, lo_q)
+        return (t * t * gamma, t, shape)
+
+    def seed_shapes():
+        """The warm starts' shapes, then the ratio grid's, made as the rays
+        reach them: the budget may stop the scan long before the grid ends."""
+        for a, b, c in map(hermite_basis, warm_starts):
+            yield b / a, c / a
+        for i in range(seed_grid):
+            for j in range(1, seed_grid + 1):
+                yield Fraction(i, seed_grid), Fraction(j, seed_grid)
 
     # phase 1: coarse rays over the ratio grid, warm starts first
     g = Fraction(1, seed_grid)
-    shapes = [(b / a, c / a) for a, b, c in map(hermite_basis, warm_starts)] + [
-        (Fraction(i, seed_grid), Fraction(j, seed_grid))
-        for i in range(seed_grid)
-        for j in range(1, seed_grid + 1)
-    ]
     coarse = Fraction(1, 64)
     best = best_diag = None
-    for shape in shapes:
+    for shape in seed_shapes():
         rec = ray_best(shape, coarse)
         if rec is not None:
             if best is None or rec[0] > best[0]:

@@ -19,7 +19,8 @@ triangle, and the minimum depth over a window by testing every face sample
 against every translate; the lattice translates meeting a window are found
 by testing every coefficient pair of a box, in the basis as given, and
 also row by row in `Fraction`s, which is the order of the int rows of
-`lattice`; a perturbation draws `Fraction` shifts of `Point` corners. The
+`lattice`; a perturbation draws `Fraction` shifts of `Point` corners; the
+lattice search runs on `Fraction` scales, checks and budget keys. The
 decomposition is rebuilt in Fractions, one `Triangle` pair test per cutter
 candidate, and only its non-stair cells are put on the frame's integer
 scale at the end; its cutter rule is kept as one numpy row per triangle
@@ -43,8 +44,9 @@ import random
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from math import ceil
+from math import ceil, isqrt
 
 import numpy as np
 
@@ -53,7 +55,10 @@ from staircover.arrangement import Frame, _distinct, _samples, _sweep
 from staircover.bounds import BoundReport, ChainLink, max_stair_area, stair_area_bound
 from staircover.decomposition import CoveringInstance, DecompositionResult, NonStairCell
 from staircover.geom import Point, Rect, StairPolygon, pt
-from staircover.lattice import _PERTURB_TRIES
+from staircover.lattice import (
+    _PERTURB_TRIES, Lattice, LatticeSearchReport, _critical_size, _guard_density, hermite_basis,
+    lattice_multiplicity,
+)
 from staircover.rational import int_at_least, rat
 from staircover.verification import (
     PASS, AuditVerdict, _fail, coverage_certificate, verify_exact_tiling,
@@ -779,6 +784,134 @@ def perturb_reference(inst: CoveringInstance, magnitude, seed: int) -> CoveringI
         f"no covering-preserving perturbation of magnitude {mag} found "
         f"in {_PERTURB_TRIES} attempts"
     )
+
+
+def search_optimal_lattice_reference(
+    k: int, budget: int = 6000, seed_grid: int = 6, warm_starts: tuple[Lattice, ...] = (),
+) -> LatticeSearchReport:
+    """`lattice.search_optimal_lattice` in `Fraction`s: every scale t is a
+    Fraction, a check is the test t * s* <= 1 on Fractions, the budget set
+    and the critical sizes are keyed by Fraction shapes, and every seed
+    shape is built before the first ray."""
+    int_at_least(k, 1, "fold must be a positive integer")
+    int_at_least(budget, 1, "budget must be at least 1")
+    int_at_least(seed_grid, 1, "seed grid must be at least 1")
+    target_det = Fraction(1, 2 * k + 1)
+    seen: set[tuple[tuple[Fraction, Fraction], Fraction]] = set()
+    probes = tuple(Fraction(n, 100) for n in (100, 99, 95, 90, 80, 65, 50, 35, 20, 10))
+
+    @cache
+    def critical(shape) -> Fraction:
+        s = _critical_size(shape, k)
+        _guard_density(k, s * s / (2 * shape[1]))
+        return s
+
+    def feasible(shape, t) -> bool | None:
+        if (shape, t) not in seen:
+            if len(seen) >= budget:
+                return None
+            seen.add((shape, t))
+        return t * critical(shape) <= 1
+
+    def sqrt_below(x: Fraction) -> Fraction:
+        return Fraction(isqrt(x.numerator * x.denominator), x.denominator)
+
+    def ray_best(shape, precision: Fraction):
+        gamma = shape[1]
+        for f in probes:
+            t_lo = sqrt_below(f * target_det / gamma)
+            verdict = feasible(shape, t_lo)
+            if verdict is None:
+                return None
+            if verdict:
+                break
+        else:
+            return None
+        t_hi = Fraction(21, 20) * sqrt_below(target_det / gamma) + Fraction(1, 10**6)
+        while (t_hi - t_lo) > precision * t_lo and len(seen) < budget:
+            mid = (t_lo + t_hi) / 2
+            if feasible(shape, mid):
+                t_lo = mid
+            else:
+                t_hi = mid
+        return (t_lo * t_lo * gamma, t_lo, shape)
+
+    g = Fraction(1, seed_grid)
+    shapes = [(b / a, c / a) for a, b, c in map(hermite_basis, warm_starts)] + [
+        (Fraction(i, seed_grid), Fraction(j, seed_grid))
+        for i in range(seed_grid)
+        for j in range(1, seed_grid + 1)
+    ]
+    coarse = Fraction(1, 64)
+    best = best_diag = None
+    for shape in shapes:
+        rec = ray_best(shape, coarse)
+        if rec is not None:
+            if best is None or rec[0] > best[0]:
+                best = rec
+            if shape[0] == shape[1] and (best_diag is None or rec[0] > best_diag[0]):
+                best_diag = rec
+        if len(seen) >= budget:
+            break
+
+    if best is None:
+        return LatticeSearchReport(k, None, 0, len(seen), budget)
+
+    if best_diag is not None:
+        center = best_diag[2][1]
+        width = 2 * g
+        for level in range(6):
+            lo = max(center - width / 2, width / 64)
+            samples = [lo + Fraction(i, 16) * width for i in range(17)]
+            level_best = None
+            for gamma in samples:
+                if gamma > 2:
+                    continue
+                rec = ray_best((gamma, gamma), Fraction(1, 256 << level))
+                if rec is not None and (level_best is None or rec[0] > level_best[0]):
+                    level_best = rec
+                if len(seen) >= budget:
+                    break
+            if level_best is None or len(seen) >= budget:
+                break
+            center = level_best[2][1]
+            width = width / 4
+            if level_best[0] > best[0]:
+                best = level_best
+
+    step = g / 2
+    min_step = g / (1 << 12)
+    while len(seen) < budget and step >= min_step:
+        precision = min(coarse, step / 4)
+        improved = None
+        beta, gamma = best[2]
+        for db, dc in (
+            (step, 0), (-step, 0), (0, step), (0, -step),
+            (step, step), (-step, step), (step, -step), (-step, -step),
+        ):
+            shape = (beta + db, gamma + dc)
+            if not (0 <= shape[0] < 1 and 0 < shape[1] <= 2):
+                continue
+            rec = ray_best(shape, precision)
+            if rec is not None and rec[0] > best[0] and (improved is None or rec > improved):
+                improved = rec
+        if improved is not None:
+            best = improved
+        else:
+            step = step / 2
+    rec = ray_best(best[2], Fraction(1, 1 << 12))
+    if rec is not None and rec[0] > best[0]:
+        best = rec
+
+    _, t, (beta, gamma) = best
+    lat = Lattice(Point(t, Fraction(0)), Point(t * beta, t * gamma))
+    multiplicity = lattice_multiplicity(lat)
+    if multiplicity < k:
+        raise AssertionError(
+            f"k={k} lattice {lat} passed the critical size but has "
+            f"multiplicity {multiplicity}; exact verifier bug"
+        )
+    return LatticeSearchReport(k, lat, multiplicity, len(seen), budget)
 
 
 # --- cell areas and the bound chain in Fractions ---------------------------

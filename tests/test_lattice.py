@@ -23,7 +23,10 @@ from staircover.geom import Point, scaled_point
 from staircover.lattice import (
     _critical_size, _guard_density, _multiplicity_window, _translates_meeting,
 )
-from _oracles import perturb_reference, translates_meeting_reference, translates_meeting_scan
+from _oracles import (
+    perturb_reference, search_optimal_lattice_reference, translates_meeting_reference,
+    translates_meeting_scan,
+)
 from conftest import diag_lattice, grid_lattice, rect_of
 
 
@@ -272,6 +275,10 @@ class TestInstanceConsistency:
         assert coverage_certificate(inst).covers
 
 
+_SEED_GRIDS = (1, 2, 3, 4, 6)
+_WARM_STARTS = ((), (Lattice.of("1/2", 0, "1/3", "1/3"),), (Lattice.of(1, 0, "4/3", "1/3"),))
+
+
 class TestSearch:
     @pytest.mark.parametrize("k", [True, False, 0])
     def test_rejects_fold_that_is_not_a_positive_int(self, k):
@@ -346,7 +353,49 @@ class TestSearch:
     def test_small_search_is_deterministic(self):
         a = search_optimal_lattice(1, budget=120, seed_grid=4)
         b = search_optimal_lattice(1, budget=120, seed_grid=4)
-        assert (a.feasible, a.density, a.evaluations) == (b.feasible, b.density, b.evaluations)
+        assert a == b
+
+    # every fold 1-5 meets every seed grid and every budget (one check, the
+    # exits of phases 1, 2 and 3 on the budget, and the default), and the
+    # warm starts rotate alongside: none, a normalized basis, and one that is
+    # not normalized, whose shape (1/3, 1/3) the grids of 3 and 6 repeat
+    @pytest.mark.parametrize("k,budget,seed_grid,warm_starts", [
+        (k, budget, _SEED_GRIDS[(k + 2 * i) % 5], _WARM_STARTS[(k + i) % 3])
+        for k in range(1, 6)
+        for i, budget in enumerate((1, 2, 5, 30, 60, 400, None))
+    ])
+    def test_matches_the_fraction_reference(self, k, budget, seed_grid, warm_starts):
+        kwargs = {"seed_grid": seed_grid, "warm_starts": warm_starts}
+        if budget is not None:
+            kwargs["budget"] = budget
+        assert search_optimal_lattice(k, **kwargs) == search_optimal_lattice_reference(k, **kwargs)
+
+    def test_budget_stops_the_seed_scan_before_the_grid(self):
+        # the three warm starts spend the 20 checks, so not one of the 10^8
+        # shapes of the 1/10^4 grid is made (the first, (0, 1/10^4), is too
+        # flat for `_critical_size`)
+        warm = tuple(Lattice.of(1, 0, 0, Fraction(j, 4)) for j in (1, 2, 3))
+        report = search_optimal_lattice(1, budget=20, seed_grid=10**4, warm_starts=warm)
+        assert report.evaluations == 20
+        assert report.density == Fraction(9, 4)
+
+    def test_search_makes_fractions_per_ray_not_per_check(self):
+        # before the scales were int pairs this search made 3,335 Fractions
+        # over its 69 rays and 400 checks; a ray now makes its shape and its
+        # record, and a shape its density guard
+        constructors = [Fraction.__new__.__code__]
+        if hasattr(Fraction, "_from_coprime_ints"):  # arithmetic results, Python 3.12+
+            constructors.append(Fraction._from_coprime_ints.__func__.__code__)
+        profile = cProfile.Profile()
+        profile.enable()
+        report = search_optimal_lattice(1, budget=400)
+        profile.disable()
+        stats = profile.getstats()
+        made = sum(entry.callcount for entry in stats if entry.code in constructors)
+        rays = sum(entry.callcount for entry in stats
+                   if getattr(entry.code, "co_name", None) == "ray_best")
+        assert report.evaluations == 400 and rays > 0
+        assert made <= 12 * rays, (made, rays)
 
     def test_warm_start_reaches_stored_quality(self):
         # a basis of the lattice (1, 0), (1/3, 1/3) that is not normalized

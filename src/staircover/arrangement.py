@@ -3,16 +3,27 @@
 Every boundary in play is a line of one of three families: x = c, y = c or
 x + y = c (triangle legs, hypotenuses and window edges). Membership of each
 closed triangle translate is therefore constant on every face (vertex, open
-edge, open 2-cell) of the arrangement of those lines, so exact depth
-statistics over a window reduce to evaluating the depth at one rational
-sample point per face.
+edge, open 2-cell) of the arrangement of those lines, so the exact minimum
+depth over a window is the least depth at finitely many rational sample
+points, when they meet every face that can hold it.
 
-Sampling scheme: collect all vertex x-coordinates of the arrangement, sweep
-one vertical line through every such coordinate and through every midpoint
-between consecutive ones, and on each sweep line take every crossing with an
-arrangement line plus every midpoint between consecutive crossings. Each
-vertex, each edge and each 2-cell of the window-restricted arrangement
-receives at least one sample point this way.
+Sampling scheme: let wx0 = v_0 < v_1 < ... < v_m = wx1 be the distinct x's
+in [wx0, wx1] of the arrangement's vertices (corner x's, the window's x
+edges, and every crossing s - y of a hypotenuse offset and a y-line).
+Sweep the m + 1 vertical lines x = wx0 and x = (v_{i-1} + v_i) / 2,
+i = 1..m, in that order, and on each take every crossing with an
+arrangement line plus every midpoint between consecutive crossings. The open slab
+(v_{i-1}, v_i) holds no vertex, so its midpoint line crosses every edge
+and 2-cell of the slab, and the samples meet all of them. The vertex lines
+x = v_i, i >= 1, are not swept, and they need not be: the triangles are
+closed, so depth is upper-semicontinuous, and with M the least depth in
+the window, {depth <= M} = {depth < M + 1} is open. A window point at
+depth M on x = v_i, v_i > wx0, therefore has window points at depth M just
+to its left, filling part of a 2-cell of the slab (v_{i-1}, v_i), which
+the earlier midpoint line crosses. So the first line at the minimum of a
+sweep through every vertex x and every midpoint is x = wx0 or a midpoint
+line, one of the lines swept here, and both sweeps give the same minimum
+and the same first sample at it (the tests compare the two).
 
 All arithmetic is integer, on a `Frame`: the corners and the window
 scaled once by four times the lcm of every corner and window denominator
@@ -44,9 +55,12 @@ count is searched. A line thus costs |s_base| + 1 gap samples, not its
 at the least minimum and evaluates all the slots of that line alone; their
 first at the minimum, in scan order (sorted crossings, then midpoints), is
 the first sample at the global minimum, the witness of a scan of every
-sample. With D_x distinct cx, one call costs O(slabs * |s_base| *
-log |y_base| + D_x * (|y_base| + |s_base|)) time and holds two int32 tables
-of D_x + 1 rows, by |y_base| + 1 and |s_base| + 1 columns: 8 MB at 1000 each.
+sample. With D_x distinct cx and C = |s_base| * |y_base| crossings (capped
+at _MAX_CROSSINGS), one call costs O(C log C) time to find the vertex
+x's, O(m * |s_base| * log |y_base|) for the line minima and
+O(D_x * (|y_base| + |s_base|)) for the count tables; it holds the C int64
+crossings and two int32 tables of D_x + 1 rows, by |y_base| + 1 and
+|s_base| + 1 columns: 8 MB at 1000 each.
 
 Certificate-first scan: the scan keeps its `best` line and moves it only
 on a strict decrease, so it ends on the first line at the global minimum.
@@ -82,20 +96,33 @@ take 10-15% less at 128 lines (`gen1` 5.2 ms, 6.2 ms at 64) and 15-30% more
 at 32, but certified scans of coverings up to 10% more at 128 (`big1` 2.1
 ms against 1.9 ms): the workload's eight scans sum to 19.9 ms at both."""
 
-_CERTIFY_SLOTS_PER_TRANSLATE = 1000
+_MAX_CROSSINGS = 150_000_000
+"""Most crossings |s_base| * |y_base| the depth scan makes before its first
+sweep line; a scan that needs more raises ValueError naming the translates.
+Each crossing takes 8 bytes in the int64 crossings array and as many again
+in its copy joined to the corner x's and in its sorted copy. The admitted
+generic 2-fold covering of side 40 (N = 10,949, 113,967,372 crossings)
+took 2.64 GB at peak in `verify`, count tables included; the lattice of
+N = 91,201 of the grid basis (1/2, 0), (0, 1/2) at l = 150, perturbed by
+1/64, would need 2,074,628,520 crossings (15.5 GiB for the first array)."""
+
+_CERTIFY_SLOTS_PER_TRANSLATE = 750
 """Sample slots per translate above which `Frame.min_depth` asks for a proof.
 
-Measured with line minima on the seed-1 benchmark corpora (2 vCPUs, Python
-3.11.7, numpy 2.4.6, process CPU time, best of 7): on the
-generic-coordinate coverings (2,357 to 16,697 slots per translate) the
-proof (decompose, containment and tiling grid) and the early scan together
-took 1.8-3.2 ms, against 2.0-6.2 ms for the full scan: 1.9 times less on
-`gen1` (16,697 per translate), 1.6 on `big1` (2,357), 1.35 on `gen2`
-(12,023) and about the same on `gen0` (6,678). On the bignum covering
-`big0` (924 per translate) they took 1.0 ms against a 0.9 ms full scan.
-The lattices of N about 1,000 have 11 to 33 per translate, and there the
-proof costs 35-47 ms against a 0.5-1.1 ms scan; the audited lattices and
-perturbed lattices have 8 to 360 (`pert1`, 227: 1.4 ms against 0.25 ms).
+Measured on the seed-1 and seed-7 benchmark corpora (2 vCPUs, Python
+3.11.7, numpy 2.4.6, process CPU time of `coverage_certificate` on a fresh
+instance, best of 7): on the generic-coordinate coverings (3,343 to 8,527
+slots per translate) the proof (decompose, containment and tiling grid)
+and the early scan together took 0.8-1.3 ms, against 1.1-3.0 ms for the
+full scan: 2.5 times less on `gen1`, 1.7 on `gen2`, 1.3 on `gen0`, and 1.5
+on the bignum `big1` (1,182 and 1,190 per translate). On the bignum
+covering `big0` (466 and 491) they took 0.74-0.77 ms against a 0.58-0.61
+ms full scan. The lattices of N about 1,000 have 5 to 16 per translate,
+and there the proof costs 1.4-25 ms against a 0.7-0.9 ms scan; the audited
+and perturbed lattices have 4 to 183 (`pert3`: 1.2 ms against 0.4 ms).
+750 lies between `big0` and `big1`. The non-coverings (3,089 to 11,089)
+ask too, as no count tells them apart before the proof, which then
+refutes itself and adds 0.1-0.3 ms to a 0.4-2.3 ms scan.
 """
 
 
@@ -200,22 +227,31 @@ def _distinct(values):
 
 
 def _slab_positions(frame: Frame, y_base, s_base):
-    """Sorted sweep-line x positions: all vertex x's plus their midpoints.
+    """Sorted sweep-line x positions: x = wx0, then the midpoint of each
+    pair of consecutive distinct vertex x's in [wx0, wx1] (the window's own
+    edges among them): as many lines as there are such vertex x's.
 
-    The window's own edges are vertex x's, so at least two survive the clip.
+    Raises ValueError, before the crossings are made, when they would be
+    more than _MAX_CROSSINGS.
     """
+    count = len(s_base) * len(y_base)
+    if count > _MAX_CROSSINGS:
+        raise ValueError(
+            f"translates: the depth scan would make {count:,} crossings of "
+            f"{len(s_base):,} hypotenuses and {len(y_base):,} horizontal lines, "
+            f"more than its cap of {_MAX_CROSSINGS:,}"
+        )
     wx0, wx1 = frame.bounds[:2]
     crossings = (s_base[:, None] - y_base[None, :]).ravel()
     vx = _distinct(np.concatenate([frame.cx, frame.bounds[:2], crossings]))
     vx = vx[(vx >= wx0) & (vx <= wx1)]
-    vx = _distinct(np.concatenate([vx, (vx[:-1] + vx[1:]) // 2]))
-    return vx[vx < wx1]
+    return np.concatenate([vx[:1], (vx[:-1] + vx[1:]) // 2])
 
 
 def _sweep(frame: Frame):
     """(y_base, s_base, slabs): the y-lines, the hypotenuse offsets and the
-    sweep-line x positions of `Frame.min_depth`. Each sweep line holds
-    2 * (len(y_base) + len(s_base)) - 1 sample slots."""
+    sweep-line x positions of `Frame.min_depth` (`_slab_positions`). Each
+    sweep line holds 2 * (len(y_base) + len(s_base)) - 1 sample slots."""
     y_base = _distinct(np.concatenate([frame.cy, frame.bounds[2:]]))
     s_base = _distinct(frame.cs)
     return y_base, s_base, _slab_positions(frame, y_base, s_base)

@@ -17,6 +17,7 @@ from .bounds import density_chain
 from .decomposition import decompose
 from .geom import StairPolygon
 from .lattice import (
+    FlatShapeError,
     Lattice,
     lattice_covers,
     lattice_instance,
@@ -128,9 +129,12 @@ def cmd_optimize(args) -> int:
             store = {}
         if args.k in store:
             warm = (_stored_covering(store, args.k),)
-    report = search_optimal_lattice(
-        args.k, budget=args.budget, seed_grid=args.seed_grid, warm_starts=warm
-    )
+    try:
+        report = search_optimal_lattice(
+            args.k, budget=args.budget, seed_grid=args.seed_grid, warm_starts=warm
+        )
+    except FlatShapeError as exc:  # warm starts passed `_stored_covering`; shapes follow the grid
+        raise ValueError(f"--seed-grid {args.seed_grid}: {exc}") from exc
     _emit(fileio.report_optimize(report), args.out)
     if report.feasible:
         print(
@@ -248,10 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--seed-grid", type=int, default=6, metavar="N",
-        help="scan the N*N basis shapes b/a, c/a on the 1/N grid before refining "
-        "(default %(default)s); a coarser grid can waste the budget: with --k 2, "
-        "N=3 uses all 6000 checks and stops 5.9%% above 5/2, while N=6 reaches "
-        "5/2 within 1%% in 2083",
+        help="scan the basis shapes b/a, c/a on the 1/N grid, from (0, 1/N) on, until "
+        "the budget runs out, before refining (default %(default)s); a coarser grid "
+        "can waste the budget: with --k 2, N=3 uses all 6000 checks and stops 5.9%% "
+        "above 5/2, while N=6 reaches 5/2 within 1%% in 2083; a shape whose critical "
+        "size needs more than 1000 lattice rows is refused, and (0, 1/N) is from "
+        "N = 489 to 969 on, by k",
     )
     p.add_argument("--resume", help="results file for warm starts and persistence")
     p.add_argument("--out")

@@ -69,6 +69,12 @@ _MAX_TRANSLATES = 100_000  # about 90x the largest benchmark instance (1,083)
 
 _PERTURB_TRIES = 64  # draws `perturb_instance` makes before it gives up
 
+
+class FlatShapeError(ValueError):
+    """`_critical_size`'s refusal of a shape that needs more than _MAX_ROWS
+    rows."""
+
+
 __all__ = [
     "Lattice",
     "hermite_basis",
@@ -217,7 +223,7 @@ def _critical_size(shape: tuple[Fraction, Fraction], k: int) -> Fraction:
     while True:
         rows = range(0, -((u - 1) // c), -1)  # the rows j*c > c - u
         if len(rows) > _MAX_ROWS:
-            raise ValueError(
+            raise FlatShapeError(
                 f"lattice too flat: its critical size needs more than {_MAX_ROWS} rows"
             )
         cuts = sorted({j * b % a for j in rows})
@@ -307,8 +313,10 @@ def search_optimal_lattice(
     Along a ray t * (1, beta, gamma) the feasible scales are exactly
     (0, 1/s*], s* = `_critical_size((beta, gamma), k)` (see the module
     docstring), so a feasibility check is the exact test t * s* <= 1. The
-    search scans a grid of shapes (beta, gamma) = (b/a, c/a), after the
-    shapes of the `warm_starts` lattices, bisects each ray, then refines the
+    search scans the shapes (beta, gamma) = (b/a, c/a) = (i/N, j/N),
+    0 <= i < N, 1 <= j <= N, of the grid N = `seed_grid`, made as the
+    rays reach them and after the shapes of the `warm_starts` lattices,
+    until the budget runs out; it bisects each ray, then refines the
     best shape by pattern search with step halving, bisecting every
     candidate ray; a ray's result is the record (det, t, shape),
     det = t^2 * gamma. Sriamorn's bound is checked once per shape, at its
@@ -326,7 +334,10 @@ def search_optimal_lattice(
     feasibility verdicts. `budget` caps the number of distinct feasibility
     checks (the report's `evaluations`); if it runs out before any feasible
     lattice is seen the report says so. A fold above _MAX_FOLD raises
-    ValueError at the first check.
+    ValueError at the first check, and a shape whose s* needs more than
+    _MAX_ROWS lattice rows raises FlatShapeError at its first check: the
+    grid's first shape (0, 1/N) does so from N = 489 to 969 on, by the
+    fold, so a finer grid stops the search at once.
     """
     int_at_least(k, 1, "fold must be a positive integer")
     int_at_least(budget, 1, "budget must be at least 1")

@@ -15,7 +15,7 @@ an index, and the cells tile the window exactly k-fold, then every window
 point lies in k cells of k distinct triangles, so its depth is >= k.
 `coverage_certificate` offers that proof to the depth scan of the
 instance's frame (`arrangement.Frame.min_depth`), which asks for it only
-on a scan of more than 1,000 sample slots per translate (the cost rule,
+on a scan of more than 750 sample slots per translate (the cost rule,
 `arrangement._CERTIFY_SLOTS_PER_TRANSLATE`) and then stops at its first
 sweep line that reaches depth k: the exhaustive scan's (depth, witness).
 Containment is checked here, exactly, not taken from `decompose`.

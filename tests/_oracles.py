@@ -16,11 +16,13 @@ is built by its uniform breaks, the grid stair-area maximum is found by a
 dynamic program over the last break, and that program is itself checked by
 a full enumeration over break tuples; coverage depth is counted triangle by
 triangle, and the minimum depth over a window by testing every face sample
-against every translate; the lattice translates meeting a window are found
-by testing every coefficient pair of a box, in the basis as given, and
-also row by row in `Fraction`s, which is the order of the int rows of
-`lattice`; a perturbation draws `Fraction` shifts of `Point` corners; the
-lattice search runs on `Fraction` scales, checks and budget keys. The
+against every translate, on a sweep line through every vertex x of the
+arrangement and every midpoint between them (`full_sweep`); the lattice
+translates meeting a window are found by testing every coefficient pair of
+a box, in the basis as given, and also row by row in `Fraction`s, which is
+the order of the int rows of `lattice`; a perturbation draws `Fraction`
+shifts of `Point` corners; the lattice search runs on `Fraction` scales,
+checks and budget keys. The
 decomposition is rebuilt in Fractions, one `Triangle` pair test per cutter
 candidate, and only its non-stair cells are put on the frame's integer
 scale at the end; its cutter rule is kept as one numpy row per triangle
@@ -51,7 +53,7 @@ from math import ceil, isqrt
 import numpy as np
 
 from staircover import arrangement
-from staircover.arrangement import Frame, _distinct, _samples, _sweep
+from staircover.arrangement import Frame, _distinct, _samples
 from staircover.bounds import BoundReport, ChainLink, max_stair_area, stair_area_bound
 from staircover.decomposition import CoveringInstance, DecompositionResult, NonStairCell
 from staircover.geom import Point, Rect, StairPolygon, pt
@@ -337,7 +339,7 @@ def cell_matches_set_formula(inst: CoveringInstance, i: int, cell) -> bool:
     checked = 0
     frame = Frame.of(pts, bbox)
     scale = frame.scale
-    for ts, ys, valid in _iter_chunks(frame, _sweep(frame)):
+    for ts, ys, valid in _iter_chunks(frame):
         cx = _scaled_breaks([p.x for p in pts], scale)
         cy = _scaled_breaks([p.y for p in pts], scale)
         cs = _scaled_breaks([p.x + p.y + 1 for p in pts], scale)
@@ -642,9 +644,36 @@ def corner_counts_reference(indexed_cells, k: int):
 
 # --- coverage depth -------------------------------------------------------
 
-def _iter_chunks(frame: Frame, sweep):
-    """Yield (ts, ys, valid): every face sample of the sweep, in blocks of
-    `arrangement._CHUNK` sweep lines and in the depth scan's order."""
+def vertex_xs(frame: Frame):
+    """The distinct x's in [wx0, wx1] of the vertices of the arrangement of
+    the legs, hypotenuses and window edges, by `np.unique`: the corner x's,
+    the window's x edges and every crossing s - y of a hypotenuse offset
+    and a y-line."""
+    wx0, wx1 = frame.bounds[:2]
+    ys = np.concatenate([frame.cy, frame.bounds[2:]])
+    crossings = (frame.cs[:, None] - ys[None, :]).ravel()
+    vx = np.unique(np.concatenate([frame.cx, frame.bounds[:2], crossings]))
+    return vx[(vx >= wx0) & (vx <= wx1)]
+
+
+def full_sweep(frame: Frame):
+    """(y_base, s_base, ts): the y-lines and hypotenuse offsets of
+    `arrangement._sweep`, by `np.unique`, and a sweep line through every
+    vertex x in [wx0, wx1) and every midpoint between consecutive vertex
+    x's, in order: every face of the arrangement in the window meets one
+    of these lines."""
+    y_base = np.unique(np.concatenate([frame.cy, frame.bounds[2:]]))
+    s_base = np.unique(frame.cs)
+    vx = vertex_xs(frame)
+    lines = np.empty(2 * len(vx) - 1, dtype=vx.dtype)
+    lines[::2], lines[1::2] = vx, (vx[:-1] + vx[1:]) // 2
+    return y_base, s_base, lines[:-1]
+
+
+def _iter_chunks(frame: Frame):
+    """Yield (ts, ys, valid): every face sample of the full sweep, in blocks
+    of `arrangement._CHUNK` sweep lines and in the depth scan's order."""
+    sweep = full_sweep(frame)
     slabs = sweep[2]
     for start in range(0, len(slabs), arrangement._CHUNK):
         ts = slabs[start : start + arrangement._CHUNK]
@@ -685,14 +714,15 @@ def sample_depths(corners, scale, ts, ys) -> np.ndarray:
 
 def min_depth_reference(corners, window: Rect):
     """`arrangement.min_depth` by an exhaustive N-wide broadcast: every face
-    sample of every chunk is tested against every translate. Same samples,
-    chunk order and argmin rule, so (depth, witness) must match exactly."""
+    sample of every line of `full_sweep` is tested against every translate.
+    The scan's lines are some of these, in the same order, with the same
+    samples and argmin rule, so (depth, witness) must match exactly."""
     corners = list(corners)
     best = None
     witness = None
     frame = Frame.of(corners, window)
     scale = frame.scale
-    for ts, ys, valid in _iter_chunks(frame, _sweep(frame)):
+    for ts, ys, valid in _iter_chunks(frame):
         depth = sample_depths(corners, scale, ts, ys)
         depth = np.where(valid, depth, np.iinfo(np.int64).max)
         flat = int(np.argmin(depth))

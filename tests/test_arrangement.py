@@ -16,8 +16,8 @@ from staircover.arrangement import min_depth
 from staircover.lattice import Lattice, _multiplicity_window, lattice_instance
 from conftest import diag_lattice, grid_lattice, rect_of
 from _oracles import (
-    Triangle, count_tables_reference, depth_at, min_depth_reference, rect_contains,
-    sample_depths,
+    Triangle, count_tables_reference, depth_at, full_sweep, min_depth_reference, rect_contains,
+    sample_depths, vertex_xs,
 )
 
 DEN = 9973  # prime: generic coordinates share no structure with the lattices
@@ -308,7 +308,7 @@ class TestLineMinima:
         # of the gaps just above wy0 and above the hypotenuse crossings in
         # [wy0, wy1) is the least depth at any of the line's samples
         frame = arrangement.Frame.of(corners, window)
-        sweep = y_base, s_base, ts = arrangement._sweep(frame)
+        sweep = y_base, s_base, ts = full_sweep(frame)
         wy0, wy1 = frame.bounds[2:].tolist()
         ys, valid = arrangement._samples(frame, sweep, ts)
         every = np.where(valid, sample_depths(corners, frame.scale, ts, ys), np.inf).min(1)
@@ -328,6 +328,58 @@ class TestLineMinima:
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_gap_minima_on_coarse_ties(self, case):
         self.check_gap_minima(*case)
+
+
+class TestSweepLines:
+    """The scan sweeps x = wx0 and the midpoint of each pair of consecutive
+    vertex x's only. The depth is upper-semicontinuous, so over the lines
+    of the full sweep (every vertex x and every midpoint) the first line at
+    the global minimum is x = wx0 or a midpoint, and the scan keeps it."""
+
+    @given(coarse_families(), st.booleans())
+    @example(([], rect_of(0, 1, 0, 1)), False)
+    @example(([pt("-1/2", 0), pt(0, "-1/2")], rect_of(0, 1, 0, "1/2")), True)  # 0 at x = 1/4, 1/2
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_first_line_at_the_minimum_is_wx0_or_a_midpoint(self, case, bignum):
+        corners, window = case
+        with pytest.MonkeyPatch.context() as m:
+            if bignum:
+                m.setattr(arrangement, "_INT64_LIMIT", 1)
+            frame = arrangement.Frame.of(corners, window)
+        assert frame.cx.dtype == np.dtype(object if bignum else np.int64)
+        sweep = full_sweep(frame)
+        ts = sweep[2]
+        ys, valid = arrangement._samples(frame, sweep, ts)
+        depths = sample_depths(corners, frame.scale, ts, ys)
+        least = np.where(valid, depths, np.iinfo(np.int64).max).min(1)
+        first = int(np.argmin(least))
+        assert ts[first] not in vertex_xs(frame)[1:]
+        assert ts[first] in arrangement._sweep(frame)[2]
+
+    @pytest.mark.parametrize("corners, window", [*_lattice_cases(), ([], rect_of(0, 1, 0, 1))])
+    def test_one_line_per_vertex_x(self, corners, window):
+        # x = wx0 and a midpoint per slab: as many lines as vertex x's in
+        # [wx0, wx1], against 2 * that - 2 with the vertex lines
+        frame = arrangement.Frame.of(corners, window)
+        vx = vertex_xs(frame)
+        ts = arrangement._sweep(frame)[2]
+        assert len(vx) >= 2 and len(ts) == len(vx)
+        assert ts.tolist() == [vx[0], *((vx[:-1] + vx[1:]) // 2)]
+
+    def test_crossings_above_the_cap_are_refused(self, monkeypatch):
+        corners, window = next(iter(_lattice_cases())).values
+        frame = arrangement.Frame.of(corners, window)
+        y_base, s_base, _ = full_sweep(frame)
+        crossings = len(y_base) * len(s_base)
+        monkeypatch.setattr(arrangement, "_MAX_CROSSINGS", crossings)
+        assert frame.min_depth() == min_depth_reference(corners, window)
+        monkeypatch.setattr(arrangement, "_MAX_CROSSINGS", crossings - 1)
+        with pytest.raises(ValueError, match=(
+            f"^translates: the depth scan would make {crossings:,} crossings of "
+            f"{len(s_base):,} hypotenuses and {len(y_base):,} horizontal lines, "
+            f"more than its cap of {crossings - 1:,}$"
+        )):
+            frame.min_depth(certify=pytest.fail)
 
 
 class TestCountTables:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from staircover import arrangement
 from staircover import (
     CoveringInstance, Lattice, coverage_certificate, decompose, density_chain, fileio, pt, rat,
     run_audits,
@@ -563,6 +564,39 @@ class TestCommands:
         assert main(["verify", str(p1)]) == 0  # perturbation kept the covering
         capsys.readouterr()
 
+    def test_perturb_above_the_crossings_cap_exits_2_at_once(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # at N = 91,201 (grid basis "1/2,0;0,1/2", l = 150) the first draw's
+        # depth scan asked for 58,788 x 35,290 crossings and ended in a numpy
+        # traceback; a low cap stands in for that here
+        monkeypatch.setattr(arrangement, "_MAX_CROSSINGS", 100)
+        out = tmp_path / "inst.json"
+        start = time.process_time()
+        assert main(["gen-lattice", "--k", "2", "--l", "1", "--basis", "1/3,0;0,1/3",
+                     "--perturb", "1/64", "--seed", "11", "--out", str(out)]) == 2
+        assert time.process_time() - start < 1
+        assert re.fullmatch(
+            r"error: --perturb translates: the depth scan would make [\d,]+ crossings of "
+            r"[\d,]+ hypotenuses and [\d,]+ horizontal lines, more than its cap of 100\n",
+            capsys.readouterr().err,
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "decompose", "audit"])
+    def test_crossings_above_the_cap_exit_2_and_name_the_translates(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # QUARTERS: hypotenuse offsets 1, 3/2 and 2; y-lines 0, 1/2 and 1
+        monkeypatch.setattr(arrangement, "_MAX_CROSSINGS", 8)
+        path = write_instance(tmp_path / "quarters.json", QUARTERS)
+        out = tmp_path / "report.json"
+        assert main([command, path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: translates: the depth scan would make 9 crossings of 3 hypotenuses "
+            "and 3 horizontal lines, more than its cap of 8\n"
+        )
+        assert not out.exists()
+
     def test_gen_lattice_provenance_writes_the_magnitude_canonically(self, tmp_path, capsys):
         args = ["gen-lattice", "--k", "2", "--l", "1", "--basis", "1/3,0;0,1/3", "--seed", "11"]
         spaced, plain = tmp_path / "spaced.json", tmp_path / "plain.json"
@@ -619,6 +653,19 @@ class TestCommands:
     def test_optimize_seed_grid_below_1_exits_2(self, capsys, grid):
         assert main(["optimize", "--k", "1", "--seed-grid", grid]) == 2
         assert capsys.readouterr().err == f"error: seed grid must be at least 1, got {grid}\n"
+
+    def test_optimize_names_a_seed_grid_too_fine(self, capsys):
+        # at k = 1 the grid's first shape (0, 1/N) needs more than 1000
+        # lattice rows for its critical size from N = 736 on
+        assert main(["optimize", "--k", "1", "--budget", "1", "--seed-grid", "735"]) == 1
+        capsys.readouterr()
+        start = time.process_time()
+        assert main(["optimize", "--k", "1", "--seed-grid", "900"]) == 2
+        assert time.process_time() - start < 1
+        assert capsys.readouterr().err == (
+            "error: --seed-grid 900: lattice too flat: its critical size needs more than "
+            "1000 rows\n"
+        )
 
     def test_optimize_refuses_a_flat_stored_lattice_fast(self, tmp_path, capsys):
         # the shape (1/3 + 1/70000, 1/10000) took 19 s to scan before the row
